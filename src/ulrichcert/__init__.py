@@ -22,7 +22,6 @@ from .errors import (
 from .euler import ChiProfile, chi_ci, chi_proj, chi_subvariety, chi_ulrich, subvariety_chi_poly
 from .exactcore import ExactScalar, SparsePoly, binom, binom_int, binom_poly, parse_scalar, scalar_str
 from .invariants import (
-    CIContext,
     UlrichNumerics,
     c1_coeff,
     c2_bundle_coeff,

@@ -37,7 +37,6 @@ from .identities import (
     gap_poly,
 )
 from .invariants import (
-    CIContext,
     c2_bundle_coeff,
     rank2_numerics,
     rank3_numerics,
@@ -65,7 +64,7 @@ def _sample_contexts(seed: int, count: int, dims=(3, 4, 5)):
         a = rng.randint(2, 4)
         s = rng.randint(1, 5)
         degrees = tuple(rng.randint(1, 4) for _ in range(s))
-        out.append(CIContext.from_data(m, degrees, a, r))
+        out.append(ChiProfile(m, degrees, a, r))
     return out
 
 
@@ -241,8 +240,8 @@ def criterion_10() -> tuple[bool, str]:
         ((5, (2,), 3, 2), (5, (2, 1, 1), 3, 2)),
     ]
     for short, padded in pairs:
-        lhs = certify_complete_intersection(CIContext.from_data(*short))
-        rhs = certify_complete_intersection(CIContext.from_data(*padded))
+        lhs = certify_complete_intersection(ChiProfile(*short))
+        rhs = certify_complete_intersection(ChiProfile(*padded))
         if lhs.payload() != rhs.payload():
             problems.append(("padding", short))
 

@@ -19,7 +19,8 @@ from math import factorial
 
 from .errors import InternalContradiction, OutOfTheoremScope
 from .exactcore import scalar_str
-from .invariants import CIContext, rank2_numerics, rank3_numerics
+from .euler import ChiProfile
+from .invariants import rank2_numerics, rank3_numerics
 from .identities import GAP_B, GAP_FACTOR, gap_poly
 
 BRANCH_RANK1 = "rank1-interval"
@@ -118,7 +119,7 @@ def chi_integrality_check(n: int, a: int, r: int) -> bool:
     return True
 
 
-def certify_line_bundle(ctx: CIContext) -> Certificate:
+def certify_line_bundle(ctx: ChiProfile) -> Certificate:
     """Rank-1 certificate: the interval of admissible twists is empty."""
     if ctx.r != 1:
         raise ValueError("line-bundle certificate needs r = 1")
@@ -134,7 +135,7 @@ def certify_line_bundle(ctx: CIContext) -> Certificate:
     )
 
 
-def reduce_to_dim4(ctx: CIContext) -> CIContext:
+def reduce_to_dim4(ctx: ChiProfile) -> ChiProfile:
     """Cut down to dimension 4 by degree-a sections, then pad the type with
     1's until it has at least four entries.
 
@@ -149,10 +150,10 @@ def reduce_to_dim4(ctx: CIContext) -> CIContext:
     core = tuple(d for d in degrees if d > 1)
     if len(core) < 4:
         core = core + (1,) * (4 - len(core))
-    return CIContext.from_data(4, core, ctx.a, ctx.r)
+    return ChiProfile(4, core, ctx.a, ctx.r)
 
 
-def _ci_input(ctx: CIContext) -> dict:
+def _ci_input(ctx: ChiProfile) -> dict:
     return {"m": ctx.m, "degrees": list(ctx.degrees), "a": ctx.a, "r": ctx.r}
 
 
@@ -166,7 +167,7 @@ def _excluded_type(degrees: tuple) -> str | None:
     return None
 
 
-def certify_complete_intersection(ctx: CIContext) -> Certificate:
+def certify_complete_intersection(ctx: ChiProfile) -> Certificate:
     """Decide non-existence of rank <= 3 Ulrich bundles for a Veronese
     embedding of a complete intersection of dimension >= 4."""
     if ctx.a < 2:
@@ -235,7 +236,7 @@ def certify_veronese(n: int, a: int, r: int) -> Certificate:
 
     echo = {"n": n, "a": a, "r": r}
     if n == 4:
-        inner = certify_complete_intersection(CIContext.from_data(4, (1,), a, r))
+        inner = certify_complete_intersection(ChiProfile(4, (1,), a, r))
         return Certificate(echo, inner.branch, inner.witnesses, inner.hypotheses_attested, inner.conclusion)
 
     if a == 2 and n in (5, 6):
@@ -252,7 +253,7 @@ def certify_veronese(n: int, a: int, r: int) -> Certificate:
             conclusion=NONEXISTENT,
         )
 
-    ctx = CIContext.from_data(4, (a,) * (n - 4), a, r)
+    ctx = ChiProfile(4, (a,) * (n - 4), a, r)
     inner = certify_complete_intersection(ctx)
     return Certificate(echo, inner.branch, inner.witnesses, inner.hypotheses_attested, inner.conclusion)
 
@@ -263,7 +264,7 @@ def replay(cert: Certificate) -> Certificate:
     if "n" in data:
         return certify_veronese(data["n"], data["a"], data["r"])
     return certify_complete_intersection(
-        CIContext.from_data(data["m"], tuple(data["degrees"]), data["a"], data["r"])
+        ChiProfile(data["m"], data["degrees"], data["a"], data["r"])
     )
 
 

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .acceptance import run_all
 from .certify import certify_complete_intersection, certify_veronese
@@ -33,7 +31,7 @@ from .identities import (
     check_s4_tables,
     check_structure,
 )
-from .invariants import CIContext, c1_coeff
+from .invariants import c1_coeff
 
 
 def parse_range(text: str) -> range:
@@ -98,18 +96,20 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_certify_ci(args) -> int:
-    ctx = CIContext.from_data(args.m, parse_degrees(args.degrees), args.a, args.r)
-    cert = certify_complete_intersection(ctx)
+    cert = certify_complete_intersection(
+        ChiProfile(args.m, parse_degrees(args.degrees), args.a, args.r)
+    )
     _emit(cert.to_json(), args)
     return 0
 
 
 def _cmd_chi(args) -> int:
-    profile = ChiProfile(m=args.m, degrees=parse_degrees(args.degrees), a=args.a, r=args.r)
+    degrees = parse_degrees(args.degrees)
+    profile = ChiProfile(args.m, degrees, args.a, args.r)
     payload = {
         "input": {
             "m": args.m,
-            "degrees": list(profile.degrees),
+            "degrees": list(degrees),
             "a": args.a,
             "r": args.r,
             "ell": args.ell,
@@ -118,10 +118,9 @@ def _cmd_chi(args) -> int:
         "chi_ulrich": scalar_str(chi_ulrich(args.ell, profile)),
     }
     if args.r >= 2:
-        ctx = CIContext(profile)
-        u = c1_coeff(ctx)
+        u = c1_coeff(profile)
         payload["u"] = scalar_str(u)
-        payload["chi_subvariety"] = scalar_str(chi_subvariety(args.ell, ctx.profile, u))
+        payload["chi_subvariety"] = scalar_str(chi_subvariety(args.ell, profile, u))
     _emit(payload, args)
     return 0
 
@@ -162,8 +161,6 @@ def _cmd_verify_appendix(args) -> int:
         raise ValueError("a must be >= 2")
     if args.d_max < 1:
         raise ValueError("--d-max must be >= 1")
-    if args.jobs < 1:
-        raise ValueError("--jobs must be >= 1")
 
     tasks = []
     for a in a_range:
@@ -181,17 +178,12 @@ def _cmd_verify_appendix(args) -> int:
                 for r, ell in ((2, 0), (3, 0), (3, 1)):
                     tasks.append(lambda a=a, s=s, r=r, ell=ell: check_structure(a, 4, s, r, ell))
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(task) for task in tasks]
-            reports = [future.result() for future in futures]
-    else:
-        reports = []
-        for task in tasks:
-            report = task()
-            reports.append(report)
-            if args.fail_fast and not report.passed:
-                break
+    reports = []
+    for task in tasks:
+        report = task()
+        reports.append(report)
+        if args.fail_fast and not report.passed:
+            break
 
     gap_reports = check_gap_positivity(
         s_max=max(2, min(max(s_range), 5)),
@@ -244,14 +236,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact non-existence certificates for low-rank Ulrich bundles "
         "on Veronese embeddings of complete intersections.",
     )
-    default_jobs = int(os.environ.get("ULRICHCERT_JOBS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-appendix", help="run the identity checkers over a grid")
     p.add_argument("--a", default="2..6", help="twist range, e.g. 2..6")
     p.add_argument("--s", default="4..7", help="codimension range, e.g. 4..7")
     p.add_argument("--d-max", type=int, default=4, dest="d_max", help="degree grid bound for positivity")
-    p.add_argument("--jobs", type=int, default=default_jobs)
     p.add_argument("--fail-fast", action="store_true")
     p.add_argument("--full-grids", action="store_true", help="include every positivity grid value")
     _add_output_flags(p)

@@ -27,7 +27,8 @@ MAX_SUBSET_VARS = 24  # 2^s Koszul terms; every real use has s <= 10
 
 @dataclass(frozen=True)
 class ChiProfile:
-    """Complete-intersection shape plus polarization and rank."""
+    """Complete-intersection shape plus polarization and rank, in canonical
+    form: degrees sorted descending, rank r <= 3."""
 
     m: int
     degrees: tuple
@@ -35,7 +36,7 @@ class ChiProfile:
     r: int
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(self.degrees))
+        object.__setattr__(self, "degrees", tuple(sorted(self.degrees, reverse=True)))
         if self.m < 0:
             raise ValueError("dimension m must be >= 0")
         if not self.degrees:
@@ -46,6 +47,8 @@ class ChiProfile:
             raise ValueError("polarization twist a must be >= 2")
         if self.r < 1:
             raise ValueError("rank r must be >= 1")
+        if self.r > 3:
+            raise ValueError("pipeline handles rank r <= 3 only")
 
     @property
     def s(self) -> int:
@@ -159,20 +162,12 @@ def _falling_binom_2var(order: int, const: Fraction, wcoeff: Fraction) -> dict:
     for j in range(order):
         shift = const - j
         out: dict = {}
-
-        def bump(key, value):
-            new = out.get(key, Fraction(0)) + value
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-
         for (i1, i2), c in poly.items():
-            bump((i1 + 1, i2), c)
+            out[i1 + 1, i2] = out.get((i1 + 1, i2), 0) + c
             if wcoeff:
-                bump((i1, i2 + 1), c * wcoeff)
+                out[i1, i2 + 1] = out.get((i1, i2 + 1), 0) + c * wcoeff
             if shift:
-                bump((i1, i2), c * shift)
+                out[i1, i2] = out.get((i1, i2), 0) + c * shift
         poly = out
     inv = Fraction(1, factorial(order))
     return {key: c * inv for key, c in poly.items()}
@@ -217,11 +212,7 @@ def subvariety_chi_poly(a: int, m: int, s: int, r: int, ell: int) -> SparsePoly:
     shifted = _falling_binom_2var(order, u_const - ell - 1, half_r)
     combined: dict = dict(plain)
     for key, c in shifted.items():
-        new = combined.get(key, Fraction(0)) + (r - 1) * c
-        if new:
-            combined[key] = new
-        else:
-            combined.pop(key, None)
+        combined[key] = combined.get(key, 0) + (r - 1) * c
 
     partition_rows = {
         weight: [(p, _multinomial(weight, p)) for p in partitions_of(weight) if len(p) <= s]
@@ -238,11 +229,7 @@ def subvariety_chi_poly(a: int, m: int, s: int, r: int, ell: int) -> SparsePoly:
                 if not ways:
                     continue
                 key = (partition, i2)
-                new = acc.get(key, Fraction(0)) + sign * c * mult * ways
-                if new:
-                    acc[key] = new
-                else:
-                    acc.pop(key, None)
+                acc[key] = acc.get(key, 0) + sign * c * mult * ways
 
     # the bundle-chi block: a pure product of all variables times a
     # polynomial in w
@@ -252,20 +239,12 @@ def subvariety_chi_poly(a: int, m: int, s: int, r: int, ell: int) -> SparsePoly:
         out: dict = {}
         for i2, c in wpoly.items():
             for key, value in ((i2 + 1, c * half_r), (i2, c * shift)):
-                new = out.get(key, Fraction(0)) + value
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, 0) + value
         wpoly = out
     ones = (1,) * s
     for i2, c in wpoly.items():
         key = (ones, i2)
-        new = acc.get(key, Fraction(0)) + c
-        if new:
-            acc[key] = new
-        else:
-            acc.pop(key, None)
+        acc[key] = acc.get(key, 0) + c
 
     # fold in the powers of w, highest first (Horner in m1-multiplication)
     by_wpow: dict = {}
@@ -280,10 +259,6 @@ def subvariety_chi_poly(a: int, m: int, s: int, r: int, ell: int) -> SparsePoly:
         layer = by_wpow.get(i2, {})
         merged = dict(lifted.coeffs)
         for partition, c in layer.items():
-            new = merged.get(partition, Fraction(0)) + c
-            if new:
-                merged[partition] = new
-            else:
-                merged.pop(partition, None)
+            merged[partition] = merged.get(partition, 0) + c
         basis = BasisExpr(s, merged)
     return from_basis(basis)

@@ -120,16 +120,6 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        """Largest total degree among stored terms; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
     # -- ring operations ---------------------------------------------------
 
     def _require_same_vars(self, other: "SparsePoly") -> None:
@@ -144,11 +134,7 @@ class SparsePoly:
         self._require_same_vars(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            new = out.get(exps, Fraction(0)) + coeff
-            if new:
-                out[exps] = new
-            else:
-                out.pop(exps, None)
+            out[exps] = out.get(exps, 0) + coeff
         return SparsePoly(self.nvars, out)
 
     __radd__ = __add__
@@ -179,11 +165,7 @@ class SparsePoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                new = out.get(e, Fraction(0)) + c1 * c2
-                if new:
-                    out[e] = new
-                else:
-                    out.pop(e, None)
+                out[e] = out.get(e, 0) + c1 * c2
         return SparsePoly(self.nvars, out)
 
     __rmul__ = __mul__

@@ -11,78 +11,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .exactcore import binom, scalar_str
 from .euler import ChiProfile, chi_subvariety
 
 
-@dataclass(frozen=True)
-class CIContext:
-    """A complete-intersection input in canonical form (degrees sorted
-    descending)."""
-
-    profile: ChiProfile
-
-    def __post_init__(self):
-        if self.profile.r > 3:
-            raise ValueError("pipeline handles rank r <= 3 only")
-        canonical = tuple(sorted(self.profile.degrees, reverse=True))
-        if canonical != self.profile.degrees:
-            object.__setattr__(
-                self,
-                "profile",
-                ChiProfile(self.profile.m, canonical, self.profile.a, self.profile.r),
-            )
-
-    @classmethod
-    def from_data(cls, m: int, degrees: Sequence[int], a: int, r: int) -> "CIContext":
-        return cls(ChiProfile(m=m, degrees=tuple(degrees), a=a, r=r))
-
-    @property
-    def m(self) -> int:
-        return self.profile.m
-
-    @property
-    def s(self) -> int:
-        return self.profile.s
-
-    @property
-    def degrees(self) -> tuple:
-        return self.profile.degrees
-
-    @property
-    def a(self) -> int:
-        return self.profile.a
-
-    @property
-    def r(self) -> int:
-        return self.profile.r
-
-    @property
-    def d(self) -> int:
-        return self.profile.d
-
-    @property
-    def S(self) -> int:
-        return self.profile.S
-
-    @property
-    def Sprime(self) -> int:
-        return self.profile.Sprime
-
-
-def canonical_coeff(ctx: CIContext) -> Fraction:
+def canonical_coeff(ctx: ChiProfile) -> Fraction:
     """K_X = (S - s - m - 1) H."""
     return Fraction(ctx.S - ctx.s - ctx.m - 1)
 
 
-def c2_tangent_coeff(ctx: CIContext) -> Fraction:
+def c2_tangent_coeff(ctx: ChiProfile) -> Fraction:
     """c2(X) = [binom(m+s+1, 2) + S(S - s - m - 1) - S'] H^2."""
     return binom(ctx.m + ctx.s + 1, 2) + ctx.S * (ctx.S - ctx.s - ctx.m - 1) - ctx.Sprime
 
 
-def c1_coeff(ctx: CIContext) -> Fraction:
+def c1_coeff(ctx: ChiProfile) -> Fraction:
     """c1(E) = u H with u = (r/2)[(m+1)(a-1) + S - s].
 
     u can be a non-integer rational for odd r; nothing downstream assumes
@@ -140,19 +85,19 @@ def _bracket24(m: int, r: int, a: int, s: int, S: int, S2: int) -> int:
     )
 
 
-def c2_bundle_coeff(ctx: CIContext) -> Fraction:
+def c2_bundle_coeff(ctx: ChiProfile) -> Fraction:
     """c2(E) = e H^2; e is r/24 times the shared degree bracket."""
     if ctx.r < 2:
         raise ValueError("c2 coefficient is defined for rank r >= 2")
     return Fraction(ctx.r, 24) * _bracket24(ctx.m, ctx.r, ctx.a, ctx.s, ctx.S, ctx.Sprime)
 
 
-def subvariety_degree(ctx: CIContext) -> Fraction:
+def subvariety_degree(ctx: ChiProfile) -> Fraction:
     """deg_H(Z) = e d, via the closed bracket."""
     return ctx.d * c2_bundle_coeff(ctx)
 
 
-def subvariety_degree_chern(ctx: CIContext) -> Fraction:
+def subvariety_degree_chern(ctx: ChiProfile) -> Fraction:
     """deg_H(Z) recomputed from the general rank-r surface-restriction
     identity for c2 of an Ulrich bundle, with L = aH and H^m = d.
 
@@ -201,7 +146,7 @@ class UlrichNumerics:
         }
 
 
-def _common_invariants(ctx: CIContext):
+def _common_invariants(ctx: ChiProfile):
     return (
         c1_coeff(ctx),
         c2_bundle_coeff(ctx),
@@ -211,7 +156,7 @@ def _common_invariants(ctx: CIContext):
     )
 
 
-def rank2_numerics(ctx: CIContext) -> UlrichNumerics:
+def rank2_numerics(ctx: ChiProfile) -> UlrichNumerics:
     """The rank-2 chain on a 4-dimensional complete intersection.
 
     K_Z is a known multiple of the hyperplane section, so K_Z^2 and c2(Z)
@@ -244,11 +189,11 @@ def rank2_numerics(ctx: CIContext) -> UlrichNumerics:
         * degz
     )
     chi_noether = (kz2 + c2z) / 12
-    chi_rr = chi_subvariety(0, ctx.profile, u)
+    chi_rr = chi_subvariety(0, ctx, u)
     return UlrichNumerics(u, e, degz, kx, c2x, kz, kzh, kz2, c2z, chi_noether, chi_rr)
 
 
-def rank3_numerics(ctx: CIContext) -> UlrichNumerics:
+def rank3_numerics(ctx: ChiProfile) -> UlrichNumerics:
     """The rank-3 chain on a 4-dimensional complete intersection.
 
     K_Z . H_Z comes from Riemann-Roch on the surface using chi at twists 0
@@ -261,8 +206,8 @@ def rank3_numerics(ctx: CIContext) -> UlrichNumerics:
     a, s, S, S2 = ctx.a, ctx.s, ctx.S, ctx.Sprime
     u, e, degz, kx, c2x = _common_invariants(ctx)
 
-    chi0 = chi_subvariety(0, ctx.profile, u)
-    chi1 = chi_subvariety(1, ctx.profile, u)
+    chi0 = chi_subvariety(0, ctx, u)
+    chi1 = chi_subvariety(1, ctx, u)
     kzh = -2 * chi1 + 2 * chi0 + degz
     t = S - s + 3 * a - 5
     kz2 = 5 * t * kzh - Fraction(25, 4) * t**2 * degz

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import DivisibilityError, SymmetryError
-from .exactcore import SparsePoly, parse_scalar, scalar_str
+from .exactcore import SparsePoly
 
 Partition = tuple  # weakly decreasing tuple of positive ints
 
@@ -138,13 +138,6 @@ class BasisExpr:
     def sorted_items(self) -> list[tuple[Partition, Fraction]]:
         return sorted(self.coeffs.items(), key=lambda item: partition_sort_key(item[0]))
 
-    def to_pairs(self) -> list[tuple[list[int], str]]:
-        return [(list(p), scalar_str(c)) for p, c in self.sorted_items()]
-
-    @classmethod
-    def from_pairs(cls, nvars: int, pairs: Iterable[tuple[Sequence[int], str]]) -> "BasisExpr":
-        return cls(nvars, {tuple(p): parse_scalar(c) for p, c in pairs})
-
     def __eq__(self, other):
         if not isinstance(other, BasisExpr):
             return NotImplemented
@@ -210,11 +203,7 @@ def specialize_ones(poly: SparsePoly, k: int) -> SparsePoly:
     out: dict[tuple, Fraction] = {}
     for exps, coeff in poly.terms.items():
         head = exps[:k]
-        new = out.get(head, Fraction(0)) + coeff
-        if new:
-            out[head] = new
-        else:
-            out.pop(head, None)
+        out[head] = out.get(head, 0) + coeff
     return SparsePoly(k, out)
 
 
@@ -227,22 +216,14 @@ def m1_times(expr: BasisExpr) -> BasisExpr:
     """
     s = expr.nvars
     out: dict[Partition, Fraction] = {}
-
-    def accumulate(partition: Partition, coeff: Fraction) -> None:
-        new = out.get(partition, Fraction(0)) + coeff
-        if new:
-            out[partition] = new
-        else:
-            out.pop(partition, None)
-
     for partition, coeff in expr.coeffs.items():
         for v in sorted(set(partition)):
             raised = list(partition)
             raised.remove(v)
             raised.append(v + 1)
             mu = tuple(sorted(raised, reverse=True))
-            accumulate(mu, coeff * mu.count(v + 1))
+            out[mu] = out.get(mu, 0) + coeff * mu.count(v + 1)
         if len(partition) < s:
             mu = tuple(sorted(partition + (1,), reverse=True))
-            accumulate(mu, coeff * mu.count(1))
+            out[mu] = out.get(mu, 0) + coeff * mu.count(1)
     return BasisExpr(s, out)

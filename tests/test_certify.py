@@ -17,12 +17,11 @@ from ulrichcert.certify import (
     replay_matches,
 )
 from ulrichcert.errors import OutOfTheoremScope
+from ulrichcert.euler import ChiProfile
 from ulrichcert.exactcore import parse_scalar
-from ulrichcert.invariants import CIContext
 
 
-def ctx(m, degrees, a, r):
-    return CIContext.from_data(m, degrees, a, r)
+ctx = ChiProfile
 
 
 def test_prime_power_screen():

@@ -12,7 +12,7 @@ from ulrichcert.euler import (
     subvariety_chi_poly,
 )
 from ulrichcert.exactcore import binom_int
-from ulrichcert.invariants import CIContext, c1_coeff
+from ulrichcert.invariants import c1_coeff
 from ulrichcert.symmetric import divide_all_vars, specialize_ones, to_basis
 from oracles import brute_chi_ci, brute_chi_poly
 
@@ -108,23 +108,23 @@ def test_chi_subvariety_routes_agree_on_random_samples():
         a = rng.randint(2, 4)
         degrees = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
         ell = rng.randint(-4, 4)
-        ctx = CIContext.from_data(m, degrees, a, r)
+        ctx = ChiProfile(m, degrees, a, r)
         u = c1_coeff(ctx)
         # verify=True cross-asserts the closed display against the
         # three-term route and raises on any disagreement
-        chi_subvariety(ell, ctx.profile, u, verify=True)
+        chi_subvariety(ell, ctx, u, verify=True)
 
 
 def test_chi_subvariety_half_integer_u():
     # r = 3 with 5(a-1)+S-s odd makes u a half-integer; everything stays exact
-    ctx = CIContext.from_data(4, (2,), 2, 3)
+    ctx = ChiProfile(4, (2,), 2, 3)
     u = c1_coeff(ctx)
     assert u == Fraction(3, 2) * (5 + 2 - 1)
     assert u.denominator == 1  # this one happens to be integral
-    ctx2 = CIContext.from_data(4, (3,), 2, 3)
+    ctx2 = ChiProfile(4, (3,), 2, 3)
     u2 = c1_coeff(ctx2)
     assert u2.denominator == 2
-    chi_subvariety(0, ctx2.profile, u2, verify=True)
+    chi_subvariety(0, ctx2, u2, verify=True)
 
 
 def test_chi_subvariety_equals_poly_eval():
@@ -135,9 +135,9 @@ def test_chi_subvariety_equals_poly_eval():
         s = rng.randint(1, 4)
         degrees = tuple(rng.randint(1, 4) for _ in range(s))
         ell = rng.choice([0, 1])
-        ctx = CIContext.from_data(4, degrees, a, r)
+        ctx = ChiProfile(4, degrees, a, r)
         u = c1_coeff(ctx)
-        value = chi_subvariety(ell, ctx.profile, u)
+        value = chi_subvariety(ell, ctx, u)
         poly = subvariety_chi_poly(a, 4, s, r, ell)
         assert poly.eval(ctx.degrees) == value
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ulrichcert.euler import ChiProfile
 from ulrichcert.exactcore import binom_int
 from ulrichcert.identities import (
     deg_poly_r3,
@@ -14,7 +15,6 @@ from ulrichcert.identities import (
     gap_poly,
 )
 from ulrichcert.invariants import (
-    CIContext,
     c1_coeff,
     c2_bundle_coeff,
     c2_tangent_coeff,
@@ -26,16 +26,16 @@ from ulrichcert.invariants import (
 )
 
 
-def ctx(m, degrees, a, r):
-    return CIContext.from_data(m, degrees, a, r)
+ctx = ChiProfile
 
 
 def test_context_canonical_form():
-    c = ctx(4, (1, 3, 2), 2, 2)
+    c = ChiProfile(4, (1, 3, 2), 2, 2)
     assert c.degrees == (3, 2, 1)
+    assert c == ChiProfile(4, [3, 2, 1], 2, 2)
     assert (c.d, c.S, c.Sprime) == (6, 6, 11)
-    with pytest.raises(ValueError):
-        ctx(4, (2,), 2, 4)
+    with pytest.raises(ValueError, match=r"rank r <= 3 only"):
+        ChiProfile(4, (2,), 2, 4)
 
 
 def test_canonical_coeff_examples():
