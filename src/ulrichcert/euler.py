@@ -9,6 +9,11 @@ polarized by O_X(a), together with its associated codimension-2 subvariety:
 * chi of twists of the Ulrich bundle itself,
 * chi of twists of the structure sheaf of the subvariety, both as an exact
   number and as a polynomial in indeterminate degrees x_1, ..., x_s.
+
+A Koszul term depends on its subset only through the degree sum and the
+parity of the size, so the exact sums run over the coefficients of
+prod_i (1 - x^{d_i}) rather than over the 2^s subsets: at most S + 1 terms,
+s + 1 when the degrees are equal, so the cost is polynomial in s.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ from math import comb, factorial
 from .errors import InternalContradiction
 from .exactcore import ScalarLike, SparsePoly, binom
 from .symmetric import BasisExpr, from_basis, m1_times, partitions_of
-
-MAX_SUBSET_VARS = 24  # 2^s Koszul terms; every real use has s <= 10
 
 
 @dataclass(frozen=True)
@@ -78,18 +81,25 @@ def chi_proj(ell: ScalarLike, m: int) -> Fraction:
     return binom(Fraction(ell) + m, m)
 
 
+def koszul_coefficients(degrees: tuple) -> dict:
+    """The coefficients of prod_i (1 - x^{d_i}): a map from each subset degree
+    sum to the number of subsets with that sum, signed by (-1)^size."""
+    coeffs = {0: 1}
+    for d in degrees:
+        out = dict(coeffs)
+        for shift, c in coeffs.items():
+            out[shift + d] = out.get(shift + d, 0) - c
+        coeffs = out
+    return {shift: c for shift, c in coeffs.items() if c}
+
+
 def chi_ci(ell: ScalarLike, profile: ChiProfile) -> Fraction:
     """chi of O_X(ell) by inclusion-exclusion over subsets of the degrees."""
-    s = profile.s
-    if s > MAX_SUBSET_VARS:
-        raise ValueError(f"subset enumeration capped at s <= {MAX_SUBSET_VARS}")
-    n = profile.m + s
+    n = profile.m + profile.s
     ell = Fraction(ell)
     total = Fraction(0)
-    for mask in range(1 << s):
-        shift = sum(profile.degrees[i] for i in range(s) if mask >> i & 1)
-        sign = -1 if bin(mask).count("1") % 2 else 1
-        total += sign * binom(ell - shift + n, n)
+    for shift, c in koszul_coefficients(profile.degrees).items():
+        total += c * binom(ell - shift + n, n)
     return total
 
 
@@ -114,10 +124,8 @@ def chi_subvariety(
     chi(O_X(ell)) - chi(E(ell-u)) + (r-1) chi(O_X(ell-u)),
     which exercises disjoint code paths.
     """
-    m, s = profile.m, profile.s
-    if s > MAX_SUBSET_VARS:
-        raise ValueError(f"subset enumeration capped at s <= {MAX_SUBSET_VARS}")
-    n = m + s
+    m = profile.m
+    n = m + profile.s
     r, a = profile.r, profile.a
     ell = Fraction(ell)
     u = Fraction(u)
@@ -128,11 +136,11 @@ def chi_subvariety(
         prod *= u - ell - j * a
     total += (-1) ** (m + 1) * prod
     total += (-1) ** n * (r - 1) * binom(u - ell - 1, n)
-    for mask in range(1, 1 << s):
-        shift = sum(profile.degrees[i] for i in range(s) if mask >> i & 1)
-        k = bin(mask).count("1")
-        sign = (-1) ** (k + n)
-        total += sign * (binom(shift - ell - 1, n) + (r - 1) * binom(shift + u - ell - 1, n))
+    for shift, c in koszul_coefficients(profile.degrees).items():
+        if shift:
+            total += (-1) ** n * c * (
+                binom(shift - ell - 1, n) + (r - 1) * binom(shift + u - ell - 1, n)
+            )
 
     if verify:
         other = (

@@ -36,15 +36,17 @@ def binom(q: ScalarLike, m: int) -> Fraction:
     """Generalized binomial coefficient q*(q-1)*...*(q-m+1) / m!.
 
     Defined for every rational q and every m >= 0 (the m = 0 case is the
-    empty product, giving 1).
+    empty product, giving 1).  With q = p/den the falling product is formed
+    in integers as prod_j (p - j*den) over den**m * m!, and reduced once.
     """
     if m < 0:
         raise ValueError(f"binomial lower index must be >= 0, got {m}")
-    num = Fraction(1)
     q = Fraction(q)
+    p, den = q.numerator, q.denominator
+    num = 1
     for j in range(m):
-        num *= q - j
-    return num / factorial(m)
+        num *= p - j * den
+    return Fraction(num, den**m * factorial(m))
 
 
 def binom_int(q: int, m: int) -> int:

@@ -9,7 +9,15 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from ulrichcert.exactcore import SparsePoly, binom, binom_poly
+from ulrichcert.exactcore import SparsePoly, binom_poly
+
+
+def falling_binom(q, m):
+    """q(q-1)...(q-m+1)/m! as a literal product of Fractions."""
+    out = Fraction(1)
+    for j in range(m):
+        out *= Fraction(q) - j
+    return out / factorial(m)
 
 
 def brute_binom_poly(poly, m):
@@ -33,7 +41,7 @@ def brute_chi_poly(a, m, s, r, ell):
     u = half * full_sum + half * ((m + 1) * (a - 1) - s)
     n = m + s
 
-    f = SparsePoly.const(s, binom(ell + n, n))
+    f = SparsePoly.const(s, falling_binom(ell + n, n))
     block = SparsePoly.const(s, 1)
     for xi in x:
         block = block * xi
@@ -60,5 +68,30 @@ def brute_chi_ci(ell, m, degrees):
     for k in range(s + 1):
         for subset in combinations(range(s), k):
             shift = sum(degrees[i] for i in subset)
-            total += (-1) ** k * binom(Fraction(ell) - shift + n, n)
+            total += (-1) ** k * falling_binom(Fraction(ell) - shift + n, n)
+    return total
+
+
+def brute_chi_subvariety(ell, m, degrees, a, r, u):
+    """chi(O_Z(ell)) from its closed display, one term per subset of the
+    degrees: the empty-subset binomial, the bundle-chi product block, the
+    determinant-shifted binomial, and the signed pair of binomials of every
+    non-empty subset."""
+    s = len(degrees)
+    n = m + s
+    ell, u = Fraction(ell), Fraction(u)
+    d = 1
+    for deg in degrees:
+        d *= deg
+    block = Fraction(r * d, factorial(m))
+    for j in range(1, m + 1):
+        block *= u - ell - j * a
+    total = falling_binom(ell + n, n) + (-1) ** (m + 1) * block
+    total += (-1) ** n * (r - 1) * falling_binom(u - ell - 1, n)
+    for k in range(1, s + 1):
+        for subset in combinations(range(s), k):
+            shift = sum(degrees[i] for i in subset)
+            total += (-1) ** (k + n) * (
+                falling_binom(shift - ell - 1, n) + (r - 1) * falling_binom(shift + u - ell - 1, n)
+            )
     return total

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from ulrichcert.certify import (
@@ -163,6 +166,20 @@ def test_certify_veronese_examples():
 
     cert = certify_veronese(5, 3, 1)
     assert cert.branch == BRANCH_RANK1
+
+
+def test_certify_veronese_golden_digest():
+    # 312 certificates (n in 4..16, a in 2..9, r in 1..3, the criterion-8
+    # sweep included); the digest was taken from literal 2^s-subset Koszul
+    # sums, so it pins the bytes independently of the coefficient expansion
+    blob = "\n".join(
+        json.dumps(certify_veronese(n, a, r).to_json(), sort_keys=True)
+        for n in range(4, 17)
+        for a in range(2, 10)
+        for r in range(1, 4)
+    )
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    assert digest == "883dbf751794cbc4f526f4aa69b77bc8c44fbfc2a22f96593c8ff90ae4b37690"
 
 
 def test_certify_veronese_scope():

@@ -21,6 +21,15 @@ def test_certify_json(capsys):
     assert payload["witnesses"]["violated"] == ["2^3 | r"]
 
 
+def test_certify_large_n_is_in_scope(capsys):
+    # s = n - 4 equal reduced degrees; 2^25 and 2^56 subsets, 26 and 57 Koszul terms
+    assert main(["certify", "--n", "29", "--a", "2", "--r", "2", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["branch"] == "chi-mismatch"
+    assert payload["conclusion"] == "NONEXISTENT"
+    assert main(["certify", "--n", "60", "--a", "9", "--r", "3", "--format", "json"]) == 0
+
+
 def test_certify_out_of_scope(capsys):
     code = main(["certify", "--n", "3", "--a", "2", "--r", "2"])
     assert code == 2

@@ -9,12 +9,13 @@ from ulrichcert.euler import (
     chi_proj,
     chi_subvariety,
     chi_ulrich,
+    koszul_coefficients,
     subvariety_chi_poly,
 )
 from ulrichcert.exactcore import binom_int
 from ulrichcert.invariants import c1_coeff
 from ulrichcert.symmetric import divide_all_vars, specialize_ones, to_basis
-from oracles import brute_chi_ci, brute_chi_poly
+from oracles import brute_chi_ci, brute_chi_poly, brute_chi_subvariety
 
 
 def test_chi_proj_values():
@@ -174,7 +175,45 @@ def test_chi_poly_rejects_rank_one():
         subvariety_chi_poly(2, 4, 4, 1, 0)
 
 
-def test_subset_cap():
-    profile = ChiProfile(m=2, degrees=(1,) * 25, a=2, r=1)
-    with pytest.raises(ValueError):
-        chi_ci(0, profile)
+def test_chi_ci_padding_identity_s25():
+    # 25 hyperplanes cut P^27 down to P^2; 2^25 subsets, 26 Koszul terms
+    assert chi_ci(0, ChiProfile(2, (1,) * 25, 2, 1)) == 1
+
+
+def test_koszul_coefficients_match_bitmask_enumeration():
+    rng = random.Random(19)
+    tuples = [(3,) * 10, (1,) * 10, (5, 4, 1, 1), tuple(range(10, 0, -1))]
+    tuples += [tuple(rng.randint(1, 7) for _ in range(rng.randint(1, 10))) for _ in range(20)]
+    for degrees in tuples:
+        s = len(degrees)
+        expected = {}
+        for mask in range(1 << s):
+            shift = sum(degrees[i] for i in range(s) if mask >> i & 1)
+            expected[shift] = expected.get(shift, 0) + (-1) ** bin(mask).count("1")
+        assert koszul_coefficients(degrees) == {k: c for k, c in expected.items() if c}
+
+
+def _oracle_cases():
+    rng = random.Random(23)
+    cases = [(4, (a,) * s, a, r) for s, a in ((1, 5), (4, 2), (7, 3), (10, 2)) for r in (2, 3)]
+    cases += [(4, (3, 2) + (1,) * k, 2, r) for k in (1, 4, 7) for r in (2, 3)]
+    cases += [(m, tuple(range(s + 1, 1, -1)), 3, 2) for m, s in ((4, 3), (5, 6), (4, 9))]
+    cases += [
+        (rng.randint(3, 5), tuple(rng.sample(range(1, 12), rng.randint(2, 8))), rng.randint(2, 5), 3)
+        for _ in range(6)
+    ]
+    return cases
+
+
+def test_chi_ci_and_subvariety_match_subset_oracles():
+    half_integer_u = 0
+    for i, (m, degrees, a, r) in enumerate(_oracle_cases()):
+        profile = ChiProfile(m, degrees, a, r)
+        u = c1_coeff(profile)
+        half_integer_u += u.denominator == 2
+        ell = i % 3 - 1
+        assert chi_ci(ell, profile) == brute_chi_ci(ell, m, profile.degrees)
+        assert chi_subvariety(ell, profile, u, verify=False) == brute_chi_subvariety(
+            ell, m, profile.degrees, a, r, u
+        )
+    assert half_integer_u >= 3

@@ -12,7 +12,7 @@ from ulrichcert.exactcore import (
     parse_scalar,
     scalar_str,
 )
-from oracles import brute_binom_poly
+from oracles import brute_binom_poly, falling_binom
 
 
 def test_binom_int_basic():
@@ -26,6 +26,19 @@ def test_binom_int_basic():
 def test_binom_negative_m_rejected():
     with pytest.raises(ValueError):
         binom_int(5, -1)
+    with pytest.raises(ValueError):
+        binom(Fraction(3, 2), -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=-60, max_value=60),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=20),
+)
+def test_binom_matches_literal_falling_product(num, den, m):
+    q = Fraction(num, den)
+    assert binom(q, m) == falling_binom(q, m)
 
 
 def test_binom_reflection_identity_exhaustive():
