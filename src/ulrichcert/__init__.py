@@ -20,7 +20,7 @@ from .errors import (
     VerificationFailure,
 )
 from .euler import ChiProfile, chi_ci, chi_proj, chi_subvariety, chi_ulrich, subvariety_chi_poly
-from .exactcore import ExactScalar, SparsePoly, binom, binom_int, binom_poly, parse_scalar, scalar_str
+from .exactcore import ExactScalar, SparsePoly, binom, binom_int, parse_scalar, scalar_str
 from .invariants import (
     UlrichNumerics,
     c1_coeff,

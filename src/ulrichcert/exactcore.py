@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 #: Arbitrary-precision rational scalar.  ``Fraction`` already guarantees the
 #: canonical form this package relies on: lowest terms, positive denominator.
@@ -221,13 +221,6 @@ class SparsePoly:
             key=lambda item: (-sum(item[0]), tuple(-e for e in item[0])),
         )
 
-    def to_pairs(self) -> list[tuple[list[int], str]]:
-        return [(list(exps), scalar_str(coeff)) for exps, coeff in self.sorted_terms()]
-
-    @classmethod
-    def from_pairs(cls, nvars: int, pairs: Iterable[tuple[Sequence[int], str]]) -> "SparsePoly":
-        return cls(nvars, {tuple(exps): parse_scalar(coeff) for exps, coeff in pairs})
-
     def __str__(self):
         if self.is_zero():
             return "0"
@@ -244,16 +237,3 @@ class SparsePoly:
     def __repr__(self):
         return f"SparsePoly({self.nvars}, {dict(self.sorted_terms())!r})"
 
-
-def binom_poly(poly: SparsePoly, m: int) -> SparsePoly:
-    """Generalized binomial with a polynomial upper argument.
-
-    Returns the expansion of poly*(poly-1)*...*(poly-m+1) / m!.  The division
-    by m! happens once, after the product of the shifted factors.
-    """
-    if m < 0:
-        raise ValueError(f"binomial lower index must be >= 0, got {m}")
-    result = SparsePoly.const(poly.nvars, 1)
-    for j in range(m):
-        result = result * (poly - j)
-    return result * Fraction(1, factorial(m))

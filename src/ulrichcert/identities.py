@@ -7,6 +7,12 @@ polynomial v whose positivity drives the final contradiction, the frozen
 coefficient tables for the chi polynomial in the monomial basis, and check
 functions that compare builder output against the tables term by term.
 
+The six derived polynomials are not typed here: each builder runs the
+invariants chain (:func:`ulrichcert.invariants.noether_chain`) over
+polynomials in the degrees, with S = m_1, S' = m_11, d = x_1 ... x_s and, for
+rank 3, the chi polynomials at twists 0 and 1.  The frozen closed-form
+tables below check those polynomials against independent expansions.
+
 Two construction notes surface in every relevant report:
 
 * the K_Z^2 polynomial is built as 5*(m1 - s + 3a - 5)*h minus
@@ -28,7 +34,8 @@ from typing import Optional
 from .errors import VerificationFailure
 from .exactcore import SparsePoly, scalar_str
 from .euler import subvariety_chi_poly
-from .symmetric import BasisExpr, divide_all_vars, expand_m, specialize_ones, to_basis
+from .invariants import noether_chain
+from .symmetric import divide_all_vars, expand_m, specialize_ones, to_basis
 
 #: Canonical basis of symmetric polynomials of degree <= 4 (partition order:
 #: weight descending, then reverse-lex).
@@ -66,108 +73,53 @@ def _ones(s: int) -> SparsePoly:
     return expand_m((1,) * s, s)
 
 
+def _chain(a: int, r: int, s: int, chi0=None, chi1=None) -> tuple:
+    """The invariants chain over polynomials in the degrees x_1, ..., x_s:
+    (e, deg Z, kZ, K_Z . H_Z, K_Z^2, c2(Z), Noether chi), indexed below."""
+    return noether_chain(a, r, s, expand_m((1,), s), expand_m((1, 1), s), _ones(s), chi0, chi1)
+
+
 @lru_cache(maxsize=None)
-def deg_poly_r3(a: int, s: int) -> SparsePoly:
-    """deg_H(Z) as a polynomial in the degrees, rank 3, dimension 4."""
-    w = expand_m((1,), s)
-    m11 = expand_m((1, 1), s)
-    bracket = (
-        SparsePoly.const(s, 145 - 300 * a + 155 * a**2 + 59 * s - 60 * a * s + 6 * s**2)
-        + (-60 + 60 * a - 12 * s) * w
-        + 7 * w**2
-        - 2 * m11
-    )
-    return _ones(s) * bracket / 8
+def _chain_r3(a: int, s: int) -> tuple:
+    """The rank-3 chain, shared by the five rank-3 builders."""
+    return _chain(a, 3, s, subvariety_chi_poly(a, 4, s, 3, 0), subvariety_chi_poly(a, 4, s, 3, 1))
 
 
 @lru_cache(maxsize=None)
 def noether_chi_r2(a: int, s: int) -> SparsePoly:
     """chi(O_Z) via Noether's formula as a polynomial in the degrees, rank 2."""
-    w = expand_m((1,), s)
-    m11 = expand_m((1, 1), s)
-    bracket = (
-        SparsePoly.const(
-            s,
-            25900
-            - 82800 * a
-            + 95380 * a**2
-            - 46800 * a**3
-            + 8320 * a**4
-            + 21160 * s
-            - 50220 * a * s
-            + 38336 * a**2 * s
-            - 9360 * a**3 * s
-            + 6481 * s**2
-            - 10152 * a * s**2
-            + 3852 * a**2 * s**2
-            + 882 * s**3
-            - 684 * a * s**3
-            + 45 * s**4,
-        )
-        + (
-            -21600
-            + 50760 * a
-            - 38520 * a**2
-            + 9360 * a**3
-            - 13140 * s
-            + 20412 * a * s
-            - 7704 * a**2 * s
-            - 2664 * s**2
-            + 2052 * a * s**2
-            - 180 * s**3
-        )
-        * w
-        + (7100 - 10800 * a + 4036 * a**2 + 2860 * s - 2160 * a * s + 288 * s**2) * w**2
-        + (-1080 + 792 * a - 216 * s) * w**3
-        + 64 * w**4
-        + (-880 + 1080 * a - 368 * a**2 - 356 * s + 216 * a * s - 36 * s**2) * m11
-        + (360 - 216 * a + 72 * s) * w * m11
-        - 40 * w**2 * m11
-        + 4 * m11**2
-    )
-    return _ones(s) * bracket * Fraction(5, 1728)
+    return _chain(a, 2, s)[6]
+
+
+@lru_cache(maxsize=None)
+def deg_poly_r3(a: int, s: int) -> SparsePoly:
+    """deg_H(Z) as a polynomial in the degrees, rank 3, dimension 4."""
+    return _chain_r3(a, s)[1]
 
 
 @lru_cache(maxsize=None)
 def kh_poly_r3(a: int, s: int) -> SparsePoly:
     """K_Z . H_Z as a polynomial in the degrees, rank 3: Riemann-Roch on the
     surface applied to the chi polynomials at twists 0 and 1."""
-    return (
-        -2 * subvariety_chi_poly(a, 4, s, 3, 1)
-        + 2 * subvariety_chi_poly(a, 4, s, 3, 0)
-        + deg_poly_r3(a, s)
-    )
+    return _chain_r3(a, s)[3]
 
 
 @lru_cache(maxsize=None)
 def ksq_poly_r3(a: int, s: int) -> SparsePoly:
     """K_Z^2 as a polynomial in the degrees, rank 3 (see KSQ_NOTE)."""
-    w = expand_m((1,), s)
-    t = w + (3 * a - 5 - s)
-    return 5 * t * kh_poly_r3(a, s) - Fraction(25, 4) * t**2 * deg_poly_r3(a, s)
+    return _chain_r3(a, s)[4]
 
 
 @lru_cache(maxsize=None)
 def c2_poly_r3(a: int, s: int) -> SparsePoly:
     """c2(Z) as a polynomial in the degrees, rank 3."""
-    w = expand_m((1,), s)
-    m11 = expand_m((1, 1), s)
-    bracket = (
-        SparsePoly.const(
-            s, -1315 + 1800 * a - 605 * a**2 - 523 * s + 360 * a * s - 52 * s**2
-        )
-        + (520 - 360 * a + 104 * s) * w
-        - 49 * w**2
-        - 6 * m11
-    )
-    linear = 4 * w + (15 * a - 4 * s - 20)
-    return bracket * deg_poly_r3(a, s) / 8 + linear * kh_poly_r3(a, s)
+    return _chain_r3(a, s)[5]
 
 
 @lru_cache(maxsize=None)
 def noether_chi_r3(a: int, s: int) -> SparsePoly:
     """chi(O_Z) via Noether's formula as a polynomial in the degrees, rank 3."""
-    return (ksq_poly_r3(a, s) + c2_poly_r3(a, s)) / 12
+    return _chain_r3(a, s)[6]
 
 
 @lru_cache(maxsize=None)
@@ -711,31 +663,33 @@ class GapReport:
         }
 
 
+def _label(partition: tuple) -> str:
+    """The report label of a monomial basis element: m_<parts>, or 1."""
+    return "m_" + "".join(map(str, partition)) if partition else "1"
+
+
 def _basis_compare(
-    check: str,
-    parameters: dict,
-    actual: BasisExpr,
-    expected: dict,
-    notes: Optional[list] = None,
+    check: str, parameters: dict, compared: dict, notes: Optional[list] = None
 ) -> VerificationReport:
-    """Compare a basis expression against expected coefficients, reporting the
-    exact residual for every basis element and any unexpected support."""
+    """Compare basis expressions against expected coefficients, reporting the
+    exact residual for every basis element and any unexpected support.
+
+    ``compared`` maps a label prefix to (basis expression, expected
+    coefficients by partition)."""
     residuals = []
     status = "pass"
-    s = actual.nvars
-    for partition in BASIS:
-        if len(partition) > s:
-            continue
-        want = Fraction(expected.get(partition, 0))
-        got = actual.get(partition)
-        diff = got - want
-        residuals.append(("m_" + "".join(map(str, partition)) if partition else "1", scalar_str(diff)))
-        if diff:
+    for prefix, (actual, expected) in compared.items():
+        s = actual.nvars
+        for partition in BASIS:
+            if len(partition) > s:
+                continue
+            diff = actual.get(partition) - Fraction(expected.get(partition, 0))
+            residuals.append((prefix + _label(partition), scalar_str(diff)))
+            if diff:
+                status = "fail"
+        for partition in sorted(set(actual.coeffs) - set(BASIS)):
+            residuals.append((prefix + _label(partition), scalar_str(actual.get(partition))))
             status = "fail"
-    extra = set(actual.coeffs) - set(p for p in BASIS if len(p) <= s)
-    for partition in sorted(extra):
-        residuals.append(("m_" + "".join(map(str, partition)), scalar_str(actual.get(partition))))
-        status = "fail"
     return VerificationReport(check, parameters, status, residuals, list(notes or []))
 
 
@@ -747,49 +701,34 @@ def check_coefficient_table(a: int, s: int, variant: str) -> VerificationReport:
     if s < 4:
         raise ValueError("coefficient tables are stated for s >= 4")
     r, ell, denom, table = COEFF_TABLES[variant]
-    poly = subvariety_chi_poly(a, 4, s, r, ell)
-    reduced = to_basis(divide_all_vars(poly))
-    expected = {
-        partition: coeff / denom for partition, coeff in zip(BASIS, table(a, s))
-    }
+    reduced = to_basis(divide_all_vars(subvariety_chi_poly(a, 4, s, r, ell)))
+    expected = {partition: coeff / denom for partition, coeff in zip(BASIS, table(a, s))}
     return _basis_compare(
-        f"coefficient-table[{variant}]", {"a": a, "s": s}, reduced, expected
+        f"coefficient-table[{variant}]", {"a": a, "s": s}, {"": (reduced, expected)}
     )
 
 
 def check_s4_tables(a: int) -> VerificationReport:
     """Compare the three chi polynomials at s = 4 against the explicit
     single-parameter displays."""
-    residuals = []
-    status = "pass"
+    compared = {}
     for variant, table in S4_TABLES.items():
         r, ell, denom, _ = COEFF_TABLES[variant]
         reduced = to_basis(divide_all_vars(subvariety_chi_poly(a, 4, 4, r, ell)))
-        for partition, coeff in zip(BASIS, table(a)):
-            diff = reduced.get(partition) - coeff / denom
-            label = variant + ":" + ("m_" + "".join(map(str, partition)) if partition else "1")
-            residuals.append((label, scalar_str(diff)))
-            if diff:
-                status = "fail"
-    return VerificationReport("s4-displays", {"a": a}, status, residuals)
+        expected = {partition: coeff / denom for partition, coeff in zip(BASIS, table(a))}
+        compared[variant + ":"] = (reduced, expected)
+    return _basis_compare("s4-displays", {"a": a}, compared)
 
 
 def check_closed_forms(a: int, s: int) -> VerificationReport:
     """Compare each derived polynomial against its closed-form basis table."""
-    residuals = []
-    status = "pass"
+    compared = {}
     for name, (builder, prefactor, rows) in CLOSED_FORM_TABLES.items():
         reduced = to_basis(divide_all_vars(builder(a, s)))
-        expected = {
-            partition: prefactor * Fraction(fn(a, s)) for partition, fn in rows.items()
-        }
-        sub = _basis_compare(name, {}, reduced, expected)
-        for label, value in sub.residuals:
-            residuals.append((f"{name}:{label}", value))
-        if not sub.passed:
-            status = "fail"
-    return VerificationReport(
-        "closed-forms", {"a": a, "s": s}, status, residuals, [KSQ_NOTE, NOETHER_R2_NOTE]
+        expected = {partition: prefactor * Fraction(fn(a, s)) for partition, fn in rows.items()}
+        compared[name + ":"] = (reduced, expected)
+    return _basis_compare(
+        "closed-forms", {"a": a, "s": s}, compared, [KSQ_NOTE, NOETHER_R2_NOTE]
     )
 
 
@@ -808,8 +747,7 @@ def check_gap_identities(a: int, s: int) -> VerificationReport:
         if not diff.is_zero():
             status = "fail"
             for partition, coeff in to_basis(diff).sorted_items():
-                name = "m_" + "".join(map(str, partition)) if partition else "1"
-                residuals.append((f"{label}:{name}", scalar_str(coeff)))
+                residuals.append((f"{label}:{_label(partition)}", scalar_str(coeff)))
         else:
             residuals.append((f"{label}:difference", "0"))
     return VerificationReport(

@@ -1,10 +1,11 @@
 """Numeric invariants of the bundle and its associated subvariety.
 
-All divisor and cycle arithmetic is scalar: classes are stored as rational
-multiples of the hyperplane class H, with H^m = d as the intersection
-normalizer.  The two chain evaluators (rank 2 and rank 3) produce every
-number the contradiction pipeline needs, including the structure-sheaf chi
-by both available routes.
+Divisor and cycle classes are stored as rational multiples of the
+hyperplane class H, with H^m = d as the intersection normalizer.  The rank-2
+and rank-3 chain (:func:`noether_chain`) is written once over the degree
+data S, S', d: the evaluators here run it on one input's numbers, together
+with the structure-sheaf chi by the resolution route, and the identity layer
+runs the same lines over polynomials in the degrees.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ def c1_coeff(ctx: ChiProfile) -> Fraction:
     return Fraction(ctx.r, 2) * ((ctx.m + 1) * (ctx.a - 1) + ctx.S - ctx.s)
 
 
-def _bracket24(m: int, r: int, a: int, s: int, S: int, S2: int) -> int:
-    """The shared degree bracket of the subvariety-degree and c2(E) formulas."""
+def _bracket24(m: int, r: int, a: int, s: int, S, S2):
+    """The shared degree bracket of the subvariety-degree and c2(E) formulas;
+    S and S2 may be ints or SparsePolys (see :func:`noether_chain`)."""
     return (
         -4
         + 6 * a
@@ -146,88 +148,93 @@ class UlrichNumerics:
         }
 
 
-def _common_invariants(ctx: ChiProfile):
-    return (
-        c1_coeff(ctx),
-        c2_bundle_coeff(ctx),
-        subvariety_degree(ctx),
-        canonical_coeff(ctx),
-        c2_tangent_coeff(ctx),
-    )
+def noether_chain(a: int, r: int, s: int, S, S2, d, chi0=None, chi1=None) -> tuple:
+    """The rank-r chain (r = 2 or 3) on a 4-dimensional complete intersection.
+
+    S, S2 and d are the sum, the pairwise-product sum and the product of the
+    degrees; chi0 and chi1 are chi(O_Z) and chi(O_Z(1)), needed for rank 3
+    only.  Each may be an exact number or a SparsePoly in the degrees: only
+    +, -, *, ** and Fraction scalars are applied to them, so the same lines
+    give one input's numbers and the identity layer's polynomials.
+
+    Rank 2: K_Z is a known multiple of the hyperplane section, so K_Z^2 and
+    c2(Z) reduce to multiples of deg_H(Z).  Rank 3: K_Z . H_Z comes from
+    Riemann-Roch on the surface using chi at twists 0 and 1; K_Z^2 from the
+    vanishing square [K_Z - (5/2)(S-s+3a-5) H_Z]^2 = 0; c2(Z) from the
+    Chern-class relation of the subvariety.  chi(O_Z) then follows from
+    Noether's formula.
+
+    Returns (e, deg_H Z, kZ, K_Z . H_Z, K_Z^2, c2(Z), chi(O_Z)), where kZ is
+    the hyperplane coefficient of K_Z for rank 2 and None for rank 3.
+    """
+    e = Fraction(r, 24) * _bracket24(4, r, a, s, S, S2)
+    degz = d * e
+    if r == 2:
+        kz = 2 * S - 2 * s + 5 * (a - 2)
+        kzh = kz * degz
+        kz2 = kz**2 * degz
+        c2z = (
+            Fraction(1, 12)
+            * (
+                650
+                - 750 * a
+                + 220 * a**2
+                + 265 * s
+                - 150 * a * s
+                + 27 * s**2
+                - 270 * S
+                + 150 * a * S
+                - 54 * s * S
+                + 32 * S**2
+                - 10 * S2
+            )
+            * degz
+        )
+    else:
+        kz = None
+        kzh = -2 * chi1 + 2 * chi0 + degz
+        t = S - s + 3 * a - 5
+        kz2 = 5 * t * kzh - Fraction(25, 4) * t**2 * degz
+        c2z = (
+            Fraction(1, 8)
+            * (
+                -1315
+                + 1800 * a
+                - 605 * a**2
+                - 523 * s
+                + 360 * a * s
+                - 52 * s**2
+                + 520 * S
+                - 360 * a * S
+                + 104 * s * S
+                - 49 * S**2
+                - 6 * S2
+            )
+            * degz
+            + (4 * S - 4 * s - 20 + 15 * a) * kzh
+        )
+    return e, degz, kz, kzh, kz2, c2z, Fraction(1, 12) * (kz2 + c2z)
 
 
 def rank2_numerics(ctx: ChiProfile) -> UlrichNumerics:
-    """The rank-2 chain on a 4-dimensional complete intersection.
-
-    K_Z is a known multiple of the hyperplane section, so K_Z^2 and c2(Z)
-    reduce to multiples of deg_H(Z); the structure-sheaf chi then follows
-    from Noether's formula.
-    """
+    """The rank-2 :func:`noether_chain` on one input, with chi(O_Z) also by
+    the resolution route."""
     if ctx.m != 4 or ctx.r != 2:
         raise ValueError(f"rank-2 chain needs m=4, r=2, got m={ctx.m}, r={ctx.r}")
-    a, s, S, S2 = ctx.a, ctx.s, ctx.S, ctx.Sprime
-    u, e, degz, kx, c2x = _common_invariants(ctx)
-
-    kz = Fraction(2 * S - 2 * s + 5 * (a - 2))
-    kzh = kz * degz
-    kz2 = kz**2 * degz
-    c2z = (
-        Fraction(
-            650
-            - 750 * a
-            + 220 * a**2
-            + 265 * s
-            - 150 * a * s
-            + 27 * s**2
-            - 270 * S
-            + 150 * a * S
-            - 54 * s * S
-            + 32 * S**2
-            - 10 * S2,
-            12,
-        )
-        * degz
-    )
-    chi_noether = (kz2 + c2z) / 12
-    chi_rr = chi_subvariety(0, ctx, u)
-    return UlrichNumerics(u, e, degz, kx, c2x, kz, kzh, kz2, c2z, chi_noether, chi_rr)
+    u = c1_coeff(ctx)
+    e, degz, kz, *rest = noether_chain(ctx.a, 2, ctx.s, ctx.S, ctx.Sprime, ctx.d)
+    kx, c2x = canonical_coeff(ctx), c2_tangent_coeff(ctx)
+    return UlrichNumerics(u, e, degz, kx, c2x, Fraction(kz), *rest, chi_subvariety(0, ctx, u))
 
 
 def rank3_numerics(ctx: ChiProfile) -> UlrichNumerics:
-    """The rank-3 chain on a 4-dimensional complete intersection.
-
-    K_Z . H_Z comes from Riemann-Roch on the surface using chi at twists 0
-    and 1; K_Z^2 from the vanishing square [K_Z - (5/2)(S-s+3a-5) H_Z]^2 = 0;
-    c2(Z) from the Chern-class relation of the subvariety; chi again by
-    Noether.
-    """
+    """The rank-3 :func:`noether_chain` on one input; chi(O_Z) by the
+    resolution route feeds K_Z . H_Z and is kept for the comparison."""
     if ctx.m != 4 or ctx.r != 3:
         raise ValueError(f"rank-3 chain needs m=4, r=3, got m={ctx.m}, r={ctx.r}")
-    a, s, S, S2 = ctx.a, ctx.s, ctx.S, ctx.Sprime
-    u, e, degz, kx, c2x = _common_invariants(ctx)
-
+    u = c1_coeff(ctx)
     chi0 = chi_subvariety(0, ctx, u)
     chi1 = chi_subvariety(1, ctx, u)
-    kzh = -2 * chi1 + 2 * chi0 + degz
-    t = S - s + 3 * a - 5
-    kz2 = 5 * t * kzh - Fraction(25, 4) * t**2 * degz
-    c2z = (
-        Fraction(
-            -1315
-            + 1800 * a
-            - 605 * a**2
-            - 523 * s
-            + 360 * a * s
-            - 52 * s**2
-            + 520 * S
-            - 360 * a * S
-            + 104 * s * S
-            - 49 * S**2
-            - 6 * S2,
-            8,
-        )
-        * degz
-        + (4 * S - 4 * s - 20 + 15 * a) * kzh
-    )
-    chi_noether = (kz2 + c2z) / 12
-    return UlrichNumerics(u, e, degz, kx, c2x, None, kzh, kz2, c2z, chi_noether, chi0)
+    e, degz, _, *rest = noether_chain(ctx.a, 3, ctx.s, ctx.S, ctx.Sprime, ctx.d, chi0, chi1)
+    kx, c2x = canonical_coeff(ctx), c2_tangent_coeff(ctx)
+    return UlrichNumerics(u, e, degz, kx, c2x, None, *rest, chi0)

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from ulrichcert.exactcore import SparsePoly, binom_poly
+from ulrichcert.exactcore import SparsePoly
 
 
 def falling_binom(q, m):
@@ -48,15 +48,15 @@ def brute_chi_poly(a, m, s, r, ell):
     for j in range(1, m + 1):
         block = block * (u - ell - j * a)
     f = f + Fraction((-1) ** (m + 1) * r, factorial(m)) * block
-    f = f + ((-1) ** n * (r - 1)) * binom_poly(u - ell - 1, n)
+    f = f + ((-1) ** n * (r - 1)) * brute_binom_poly(u - ell - 1, n)
     for k in range(1, s + 1):
         for subset in combinations(range(s), k):
             partial = SparsePoly.zero(s)
             for i in subset:
                 partial = partial + x[i]
             sign = (-1) ** (k + n)
-            f = f + sign * binom_poly(partial - ell - 1, n)
-            f = f + (sign * (r - 1)) * binom_poly(partial + u - ell - 1, n)
+            f = f + sign * brute_binom_poly(partial - ell - 1, n)
+            f = f + (sign * (r - 1)) * brute_binom_poly(partial + u - ell - 1, n)
     return f
 
 

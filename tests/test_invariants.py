@@ -183,6 +183,30 @@ def test_rank3_chain_matches_polys():
         assert numbers.chiZ_noether == noether_chi_r3(a, s).eval(point)
 
 
+def test_builders_match_scalar_chain_fields():
+    # the six derived polynomials at the sorted degrees give the scalar
+    # chain's fields, and every scalar field is an exact Fraction
+    rng = random.Random(43)
+    for _ in range(50):
+        a = rng.randint(2, 6)
+        s = rng.randint(1, 5)
+        degrees = tuple(rng.randint(1, 5) for _ in range(s))
+        n2 = rank2_numerics(ctx(4, degrees, a, 2))
+        n3 = rank3_numerics(ctx(4, degrees, a, 3))
+        point = tuple(sorted(degrees, reverse=True))
+        assert n2.chiZ_noether == noether_chi_r2(a, s).eval(point)
+        assert n3.degZ == deg_poly_r3(a, s).eval(point)
+        assert n3.kZH == kh_poly_r3(a, s).eval(point)
+        assert n3.kZ2 == ksq_poly_r3(a, s).eval(point)
+        assert n3.c2Z == c2_poly_r3(a, s).eval(point)
+        assert n3.chiZ_noether == noether_chi_r3(a, s).eval(point)
+        assert n3.kZ is None
+        for numbers in (n2, n3):
+            for name, value in vars(numbers).items():
+                if not (numbers is n3 and name == "kZ"):
+                    assert type(value) is Fraction, (name, value)
+
+
 def test_chain_gap_consequence():
     rng = random.Random(41)
     for _ in range(25):
