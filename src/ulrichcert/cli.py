@@ -20,7 +20,13 @@ import sys
 
 from .acceptance import run_all
 from .certify import certify_complete_intersection, certify_veronese
-from .errors import InternalContradiction, OutOfTheoremScope, VerificationFailure
+from .errors import (
+    DivisibilityError,
+    InternalContradiction,
+    OutOfTheoremScope,
+    SymmetryError,
+    VerificationFailure,
+)
 from .euler import ChiProfile, chi_ci, chi_subvariety, chi_ulrich
 from .exactcore import scalar_str
 from .identities import (
@@ -287,12 +293,14 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.handler(args)
+    except (SymmetryError, DivisibilityError, VerificationFailure, InternalContradiction) as exc:
+        # the two structural errors subclass ValueError but signal a failed
+        # check of the package's own polynomials, not bad input
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
     except (OutOfTheoremScope, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (VerificationFailure, InternalContradiction) as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ anywhere; equality always means exact equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Mapping, Sequence, Union
 
 #: Arbitrary-precision rational scalar.  ``Fraction`` already guarantees the
@@ -72,6 +72,11 @@ class SparsePoly:
     Instances are immutable by convention: no method mutates ``self`` and
     callers must never modify the term map.  That makes values safe to share
     across threads and to cache.
+
+    Products and evaluation run in integers: each operand's coefficients
+    are brought over one common denominator, the products are accumulated
+    as Python ints, and one ``Fraction`` is built per output term (product)
+    or per value (evaluation).
     """
 
     __slots__ = ("nvars", "terms")
@@ -89,7 +94,8 @@ class SparsePoly:
                     )
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                coeff = Fraction(coeff)
+                if not isinstance(coeff, Fraction):
+                    coeff = Fraction(coeff)
                 if coeff != 0:
                     clean[exps] = coeff
         object.__setattr__(self, "nvars", nvars)
@@ -123,6 +129,11 @@ class SparsePoly:
         return not self.terms
 
     # -- ring operations ---------------------------------------------------
+
+    def _integer_terms(self) -> tuple[int, list[tuple[Exponents, int]]]:
+        """(den, [(exps, numerator)]) with every coefficient numerator/den."""
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        return den, [(e, c.numerator * (den // c.denominator)) for e, c in self.terms.items()]
 
     def _require_same_vars(self, other: "SparsePoly") -> None:
         if self.nvars != other.nvars:
@@ -163,12 +174,15 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._require_same_vars(other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        den1, terms1 = self._integer_terms()
+        den2, terms2 = other._integer_terms()
+        out: dict[Exponents, int] = {}
+        for e1, c1 in terms1:
+            for e2, c2 in terms2:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return SparsePoly(self.nvars, out)
+        den = den1 * den2
+        return SparsePoly(self.nvars, {e: Fraction(c, den) for e, c in out.items()})
 
     __rmul__ = __mul__
 
@@ -198,18 +212,27 @@ class SparsePoly:
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, point: Sequence[ScalarLike]) -> Fraction:
-        """Exact value at the given point (one scalar per variable)."""
+        """Exact value at the given point (one scalar per variable).
+
+        With the point written as (p_1, ..., p_n) / q and the degree bounded
+        by D, every term is scaled by q**D, so the sum is formed in integers
+        and divided once.
+        """
         if len(point) != self.nvars:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
         point = [Fraction(p) for p in point]
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            value = coeff
-            for base, e in zip(point, exps):
+        q = lcm(*(p.denominator for p in point))
+        nums = [p.numerator * (q // p.denominator) for p in point]
+        den, terms = self._integer_terms()
+        top = max((sum(e) for e, _ in terms), default=0)
+        total = 0
+        for exps, value in terms:
+            value *= q ** (top - sum(exps))
+            for base, e in zip(nums, exps):
                 if e:
                     value *= base**e
             total += value
-        return total
+        return Fraction(total, den * q**top)
 
     # -- canonical serialization ----------------------------------------------
 

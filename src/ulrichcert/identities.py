@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .errors import VerificationFailure
+from .errors import SymmetryError, VerificationFailure
 from .exactcore import SparsePoly, scalar_str
 from .euler import subvariety_chi_poly
 from .invariants import noether_chain
@@ -808,6 +808,11 @@ def check_gap_positivity(
     exact polynomial identity up to a_max; values on the full degree grid
     {1..d_max}^s are recorded for a in 1..a_max, demanding strict positivity
     for a >= 2 and non-negativity (zero exactly at all-ones) for a = 1.
+
+    The polynomial is evaluated once per orbit of the grid under permuting
+    the degrees (at its sorted tuple).  That is exact because symmetry is
+    asserted first, once per (s, a, b); every grid point then takes its
+    orbit's value and is checked in grid order.
     """
     if s_max < 2 or a_max < 2 or d_max < 1:
         raise ValueError("need s_max >= 2, a_max >= 2, d_max >= 1")
@@ -815,6 +820,7 @@ def check_gap_positivity(
     for s in range(2, s_max + 1):
         ones = (1,) * s
         grid = list(itertools.product(range(1, d_max + 1), repeat=s))
+        orbits = list(itertools.combinations_with_replacement(range(1, d_max + 1), s))
         for b in bs:
             base_value = gap_poly(s, 1, b).eval(ones)
             base_ok = base_value == 0
@@ -834,9 +840,17 @@ def check_gap_positivity(
                             witness={"s": s, "a": a, "b": b},
                         )
                 poly = gap_poly(s, a, b)
+                try:
+                    to_basis(poly)
+                except SymmetryError as exc:
+                    raise VerificationFailure(
+                        f"gap({s},{a},{b}) is not symmetric: {exc}",
+                        witness={"s": s, "a": a, "b": b},
+                    ) from exc
+                orbit_values = {tup: poly.eval(tup) for tup in orbits}
                 values = {}
                 for tup in grid:
-                    value = poly.eval(tup)
+                    value = orbit_values[tuple(sorted(tup))]
                     values[tup] = value
                     if a >= 2 and value <= 0:
                         raise VerificationFailure(

@@ -20,6 +20,29 @@ def falling_binom(q, m):
     return out / factorial(m)
 
 
+def brute_poly_mul(terms1, terms2):
+    """Product of two term maps (exponent tuple -> coefficient): one Fraction
+    product per pair of terms, zero coefficients dropped."""
+    out = {}
+    for e1, c1 in terms1.items():
+        for e2, c2 in terms2.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def brute_poly_eval(terms, point):
+    """Value of a term map at a point, one Fraction factor at a time."""
+    total = Fraction(0)
+    for exps, coeff in terms.items():
+        value = Fraction(coeff)
+        for base, e in zip(point, exps):
+            for _ in range(e):
+                value *= Fraction(base)
+        total += value
+    return total
+
+
 def brute_binom_poly(poly, m):
     """binom(poly, m) by direct product expansion."""
     out = SparsePoly.const(poly.nvars, 1)

@@ -1,6 +1,9 @@
 import json
 
+from ulrichcert import identities
 from ulrichcert.cli import main, parse_degrees, parse_range
+from ulrichcert.exactcore import SparsePoly
+from ulrichcert.symmetric import expand_m
 
 
 def test_parse_range():
@@ -153,3 +156,25 @@ def test_verify_appendix_full_grids(tmp_path):
     grid_report = payload["gap_reports"][0]
     assert "value_grid" in grid_report
     assert len(grid_report["value_grid"]) == 2 ** grid_report["s"]
+
+
+def test_structural_error_in_own_polynomials_exits_1(monkeypatch, capsys):
+    # SymmetryError and DivisibilityError subclass ValueError, but raised on
+    # the package's own polynomials they are failed checks, not bad input
+    builder, prefactor, rows = identities.CLOSED_FORM_TABLES["noether_chi_r2"]
+    broken = {
+        "monomials in the orbit of (1,)": lambda a, s: builder(a, s)
+        + SparsePoly(s, {(2,) + (1,) * (s - 1): 1}),
+        "is not divisible by every variable": lambda a, s: builder(a, s) + expand_m((1,), s),
+    }
+    for message, mutant in broken.items():
+        monkeypatch.setitem(identities.CLOSED_FORM_TABLES, "noether_chi_r2", (mutant, prefactor, rows))
+        assert main(["verify-appendix", "--a", "2", "--s", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verification failure: ") and message in err
+
+
+def test_verify_appendix_usage_errors_exit_2(capsys):
+    for args in (["--s", "0"], ["--a", "1"], ["--a", "3..2"]):
+        assert main(["verify-appendix", *args]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -11,7 +11,7 @@ from ulrichcert.exactcore import (
     parse_scalar,
     scalar_str,
 )
-from oracles import brute_binom_poly, falling_binom
+from oracles import brute_binom_poly, brute_poly_eval, brute_poly_mul, falling_binom
 
 
 def test_binom_int_basic():
@@ -135,6 +135,28 @@ def test_poly_ring_axioms(p, q, r):
     assert (p + q) + r == p + (q + r)
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
+
+
+# rational coefficients with denominators 1..12, so that the operands of a
+# product and the terms of a sum sit over different denominators
+_fractions = st.builds(Fraction, st.integers(min_value=-30, max_value=30), st.integers(min_value=1, max_value=12))
+_frac_terms = st.dictionaries(_exps, _fractions, max_size=6)
+_int_points = st.tuples(*[st.integers(min_value=-6, max_value=6)] * 3)
+_frac_points = st.tuples(*[_fractions] * 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_frac_terms, _frac_terms, _int_points, _frac_points)
+def test_poly_mul_and_eval_match_literal_fraction_oracles(t1, t2, int_point, frac_point):
+    p, q = SparsePoly(3, t1), SparsePoly(3, t2)
+    product = p * q
+    assert product.terms == brute_poly_mul(p.terms, q.terms)
+    assert all(type(c) is Fraction for c in product.terms.values())
+    for point in (int_point, frac_point):
+        for poly in (p, product):
+            value = poly.eval(point)
+            assert type(value) is Fraction
+            assert value == brute_poly_eval(poly.terms, point)
 
 
 def test_sorted_terms_graded_lex():

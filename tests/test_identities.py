@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
 import pytest
 
+from ulrichcert import identities
+from ulrichcert.cli import main
 from ulrichcert.errors import VerificationFailure
 from ulrichcert.euler import subvariety_chi_poly
 from ulrichcert.exactcore import SparsePoly
@@ -146,6 +149,52 @@ def test_gap_positivity_reports():
             assert report.min_value == 0
         payload = report.to_json()
         assert payload["s"] == report.s and len(payload["value_grid"]) == 3**report.s
+
+
+def test_gap_positivity_grid_matches_pointwise_eval():
+    # one evaluation per orbit, expanded back to every point of the grid
+    grid = {s: list(itertools.product(range(1, 4), repeat=s)) for s in (2, 3)}
+    for report in check_gap_positivity(s_max=3, a_max=3, d_max=3):
+        poly = gap_poly(report.s, report.a, report.b)
+        assert list(report.value_grid) == grid[report.s]
+        for tup in grid[report.s]:
+            assert report.value_grid[tup] == poly.eval(tup)
+
+
+def test_gap_positivity_rejects_non_symmetric_poly(monkeypatch):
+    real = identities.gap_poly
+
+    def skewed(s, a, b):
+        # zero at all-ones and >= 0 at every sorted tuple, negative elsewhere
+        x1, x2 = SparsePoly.variable(s, 0), SparsePoly.variable(s, 1)
+        return real(s, a, b) + 10**6 * (x2 - x1)
+
+    # the orbit representatives alone would accept it
+    for a in (1, 2):
+        for tup in itertools.combinations_with_replacement((1, 2), 2):
+            value = skewed(2, a, 8).eval(tup)
+            assert value > 0 or (a == 1 and tup == (1, 1) and value == 0)
+    assert skewed(2, 2, 8).eval((2, 1)) < 0
+
+    monkeypatch.setattr(identities, "gap_poly", skewed)
+    with pytest.raises(VerificationFailure) as info:
+        check_gap_positivity(s_max=2, a_max=2, d_max=2, bs=(8,))
+    assert "is not symmetric" in str(info.value)
+    assert info.value.witness == {"s": 2, "a": 1, "b": 8}
+
+
+# sha256 of the report bytes from the per-point sweep, which evaluated every grid point
+FULL_GRIDS_DIGESTS = {
+    "json": "275b05d8aea892f64f1780417a371f27070f00b2a26bb75cf997a75a4ecbcd48",
+    "text": "3192abdcae880130f3d483010fc29c22684973108e53d71108134fef2f5b38f0",
+}
+
+
+def test_verify_appendix_full_grids_golden_digest(capsys):
+    for fmt, digest in FULL_GRIDS_DIGESTS.items():
+        args = ["verify-appendix", "--a", "2..3", "--s", "4..5", "--d-max", "3", "--full-grids"]
+        assert main(args + ["--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, fmt
 
 
 def test_gap_positivity_failure_carries_witness():

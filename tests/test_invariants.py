@@ -157,32 +157,6 @@ def test_rank2_chain():
     assert numbers.kZ2 == bracket * numbers.degZ
 
 
-def test_rank2_chain_matches_noether_poly():
-    rng = random.Random(31)
-    for _ in range(15):
-        a = rng.randint(2, 4)
-        s = rng.randint(1, 5)
-        degrees = tuple(rng.randint(1, 4) for _ in range(s))
-        c = ctx(4, degrees, a, 2)
-        numbers = rank2_numerics(c)
-        assert numbers.chiZ_noether == noether_chi_r2(a, s).eval(c.degrees)
-
-
-def test_rank3_chain_matches_polys():
-    rng = random.Random(37)
-    for _ in range(12):
-        a = rng.randint(2, 4)
-        s = rng.randint(1, 4)
-        degrees = tuple(rng.randint(1, 4) for _ in range(s))
-        c = ctx(4, degrees, a, 3)
-        numbers = rank3_numerics(c)
-        point = c.degrees
-        assert numbers.kZH == kh_poly_r3(a, s).eval(point)
-        assert numbers.kZ2 == ksq_poly_r3(a, s).eval(point)
-        assert numbers.c2Z == c2_poly_r3(a, s).eval(point)
-        assert numbers.chiZ_noether == noether_chi_r3(a, s).eval(point)
-
-
 def test_builders_match_scalar_chain_fields():
     # the six derived polynomials at the sorted degrees give the scalar
     # chain's fields, and every scalar field is an exact Fraction
