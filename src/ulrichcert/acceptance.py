@@ -107,7 +107,7 @@ def criterion_4() -> tuple[bool, str]:
                 failures.append((a, s))
     return (
         not failures,
-        "gap identities on (a,s) in 2..6 x 4..7 (interpolation-certifying grid), "
+        "gap identities on (a,s) in 2..6 x 4..7 (cross-check grid), "
         f"failures: {failures or 'none'}",
     )
 

@@ -25,7 +25,6 @@ from .identities import GAP_B, GAP_FACTOR, gap_poly
 
 BRANCH_RANK1 = "rank1-interval"
 BRANCH_DIVISIBILITY = "es53-divisibility"
-BRANCH_INTEGRALITY = "cnec-integrality"
 BRANCH_CHI_MISMATCH = "chi-mismatch"
 BRANCH_INCONCLUSIVE = "inconclusive"
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial, lcm
 
 from .errors import InternalContradiction
 from .exactcore import ScalarLike, SparsePoly, binom
@@ -163,22 +163,28 @@ def chi_subvariety(
 def _falling_binom_2var(order: int, const: Fraction, wcoeff: Fraction) -> dict:
     """Coefficients of binom(t + wcoeff*w + const, order) in Q[t, w].
 
-    Returns a map (t-power, w-power) -> coefficient for the product
+    Returns a map (t-power, w-power) -> nonzero coefficient for the product
     (xi)(xi - 1)...(xi - order + 1)/order! with xi = t + wcoeff*w + const.
+    With D the common denominator of const and wcoeff, the product of the
+    integer factors D*xi - j*D is formed over Python ints and each
+    coefficient is divided once by D**order * order!.
     """
-    poly = {(0, 0): Fraction(1)}
+    den = lcm(const.denominator, wcoeff.denominator)
+    w_int = wcoeff.numerator * (den // wcoeff.denominator)
+    c_int = const.numerator * (den // const.denominator)
+    poly = {(0, 0): 1}
     for j in range(order):
-        shift = const - j
+        shift = c_int - j * den
         out: dict = {}
         for (i1, i2), c in poly.items():
-            out[i1 + 1, i2] = out.get((i1 + 1, i2), 0) + c
-            if wcoeff:
-                out[i1, i2 + 1] = out.get((i1, i2 + 1), 0) + c * wcoeff
+            out[i1 + 1, i2] = out.get((i1 + 1, i2), 0) + c * den
+            if w_int:
+                out[i1, i2 + 1] = out.get((i1, i2 + 1), 0) + c * w_int
             if shift:
                 out[i1, i2] = out.get((i1, i2), 0) + c * shift
         poly = out
-    inv = Fraction(1, factorial(order))
-    return {key: c * inv for key, c in poly.items()}
+    scale = den**order * factorial(order)
+    return {key: Fraction(c, scale) for key, c in poly.items() if c}
 
 
 def _multinomial(weight: int, partition: tuple) -> int:
@@ -188,12 +194,6 @@ def _multinomial(weight: int, partition: tuple) -> int:
     return out
 
 
-def _comb0(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
-
-
 @lru_cache(maxsize=None)
 def subvariety_chi_poly(a: int, m: int, s: int, r: int, ell: int) -> SparsePoly:
     """The polynomial in x_1, ..., x_s whose value at a degree tuple is
@@ -201,12 +201,16 @@ def subvariety_chi_poly(a: int, m: int, s: int, r: int, ell: int) -> SparsePoly:
 
     The subset sums over the degrees are collapsed by orbit counting: the
     sum of g(x_{i_1} + ... + x_{i_k}) over all k-subsets is assembled from
-    the multinomial expansion of each power of the subset sum together with
-    the count of k-subsets containing a monomial's support.  Powers of the
-    full variable sum w = x_1 + ... + x_s are multiplied in afterwards,
-    directly in the monomial basis.  The result is identical to the literal
-    per-subset expansion (the tests compare against one) but runs in time
-    polynomial in m + s.
+    the multinomial expansion of each power of the subset sum.  A monomial
+    whose support has l variables lies in C(s - l, k - l) of the k-subsets,
+    and the alternating sum over k of those counts is (-1)^s when l = s and
+    0 otherwise.  So only the partitions with exactly s parts survive, each
+    with weight (-1)^m times its multinomial coefficient, and this
+    cancellation is why the polynomial is divisible by x_1 ... x_s.  Powers
+    of the full variable sum w = x_1 + ... + x_s are multiplied in
+    afterwards, directly in the monomial basis.  The result is identical to
+    the literal per-subset expansion (the tests compare against one) but
+    runs in time polynomial in m + s.
     """
     if s < 1 or m < 1:
         raise ValueError("need m >= 1 and s >= 1")
@@ -222,22 +226,17 @@ def subvariety_chi_poly(a: int, m: int, s: int, r: int, ell: int) -> SparsePoly:
     for key, c in shifted.items():
         combined[key] = combined.get(key, 0) + (r - 1) * c
 
-    partition_rows = {
-        weight: [(p, _multinomial(weight, p)) for p in partitions_of(weight) if len(p) <= s]
-        for weight in range(order + 1)
+    full_rows = {
+        weight: [(p, _multinomial(weight, p)) for p in partitions_of(weight) if len(p) == s]
+        for weight in range(s, order + 1)
     }
 
     acc: dict = {}
-    base_sign = (-1) ** (m + s)
-    for k in range(s + 1):
-        sign = base_sign * (-1) ** k
-        for (i1, i2), c in combined.items():
-            for partition, mult in partition_rows[i1]:
-                ways = _comb0(s - len(partition), k - len(partition))
-                if not ways:
-                    continue
-                key = (partition, i2)
-                acc[key] = acc.get(key, 0) + sign * c * mult * ways
+    sign = (-1) ** m
+    for (i1, i2), c in combined.items():
+        for partition, mult in full_rows.get(i1, ()):
+            key = (partition, i2)
+            acc[key] = acc.get(key, 0) + sign * c * mult
 
     # the bundle-chi block: a pure product of all variables times a
     # polynomial in w
@@ -258,10 +257,8 @@ def subvariety_chi_poly(a: int, m: int, s: int, r: int, ell: int) -> SparsePoly:
     by_wpow: dict = {}
     for (partition, i2), c in acc.items():
         by_wpow.setdefault(i2, {})[partition] = c
-    if not by_wpow:
-        return SparsePoly.zero(s)
     top = max(by_wpow)
-    basis = BasisExpr(s, by_wpow.get(top, {}))
+    basis = BasisExpr(s, by_wpow[top])
     for i2 in range(top - 1, -1, -1):
         lifted = m1_times(basis)
         layer = by_wpow.get(i2, {})

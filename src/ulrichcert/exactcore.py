@@ -77,6 +77,10 @@ class SparsePoly:
     are brought over one common denominator, the products are accumulated
     as Python ints, and one ``Fraction`` is built per output term (product)
     or per value (evaluation).
+
+    The ring operations build their results through the private
+    ``_trusted`` constructor, which skips the exponent checks of the public
+    one but still drops zero coefficients, so the term map stays canonical.
     """
 
     __slots__ = ("nvars", "terms")
@@ -100,6 +104,15 @@ class SparsePoly:
                     clean[exps] = coeff
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: Mapping[Exponents, Fraction]) -> "SparsePoly":
+        """A polynomial from a term map whose keys are valid exponent tuples
+        and whose values are ``Fraction``s; only zeros are dropped."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if c})
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly is immutable")
@@ -148,12 +161,12 @@ class SparsePoly:
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
             out[exps] = out.get(exps, 0) + coeff
-        return SparsePoly(self.nvars, out)
+        return SparsePoly._trusted(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -168,9 +181,7 @@ class SparsePoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Fraction(other)
-            if other == 0:
-                return SparsePoly.zero(self.nvars)
-            return SparsePoly(self.nvars, {e: c * other for e, c in self.terms.items()})
+            return SparsePoly._trusted(self.nvars, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._require_same_vars(other)
@@ -182,7 +193,7 @@ class SparsePoly:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         den = den1 * den2
-        return SparsePoly(self.nvars, {e: Fraction(c, den) for e, c in out.items()})
+        return SparsePoly._trusted(self.nvars, {e: Fraction(c, den) for e, c in out.items()})
 
     __rmul__ = __mul__
 

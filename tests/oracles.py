@@ -31,6 +31,21 @@ def brute_poly_mul(terms1, terms2):
     return {e: c for e, c in out.items() if c != 0}
 
 
+def brute_poly_add(terms1, terms2):
+    """Sum of two term maps, one Fraction sum per shared exponent tuple,
+    zero coefficients dropped."""
+    out = {e: Fraction(c) for e, c in terms1.items()}
+    for e, c in terms2.items():
+        out[e] = out.get(e, Fraction(0)) + Fraction(c)
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def brute_poly_scale(terms, scalar):
+    """A term map times a scalar, zero coefficients dropped."""
+    out = {e: Fraction(c) * Fraction(scalar) for e, c in terms.items()}
+    return {e: c for e, c in out.items() if c != 0}
+
+
 def brute_poly_eval(terms, point):
     """Value of a term map at a point, one Fraction factor at a time."""
     total = Fraction(0)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from ulrichcert.euler import (
     ChiProfile,
+    _falling_binom_2var,
     chi_ci,
     chi_proj,
     chi_subvariety,
@@ -12,10 +14,10 @@ from ulrichcert.euler import (
     koszul_coefficients,
     subvariety_chi_poly,
 )
-from ulrichcert.exactcore import binom_int
+from ulrichcert.exactcore import SparsePoly, binom_int
 from ulrichcert.invariants import c1_coeff
 from ulrichcert.symmetric import divide_all_vars, specialize_ones, to_basis
-from oracles import brute_chi_ci, brute_chi_poly, brute_chi_subvariety
+from oracles import brute_binom_poly, brute_chi_ci, brute_chi_poly, brute_chi_subvariety
 
 
 def test_chi_proj_values():
@@ -161,6 +163,32 @@ def test_chi_poly_matches_literal_expansion():
 
 def test_chi_poly_matches_literal_expansion_s5():
     assert subvariety_chi_poly(2, 4, 5, 2, 0) == brute_chi_poly(2, 4, 5, 2, 0)
+
+
+def test_chi_poly_grid_golden_digest():
+    # sha256 over repr(subvariety_chi_poly(...)), one newline-terminated line
+    # per grid point; the digest was taken from the accumulation over every
+    # k-subset size, so it pins the bytes independently of the s-part collapse
+    text = "".join(
+        repr(subvariety_chi_poly(a, m, s, r, ell)) + "\n"
+        for a in range(2, 5)
+        for m in range(3, 6)
+        for s in range(1, 6)
+        for r, ell in ((2, 0), (3, 0), (3, 1), (2, 1), (3, -2))
+    )
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "9e7419cfccb231a3a9c529132a491dfac048e12d900d6cdb1e274b05e3e97f92"
+    )
+
+
+def test_falling_binom_2var_matches_brute_binom_poly():
+    t, w = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
+    for const in (Fraction(0), Fraction(-4), Fraction(3), Fraction(5, 2), Fraction(-7, 2)):
+        for wcoeff in (Fraction(0), Fraction(1), Fraction(3, 2)):
+            for order in range(10):
+                expected = brute_binom_poly(t + wcoeff * w + const, order)
+                assert _falling_binom_2var(order, const, wcoeff) == expected.terms
 
 
 def test_chi_poly_structure():

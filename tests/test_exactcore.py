@@ -11,7 +11,14 @@ from ulrichcert.exactcore import (
     parse_scalar,
     scalar_str,
 )
-from oracles import brute_binom_poly, brute_poly_eval, brute_poly_mul, falling_binom
+from oracles import (
+    brute_binom_poly,
+    brute_poly_add,
+    brute_poly_eval,
+    brute_poly_mul,
+    brute_poly_scale,
+    falling_binom,
+)
 
 
 def test_binom_int_basic():
@@ -157,6 +164,39 @@ def test_poly_mul_and_eval_match_literal_fraction_oracles(t1, t2, int_point, fra
             value = poly.eval(point)
             assert type(value) is Fraction
             assert value == brute_poly_eval(poly.terms, point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_frac_terms, _frac_terms, _fractions)
+def test_ring_operations_keep_term_maps_canonical(t1, t2, c):
+    p, q = SparsePoly(3, t1), SparsePoly(3, t2)
+    results = {
+        "p + q": (p + q, brute_poly_add(t1, t2)),
+        "p - q": (p - q, brute_poly_add(t1, brute_poly_scale(t2, -1))),
+        "-p": (-p, brute_poly_scale(t1, -1)),
+        "c*p": (c * p, brute_poly_scale(t1, c)),
+        "p*q": (p * q, brute_poly_mul(t1, t2)),
+        # every term of q outside p cancels here
+        "(p + q) - q": ((p + q) - q, brute_poly_scale(t1, 1)),
+    }
+    for name, (result, oracle_terms) in results.items():
+        public = SparsePoly(3, oracle_terms)
+        assert result == public, name
+        assert hash(result) == hash(public), name
+        assert all(type(v) is Fraction and v != 0 for v in result.terms.values()), name
+    difference = p - p
+    assert difference == 0
+    assert difference.is_zero() and not difference.terms
+    assert hash(difference) == hash(SparsePoly(3, {}))
+
+
+def test_cancelled_product_term_is_dropped():
+    x1, x2 = _x(2, 0), _x(2, 1)
+    product = (x1 - x2) * (x1 + x2)
+    assert (1, 1) not in product.terms
+    expected = SparsePoly(2, {(2, 0): 1, (0, 2): -1})
+    assert product.terms == expected.terms
+    assert hash(product) == hash(expected)
 
 
 def test_sorted_terms_graded_lex():
