@@ -25,7 +25,7 @@ from math import factorial, lcm
 
 from .errors import InternalContradiction
 from .exactcore import ScalarLike, SparsePoly, binom
-from .symmetric import BasisExpr, from_basis, m1_times, partitions_of
+from .symmetric import BasisExpr, from_basis, m1_times, partitions_of, times_all_vars
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,15 @@ def _multinomial(weight: int, partition: tuple) -> int:
 @lru_cache(maxsize=None)
 def subvariety_chi_poly(a: int, m: int, s: int, r: int, ell: int) -> SparsePoly:
     """The polynomial in x_1, ..., x_s whose value at a degree tuple is
-    chi(O_Z(ell)) for the subvariety attached to a rank-r Ulrich bundle.
+    chi(O_Z(ell)) for the subvariety attached to a rank-r Ulrich bundle:
+    the expansion of x_1 ... x_s times :func:`subvariety_chi_basis`."""
+    return from_basis(times_all_vars(subvariety_chi_basis(a, m, s, r, ell)))
+
+
+@lru_cache(maxsize=None)
+def subvariety_chi_basis(a: int, m: int, s: int, r: int, ell: int) -> BasisExpr:
+    """The chi polynomial of :func:`subvariety_chi_poly` divided by
+    x_1 ... x_s, in the monomial basis.
 
     The subset sums over the degrees are collapsed by orbit counting: the
     sum of g(x_{i_1} + ... + x_{i_k}) over all k-subsets is assembled from
@@ -208,9 +216,10 @@ def subvariety_chi_poly(a: int, m: int, s: int, r: int, ell: int) -> SparsePoly:
     with weight (-1)^m times its multinomial coefficient, and this
     cancellation is why the polynomial is divisible by x_1 ... x_s.  Powers
     of the full variable sum w = x_1 + ... + x_s are multiplied in
-    afterwards, directly in the monomial basis.  The result is identical to
-    the literal per-subset expansion (the tests compare against one) but
-    runs in time polynomial in m + s.
+    afterwards, directly in the monomial basis; every partition there keeps
+    s parts, and the division subtracts 1 from each.  The result is
+    identical to the literal per-subset expansion (the tests compare against
+    one) but runs in time polynomial in m + s.
     """
     if s < 1 or m < 1:
         raise ValueError("need m >= 1 and s >= 1")
@@ -266,4 +275,6 @@ def subvariety_chi_poly(a: int, m: int, s: int, r: int, ell: int) -> SparsePoly:
         for partition, c in layer.items():
             merged[partition] = merged.get(partition, 0) + c
         basis = BasisExpr(s, merged)
-    return from_basis(basis)
+    return BasisExpr(
+        s, {tuple(p - 1 for p in partition if p > 1): c for partition, c in basis.coeffs.items()}
+    )

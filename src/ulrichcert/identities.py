@@ -9,9 +9,13 @@ functions that compare builder output against the tables term by term.
 
 The six derived polynomials are not typed here: each builder runs the
 invariants chain (:func:`ulrichcert.invariants.noether_chain`) over
-polynomials in the degrees, with S = m_1, S' = m_11, d = x_1 ... x_s and, for
-rank 3, the chi polynomials at twists 0 and 1.  The frozen closed-form
-tables below check those polynomials against independent expansions.
+polynomials in the power sums p_1, ..., p_4 of the degrees, with S = p_1,
+S' = (p_1^2 - p_2)/2, d = 1 and, for rank 3, the chi polynomials at twists 0
+and 1 divided by d.  Every field the builders return is linear in d and the
+two chis, so each builder returns its polynomial divided by
+d = x_1 ... x_s, in the monomial basis of s variables.  The checkers compare
+those basis forms; none of them expands an orbit.  The frozen closed-form
+tables below check the builders against independent expansions.
 
 Two construction notes surface in every relevant report:
 
@@ -33,9 +37,19 @@ from typing import Optional
 
 from .errors import SymmetryError, VerificationFailure
 from .exactcore import SparsePoly, scalar_str
-from .euler import subvariety_chi_poly
+from .euler import subvariety_chi_basis, subvariety_chi_poly
 from .invariants import noether_chain
-from .symmetric import divide_all_vars, expand_m, specialize_ones, to_basis
+from .symmetric import (
+    POWER_SUM_VARS,
+    BasisExpr,
+    basis_to_power_sums,
+    divide_all_vars,
+    expand_m,
+    power_sums_to_basis,
+    specialize_ones,
+    times_all_vars,
+    to_basis,
+)
 
 #: Canonical basis of symmetric polynomials of degree <= 4 (partition order:
 #: weight descending, then reverse-lex).
@@ -69,69 +83,63 @@ NOETHER_R2_NOTE = (
 # ---------------------------------------------------------------------------
 
 
-def _ones(s: int) -> SparsePoly:
-    return expand_m((1,) * s, s)
-
-
-def _chain(a: int, r: int, s: int, chi0=None, chi1=None) -> tuple:
-    """The invariants chain over polynomials in the degrees x_1, ..., x_s:
-    (e, deg Z, kZ, K_Z . H_Z, K_Z^2, c2(Z), Noether chi), indexed below."""
-    return noether_chain(a, r, s, expand_m((1,), s), expand_m((1, 1), s), _ones(s), chi0, chi1)
+#: The power sums p_1, p_2 and p_4 of the degrees, as variables.
+_P1, _P2, _P4 = (SparsePoly.variable(POWER_SUM_VARS, k - 1) for k in (1, 2, 4))
 
 
 @lru_cache(maxsize=None)
-def _chain_r3(a: int, s: int) -> tuple:
-    """The rank-3 chain, shared by the five rank-3 builders."""
-    return _chain(a, 3, s, subvariety_chi_poly(a, 4, s, 3, 0), subvariety_chi_poly(a, 4, s, 3, 1))
+def _chain(a: int, r: int, s: int) -> tuple:
+    """The invariants chain over power sums of the degrees, divided by d:
+    (e, deg Z, kZ, K_Z . H_Z, K_Z^2, c2(Z), Noether chi), indexed below.
+    Rank 3 reads chi/d at twists 0 and 1 from the chi polynomial's basis
+    form."""
+    chis = ()
+    if r == 3:
+        chis = [basis_to_power_sums(subvariety_chi_basis(a, 4, s, 3, ell)) for ell in (0, 1)]
+    return noether_chain(a, r, s, _P1, (_P1**2 - _P2) / 2, 1, *chis)
 
 
 @lru_cache(maxsize=None)
-def noether_chi_r2(a: int, s: int) -> SparsePoly:
-    """chi(O_Z) via Noether's formula as a polynomial in the degrees, rank 2."""
-    return _chain(a, 2, s)[6]
+def noether_chi_r2(a: int, s: int) -> BasisExpr:
+    """chi(O_Z)/d via Noether's formula in the monomial basis, rank 2."""
+    return power_sums_to_basis(_chain(a, 2, s)[6], s)
 
 
 @lru_cache(maxsize=None)
-def deg_poly_r3(a: int, s: int) -> SparsePoly:
-    """deg_H(Z) as a polynomial in the degrees, rank 3, dimension 4."""
-    return _chain_r3(a, s)[1]
+def deg_poly_r3(a: int, s: int) -> BasisExpr:
+    """deg_H(Z)/d in the monomial basis, rank 3, dimension 4."""
+    return power_sums_to_basis(_chain(a, 3, s)[1], s)
 
 
 @lru_cache(maxsize=None)
-def kh_poly_r3(a: int, s: int) -> SparsePoly:
-    """K_Z . H_Z as a polynomial in the degrees, rank 3: Riemann-Roch on the
+def kh_poly_r3(a: int, s: int) -> BasisExpr:
+    """K_Z . H_Z/d in the monomial basis, rank 3: Riemann-Roch on the
     surface applied to the chi polynomials at twists 0 and 1."""
-    return _chain_r3(a, s)[3]
+    return power_sums_to_basis(_chain(a, 3, s)[3], s)
 
 
 @lru_cache(maxsize=None)
-def ksq_poly_r3(a: int, s: int) -> SparsePoly:
-    """K_Z^2 as a polynomial in the degrees, rank 3 (see KSQ_NOTE)."""
-    return _chain_r3(a, s)[4]
+def ksq_poly_r3(a: int, s: int) -> BasisExpr:
+    """K_Z^2/d in the monomial basis, rank 3 (see KSQ_NOTE)."""
+    return power_sums_to_basis(_chain(a, 3, s)[4], s)
 
 
 @lru_cache(maxsize=None)
-def c2_poly_r3(a: int, s: int) -> SparsePoly:
-    """c2(Z) as a polynomial in the degrees, rank 3."""
-    return _chain_r3(a, s)[5]
+def c2_poly_r3(a: int, s: int) -> BasisExpr:
+    """c2(Z)/d in the monomial basis, rank 3."""
+    return power_sums_to_basis(_chain(a, 3, s)[5], s)
 
 
 @lru_cache(maxsize=None)
-def noether_chi_r3(a: int, s: int) -> SparsePoly:
-    """chi(O_Z) via Noether's formula as a polynomial in the degrees, rank 3."""
-    return _chain_r3(a, s)[6]
+def noether_chi_r3(a: int, s: int) -> BasisExpr:
+    """chi(O_Z)/d via Noether's formula in the monomial basis, rank 3."""
+    return power_sums_to_basis(_chain(a, 3, s)[6], s)
 
 
-@lru_cache(maxsize=None)
-def gap_poly(s: int, a: int, b: int) -> SparsePoly:
-    """The positivity gap polynomial v_{s,a,b}.
-
-    Scaled by the product of the degrees, it measures the difference between
-    the two chi routes (b = 8 for rank 2, b = 9 for rank 3).  b is left free
-    so that mutation tests can probe the checkers.
-    """
-    if s < 1:
-        raise ValueError("s must be >= 1")
+def gap_value(s: int, a: int, b: int, m4, m22, m2):
+    """The positivity gap v_{s,a,b} from the monomial symmetric values m_4,
+    m_22 and m_2 of the degrees; numbers or polynomials, as in
+    :func:`ulrichcert.invariants.noether_chain`."""
     const = (
         -250 * a**2
         - 50 * a**2 * s
@@ -141,12 +149,20 @@ def gap_poly(s: int, a: int, b: int) -> SparsePoly:
         - 5 * b
         + (100 + 5 * b) * a**4
     )
-    return (
-        b * expand_m((4,), s)
-        + 10 * expand_m((2, 2), s)
-        + (50 * a**2 - 10 * s - 50) * expand_m((2,), s)
-        + SparsePoly.const(s, const)
-    )
+    return b * m4 + 10 * m22 + (50 * a**2 - 10 * s - 50) * m2 + const
+
+
+@lru_cache(maxsize=None)
+def gap_poly(s: int, a: int, b: int) -> SparsePoly:
+    """The positivity gap polynomial v_{s,a,b} in x_1, ..., x_s.
+
+    Scaled by the product of the degrees, it measures the difference between
+    the two chi routes (b = 8 for rank 2, b = 9 for rank 3).  b is left free
+    so that mutation tests can probe the checkers.
+    """
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    return gap_value(s, a, b, expand_m((4,), s), expand_m((2, 2), s), expand_m((2,), s))
 
 
 #: Endgame scale factors: chi gap times this factor equals d * gap_poly.
@@ -701,7 +717,7 @@ def check_coefficient_table(a: int, s: int, variant: str) -> VerificationReport:
     if s < 4:
         raise ValueError("coefficient tables are stated for s >= 4")
     r, ell, denom, table = COEFF_TABLES[variant]
-    reduced = to_basis(divide_all_vars(subvariety_chi_poly(a, 4, s, r, ell)))
+    reduced = subvariety_chi_basis(a, 4, s, r, ell)
     expected = {partition: coeff / denom for partition, coeff in zip(BASIS, table(a, s))}
     return _basis_compare(
         f"coefficient-table[{variant}]", {"a": a, "s": s}, {"": (reduced, expected)}
@@ -714,7 +730,7 @@ def check_s4_tables(a: int) -> VerificationReport:
     compared = {}
     for variant, table in S4_TABLES.items():
         r, ell, denom, _ = COEFF_TABLES[variant]
-        reduced = to_basis(divide_all_vars(subvariety_chi_poly(a, 4, 4, r, ell)))
+        reduced = subvariety_chi_basis(a, 4, 4, r, ell)
         expected = {partition: coeff / denom for partition, coeff in zip(BASIS, table(a))}
         compared[variant + ":"] = (reduced, expected)
     return _basis_compare("s4-displays", {"a": a}, compared)
@@ -724,9 +740,8 @@ def check_closed_forms(a: int, s: int) -> VerificationReport:
     """Compare each derived polynomial against its closed-form basis table."""
     compared = {}
     for name, (builder, prefactor, rows) in CLOSED_FORM_TABLES.items():
-        reduced = to_basis(divide_all_vars(builder(a, s)))
         expected = {partition: prefactor * Fraction(fn(a, s)) for partition, fn in rows.items()}
-        compared[name + ":"] = (reduced, expected)
+        compared[name + ":"] = (builder(a, s), expected)
     return _basis_compare(
         "closed-forms", {"a": a, "s": s}, compared, [KSQ_NOTE, NOETHER_R2_NOTE]
     )
@@ -734,19 +749,20 @@ def check_closed_forms(a: int, s: int) -> VerificationReport:
 
 def check_gap_identities(a: int, s: int) -> VerificationReport:
     """Exact polynomial identity between the two chi routes and the scaled
-    gap polynomial, for both ranks."""
-    ones = _ones(s)
+    gap polynomial, for both ranks.
+
+    Both sides are divided by the product of the degrees and formed over
+    power sums; the difference is decided in s variables, and a nonzero one
+    is reported multiplied back by that product."""
     residuals = []
     status = "pass"
-    pairs = [
-        ("rank2", noether_chi_r2(a, s) - subvariety_chi_poly(a, 4, s, 2, 0), 4320, 8),
-        ("rank3", noether_chi_r3(a, s) - subvariety_chi_poly(a, 4, s, 3, 0), 3840, 9),
-    ]
-    for label, lhs, factor, b in pairs:
-        diff = lhs - ones * gap_poly(s, a, b) / factor
-        if not diff.is_zero():
+    for label, r in (("rank2", 2), ("rank3", 3)):
+        gap = gap_value(s, a, GAP_B[r], _P4, (_P2**2 - _P4) / 2, _P2)
+        chi = basis_to_power_sums(subvariety_chi_basis(a, 4, s, r, 0))
+        diff = power_sums_to_basis(_chain(a, r, s)[6] - chi - gap / GAP_FACTOR[r], s)
+        if diff.coeffs:
             status = "fail"
-            for partition, coeff in to_basis(diff).sorted_items():
+            for partition, coeff in times_all_vars(diff).sorted_items():
                 residuals.append((f"{label}:{_label(partition)}", scalar_str(coeff)))
         else:
             residuals.append((f"{label}:difference", "0"))

@@ -5,7 +5,7 @@ hyperplane class H, with H^m = d as the intersection normalizer.  The rank-2
 and rank-3 chain (:func:`noether_chain`) is written once over the degree
 data S, S', d: the evaluators here run it on one input's numbers, together
 with the structure-sheaf chi by the resolution route, and the identity layer
-runs the same lines over polynomials in the degrees.
+runs the same lines over polynomials in the power sums of the degrees.
 """
 
 from __future__ import annotations
@@ -153,9 +153,9 @@ def noether_chain(a: int, r: int, s: int, S, S2, d, chi0=None, chi1=None) -> tup
 
     S, S2 and d are the sum, the pairwise-product sum and the product of the
     degrees; chi0 and chi1 are chi(O_Z) and chi(O_Z(1)), needed for rank 3
-    only.  Each may be an exact number or a SparsePoly in the degrees: only
-    +, -, *, ** and Fraction scalars are applied to them, so the same lines
-    give one input's numbers and the identity layer's polynomials.
+    only.  Each may be an exact number or a SparsePoly: only +, -, *, ** and
+    Fraction scalars are applied to them, so the same lines give one input's
+    numbers and the identity layer's polynomials.
 
     Rank 2: K_Z is a known multiple of the hyperplane section, so K_Z^2 and
     c2(Z) reduce to multiples of deg_H(Z).  Rank 3: K_Z . H_Z comes from

@@ -7,12 +7,17 @@ exact rational coefficients.  The monomial symmetric polynomial attached to a
 partition with more parts than variables is zero, and a partition whose
 parts all equal 1 with exactly s parts expands to the product of all
 variables.
+
+The power sums p_k = m_k bridge the basis to the ring Q[p_1, ..., p_4]:
+p_k is multiplied in directly in the basis (:func:`p_times`), and every
+m_lambda of weight <= 4 has one fixed power-sum form, valid for every s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Iterator, Mapping, Sequence
 
@@ -207,11 +212,20 @@ def specialize_ones(poly: SparsePoly, k: int) -> SparsePoly:
     return SparsePoly(k, out)
 
 
-def m1_times(expr: BasisExpr) -> BasisExpr:
-    """Multiply by m_1 (the sum of the variables) directly in the basis.
+def times_all_vars(expr: BasisExpr) -> BasisExpr:
+    """Multiply by the product of all variables: every part is raised by 1
+    and the partition is padded with parts 1 to exactly s parts."""
+    s = expr.nvars
+    return BasisExpr(
+        s, {tuple(p + 1 for p in part) + (1,) * (s - len(part)): c for part, c in expr.coeffs.items()}
+    )
 
-    The product of m_1 with m_lambda is the sum, over ways of raising one
-    part value of lambda by 1 or appending a new part 1, of the resulting
+
+def p_times(expr: BasisExpr, k: int) -> BasisExpr:
+    """Multiply by the power sum p_k = m_k directly in the basis.
+
+    The product of p_k with m_lambda is the sum, over ways of raising one
+    part value of lambda by k or appending a new part k, of the resulting
     m_mu weighted by the multiplicity of the raised value in mu.
     """
     s = expr.nvars
@@ -220,10 +234,65 @@ def m1_times(expr: BasisExpr) -> BasisExpr:
         for v in sorted(set(partition)):
             raised = list(partition)
             raised.remove(v)
-            raised.append(v + 1)
+            raised.append(v + k)
             mu = tuple(sorted(raised, reverse=True))
-            out[mu] = out.get(mu, 0) + coeff * mu.count(v + 1)
+            out[mu] = out.get(mu, 0) + coeff * mu.count(v + k)
         if len(partition) < s:
-            mu = tuple(sorted(partition + (1,), reverse=True))
-            out[mu] = out.get(mu, 0) + coeff * mu.count(1)
+            mu = tuple(sorted(partition + (k,), reverse=True))
+            out[mu] = out.get(mu, 0) + coeff * mu.count(k)
     return BasisExpr(s, out)
+
+
+def m1_times(expr: BasisExpr) -> BasisExpr:
+    """Multiply by m_1 = p_1, the sum of the variables, in the basis."""
+    return p_times(expr, 1)
+
+
+#: Q[p_1, ..., p_4]: the power sums of weight <= 4 as polynomial variables
+POWER_SUM_VARS = 4
+
+
+@lru_cache(maxsize=None)
+def _power_sum_monomial(exps: tuple, s: int) -> BasisExpr:
+    """p_1^e_1 ... p_4^e_4 in s variables, in the monomial basis."""
+    expr = BasisExpr(s, {(): 1})
+    for k, e in enumerate(exps, start=1):
+        for _ in range(e):
+            expr = p_times(expr, k)
+    return expr
+
+
+def power_sums_to_basis(poly: SparsePoly, s: int) -> BasisExpr:
+    """The image in s variables of a polynomial in p_1, ..., p_4, written in
+    the monomial basis."""
+    out: dict[Partition, Fraction] = {}
+    for exps, coeff in poly.terms.items():
+        for partition, c in _power_sum_monomial(exps, s).coeffs.items():
+            out[partition] = out.get(partition, 0) + coeff * c
+    return BasisExpr(s, out)
+
+
+@lru_cache(maxsize=None)
+def _m_in_power_sums(partition: Partition) -> SparsePoly:
+    """m_lambda as a polynomial in p_1, ..., p_4, for weight <= 4: p_lambda
+    is a multiple of m_lambda plus m_mu over the mu that merge parts of
+    lambda (fewer parts, coefficients free of s), so solving p_lambda in
+    len(lambda) variables for m_lambda inverts the table by part count."""
+    if sum(partition) > POWER_SUM_VARS:
+        raise ValueError(f"power-sum form is kept for weight <= {POWER_SUM_VARS}: {partition}")
+    exps = tuple(partition.count(k) for k in range(1, POWER_SUM_VARS + 1))
+    expansion = _power_sum_monomial(exps, len(partition)).coeffs
+    out = SparsePoly(POWER_SUM_VARS, {exps: 1})
+    for mu, c in expansion.items():
+        if mu != partition:
+            out = out - c * _m_in_power_sums(mu)
+    return out / expansion[partition]
+
+
+def basis_to_power_sums(expr: BasisExpr) -> SparsePoly:
+    """A polynomial in p_1, ..., p_4 whose image in expr.nvars variables is
+    ``expr`` (weight <= 4).  In fewer than four variables the p_k are
+    algebraically dependent, so this is one preimage among several: decide
+    zero on the basis form, never on the power-sum polynomial."""
+    terms = (c * _m_in_power_sums(part) for part, c in expr.coeffs.items())
+    return sum(terms, SparsePoly.zero(POWER_SUM_VARS))

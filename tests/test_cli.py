@@ -1,9 +1,9 @@
 import json
 
-from ulrichcert import identities
+from ulrichcert import cli, identities
 from ulrichcert.cli import main, parse_degrees, parse_range
 from ulrichcert.exactcore import SparsePoly
-from ulrichcert.symmetric import expand_m
+from ulrichcert.symmetric import divide_all_vars, expand_m, from_basis, times_all_vars, to_basis
 
 
 def test_parse_range():
@@ -161,14 +161,20 @@ def test_verify_appendix_full_grids(tmp_path):
 def test_structural_error_in_own_polynomials_exits_1(monkeypatch, capsys):
     # SymmetryError and DivisibilityError subclass ValueError, but raised on
     # the package's own polynomials they are failed checks, not bad input
-    builder, prefactor, rows = identities.CLOSED_FORM_TABLES["noether_chi_r2"]
+    def noether_r2(a, s):
+        return from_basis(times_all_vars(identities.noether_chi_r2(a, s)))
+
     broken = {
-        "monomials in the orbit of (1,)": lambda a, s: builder(a, s)
+        "monomials in the orbit of (1,)": lambda a, s: noether_r2(a, s)
         + SparsePoly(s, {(2,) + (1,) * (s - 1): 1}),
-        "is not divisible by every variable": lambda a, s: builder(a, s) + expand_m((1,), s),
+        "is not divisible by every variable": lambda a, s: noether_r2(a, s) + expand_m((1,), s),
     }
     for message, mutant in broken.items():
-        monkeypatch.setitem(identities.CLOSED_FORM_TABLES, "noether_chi_r2", (mutant, prefactor, rows))
+        def checker(a, s, mutant=mutant):
+            to_basis(divide_all_vars(mutant(a, s)))
+            return identities.check_closed_forms(a, s)
+
+        monkeypatch.setattr(cli, "check_closed_forms", checker)
         assert main(["verify-appendix", "--a", "2", "--s", "4"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("verification failure: ") and message in err

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from ulrichcert.euler import subvariety_chi_poly
 from ulrichcert.exactcore import SparsePoly
 from ulrichcert.identities import (
     BASIS,
+    CLOSED_FORM_TABLES,
+    COEFF_TABLES,
     check_closed_forms,
     check_coefficient_table,
     check_gap_identities,
@@ -20,11 +23,13 @@ from ulrichcert.identities import (
     deg_poly_r3,
     gap_poly,
     kh_poly_r3,
+    ksq_poly_r3,
     noether_chi_r2,
     noether_chi_r3,
     c2_poly_r3,
 )
-from ulrichcert.symmetric import divide_all_vars, expand_m, from_basis, to_basis
+from ulrichcert.invariants import noether_chain
+from ulrichcert.symmetric import divide_all_vars, expand_m, from_basis, times_all_vars, to_basis
 
 
 def test_gap_poly_vanishes_at_ones_for_unit_twist():
@@ -89,33 +94,59 @@ def test_closed_forms_pass_and_spot_coefficients():
         assert check_closed_forms(a, s).passed
 
     a, s = 3, 5
-    delta = to_basis(divide_all_vars(deg_poly_r3(a, s)))
+    delta = deg_poly_r3(a, s)
     assert delta.get((2,)) == Fraction(7, 8)
     assert delta.get((1, 1)) == Fraction(12, 8)
 
-    kh = to_basis(divide_all_vars(kh_poly_r3(a, s)))
+    kh = kh_poly_r3(a, s)
     assert kh.get((3,)) == Fraction(19, 8)
 
-    chi3 = to_basis(divide_all_vars(noether_chi_r3(a, s)))
+    chi3 = noether_chi_r3(a, s)
     assert chi3.get((4,)) == Fraction(675, 768)
 
-    c3 = to_basis(divide_all_vars(c2_poly_r3(a, s)))
+    c3 = c2_poly_r3(a, s)
     assert c3.get((4,)) == Fraction(265, 64)
 
-    g = to_basis(divide_all_vars(noether_chi_r2(a, s)))
+    g = noether_chi_r2(a, s)
     assert g.get((2,)) == Fraction(5, 1728) * (
         7100 - 10800 * a + 4036 * a**2 + 2860 * s - 2160 * a * s + 288 * s**2
     )
 
 
+def _x_variable_chain(a, r, s):
+    """The invariants chain over polynomials in the degrees x_1, ..., x_s,
+    with S = m_1, S' = m_11 and d = x_1 ... x_s: the reference for the
+    power-sum builders."""
+    chis = [subvariety_chi_poly(a, 4, s, 3, ell) for ell in (0, 1)] if r == 3 else []
+    ones = expand_m((1,) * s, s)
+    return noether_chain(a, r, s, expand_m((1,), s), expand_m((1, 1), s), ones, *chis)
+
+
+def test_builders_match_x_variable_chain():
+    fields = {
+        noether_chi_r2: (2, 6),
+        deg_poly_r3: (3, 1),
+        kh_poly_r3: (3, 3),
+        ksq_poly_r3: (3, 4),
+        c2_poly_r3: (3, 5),
+        noether_chi_r3: (3, 6),
+    }
+    for a in range(2, 7):
+        for s in range(1, 8):
+            chains = {r: _x_variable_chain(a, r, s) for r in (2, 3)}
+            for builder, (r, index) in fields.items():
+                expected = to_basis(divide_all_vars(chains[r][index]))
+                assert builder(a, s) == expected, (builder.__name__, a, s)
+
+
 def test_gap_identities_pass():
-    for a, s in [(2, 4), (5, 6), (3, 7)]:
+    for a, s in [(2, 4), (5, 6), (3, 7), (2, 1), (3, 2), (4, 3)]:
         report = check_gap_identities(a, s)
         assert report.passed, report.residuals
 
 
 def test_gap_identity_corollary_at_ones():
-    diff = noether_chi_r2(2, 4) - subvariety_chi_poly(2, 4, 4, 2, 0)
+    diff = from_basis(times_all_vars(noether_chi_r2(2, 4))) - subvariety_chi_poly(2, 4, 4, 2, 0)
     assert diff.eval((1, 1, 1, 1)) == Fraction(1350, 4320) == Fraction(5, 16)
 
 
@@ -212,3 +243,62 @@ def test_basis_constant_order():
     weights = [sum(p) for p in BASIS]
     assert weights == sorted(weights, reverse=True)
     assert BASIS[0] == (4,) and BASIS[-1] == ()
+
+
+# sha256 of the default-shape report on the odd --a window (3..7)
+APPENDIX_ODD_WINDOW_DIGEST = "3f35eb460667ec10bbb37316cc186c4573fb7374336b36b0a2f1c11c817e9ef6"
+
+
+def test_verify_appendix_odd_window_golden_digest(capsys):
+    assert main(["verify-appendix", "--a", "3..7", "--s", "4..7", "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == APPENDIX_ODD_WINDOW_DIGEST
+
+
+def _failing_reports_digest(reports) -> str:
+    for report in reports:
+        assert report.status == "fail", report.parameters
+    blob = "".join(json.dumps(report.to_json(), sort_keys=True) + "\n" for report in reports)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# sha256 of failing reports, one json line each: the residual bytes of a
+# failed check are pinned as well as its pass
+FAILING_REPORT_DIGESTS = {
+    "gap": "880a26d189efe60901311d581c5dbf2211993e737e16c134b84b9698d64a44bf",
+    "closed": "a229d1de8e357ef8b714b80a8581c22484a0e3c357ec287299b614704dd802f3",
+    "coeff": "fb3325e25f213a58ec7281c8b60170b3e9a273b81f024e8840d68b1b2f0e1df5",
+}
+
+
+def test_failing_gap_identity_reports_golden_digest(monkeypatch):
+    # b shifted by one in both the expanded and the power-sum form of the gap
+    def shifted(gap):
+        return lambda s, a, b, *rest: gap(s, a, b + 1, *rest)
+
+    monkeypatch.setattr(identities, "gap_poly", shifted(identities.gap_poly))
+    if hasattr(identities, "gap_value"):
+        monkeypatch.setattr(identities, "gap_value", shifted(identities.gap_value))
+    reports = [check_gap_identities(a, s) for a in (2, 5) for s in range(1, 8)]
+    assert _failing_reports_digest(reports) == FAILING_REPORT_DIGESTS["gap"]
+
+
+def test_failing_closed_form_reports_golden_digest(monkeypatch):
+    rows = CLOSED_FORM_TABLES["noether_chi_r3"][2]
+    row = rows[(2, 1)]
+    monkeypatch.setitem(rows, (2, 1), lambda a, s: row(a, s) + a)
+    reports = [check_closed_forms(a, s) for a, s in [(2, 2), (3, 5), (6, 7)]]
+    assert _failing_reports_digest(reports) == FAILING_REPORT_DIGESTS["closed"]
+
+
+def test_failing_coefficient_table_reports_golden_digest(monkeypatch):
+    r, ell, denom, table = COEFF_TABLES["r3l1"]
+
+    def perturbed(a, s):
+        coeffs = table(a, s)
+        coeffs[8] += 1  # the m_2 entry
+        return coeffs
+
+    monkeypatch.setitem(COEFF_TABLES, "r3l1", (r, ell, denom, perturbed))
+    reports = [check_coefficient_table(a, s, "r3l1") for a, s in [(2, 4), (5, 7)]]
+    assert _failing_reports_digest(reports) == FAILING_REPORT_DIGESTS["coeff"]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from ulrichcert.invariants import (
     subvariety_degree,
     subvariety_degree_chern,
 )
+from ulrichcert.symmetric import from_basis
 
 
 ctx = ChiProfile
@@ -132,7 +134,7 @@ def test_degree_equals_poly_eval_rank3():
         s = rng.randint(1, 5)
         degrees = tuple(rng.randint(1, 4) for _ in range(s))
         c = ctx(4, degrees, a, 3)
-        assert subvariety_degree(c) == deg_poly_r3(a, s).eval(c.degrees)
+        assert subvariety_degree(c) == c.d * from_basis(deg_poly_r3(a, s)).eval(c.degrees)
 
 
 def test_rank2_chain():
@@ -168,12 +170,17 @@ def test_builders_match_scalar_chain_fields():
         n2 = rank2_numerics(ctx(4, degrees, a, 2))
         n3 = rank3_numerics(ctx(4, degrees, a, 3))
         point = tuple(sorted(degrees, reverse=True))
-        assert n2.chiZ_noether == noether_chi_r2(a, s).eval(point)
-        assert n3.degZ == deg_poly_r3(a, s).eval(point)
-        assert n3.kZH == kh_poly_r3(a, s).eval(point)
-        assert n3.kZ2 == ksq_poly_r3(a, s).eval(point)
-        assert n3.c2Z == c2_poly_r3(a, s).eval(point)
-        assert n3.chiZ_noether == noether_chi_r3(a, s).eval(point)
+        d = math.prod(degrees)
+
+        def at_point(builder):
+            return d * from_basis(builder(a, s)).eval(point)
+
+        assert n2.chiZ_noether == at_point(noether_chi_r2)
+        assert n3.degZ == at_point(deg_poly_r3)
+        assert n3.kZH == at_point(kh_poly_r3)
+        assert n3.kZ2 == at_point(ksq_poly_r3)
+        assert n3.c2Z == at_point(c2_poly_r3)
+        assert n3.chiZ_noether == at_point(noether_chi_r3)
         assert n3.kZ is None
         for numbers in (n2, n3):
             for name, value in vars(numbers).items():

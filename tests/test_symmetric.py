@@ -9,10 +9,14 @@ from ulrichcert.errors import DivisibilityError, SymmetryError
 from ulrichcert.exactcore import SparsePoly
 from ulrichcert.symmetric import (
     BasisExpr,
+    basis_to_power_sums,
     divide_all_vars,
     expand_m,
     from_basis,
     m1_times,
+    p_times,
+    power_sums_to_basis,
+    times_all_vars,
     orbit_size,
     partition_sort_key,
     partitions_of,
@@ -111,6 +115,8 @@ def test_m1_times_matches_expanded_product():
             direct = from_basis(m1_times(expr))
             expanded = expand_m((1,), s) * from_basis(expr)
             assert direct == expanded
+            for k in (2, 3):
+                assert from_basis(p_times(expr, k)) == expand_m((k,), s) * from_basis(expr)
 
 
 def test_m1_structure_constants_stable_in_s():
@@ -148,3 +154,49 @@ def test_symmetrization_round_trips_through_basis(s, exps):
     partition = tuple(e for e in exps if e)
     poly = expand_m(partition, s) if partition else SparsePoly.const(s, 1)
     assert from_basis(to_basis(poly)) == poly
+
+
+def _power_sum_monomial(partition) -> SparsePoly:
+    """p_lambda as a monomial of Q[p_1, ..., p_4]."""
+    return SparsePoly(4, {tuple(partition.count(k) for k in range(1, 5)): 1})
+
+
+def test_power_sum_form_of_every_monomial_basis_element():
+    for s in range(1, 9):
+        for partition in partitions_up_to(4):
+            if len(partition) <= s:
+                m = BasisExpr(s, {partition: 1})
+                assert power_sums_to_basis(basis_to_power_sums(m), s) == m, (s, partition)
+            else:
+                # the same power-sum form vanishes in fewer variables than parts
+                lifted = basis_to_power_sums(BasisExpr(len(partition), {partition: 1}))
+                assert not lifted.is_zero()
+                assert power_sums_to_basis(lifted, s) == BasisExpr(s, {}), (s, partition)
+    for partition in [(5,), (3, 2)]:
+        with pytest.raises(ValueError):
+            basis_to_power_sums(BasisExpr(2, {partition: 1}))
+
+
+def test_power_sum_monomials_match_expanded_products():
+    # p_lambda in s variables against the product of expanded power sums
+    for s in range(1, 9):
+        for partition in partitions_up_to(4):
+            product = SparsePoly.const(s, 1)
+            for k in partition:
+                product = product * expand_m((k,), s)
+            assert power_sums_to_basis(_power_sum_monomial(partition), s) == to_basis(product)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.dictionaries(
+        st.sampled_from(_partition_pool),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7),
+        max_size=6,
+    ),
+)
+def test_power_sums_round_trip(s, coeffs):
+    expr = BasisExpr(s, {p: c for p, c in coeffs.items() if len(p) <= s})
+    assert power_sums_to_basis(basis_to_power_sums(expr), s) == expr
+    assert from_basis(times_all_vars(expr)) == expand_m((1,) * s, s) * from_basis(expr)
