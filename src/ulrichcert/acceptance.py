@@ -34,7 +34,7 @@ from .identities import (
     check_gap_positivity,
     check_s4_tables,
     check_structure,
-    gap_poly,
+    gap_at,
 )
 from .invariants import (
     c2_bundle_coeff,
@@ -154,8 +154,7 @@ def criterion_7() -> tuple[bool, str]:
     for ctx in contexts:
         numerics = rank2_numerics(ctx) if ctx.r == 2 else rank3_numerics(ctx)
         delta = numerics.chiZ_noether - numerics.chiZ_rr
-        value = gap_poly(ctx.s, ctx.a, GAP_B[ctx.r]).eval(ctx.degrees)
-        if delta * GAP_FACTOR[ctx.r] != ctx.d * value:
+        if delta * GAP_FACTOR[ctx.r] != ctx.d * gap_at(ctx.degrees, ctx.a, GAP_B[ctx.r]):
             failures += 1
     return failures == 0, f"200 random m=4 contexts, endgame mismatches: {failures}"
 

@@ -59,18 +59,24 @@ def parse_degrees(text: str) -> tuple:
     return degrees
 
 
-def _emit(payload: dict, args) -> None:
-    if args.format == "json":
-        rendered = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines: list = []
-        _render_text(payload, lines, indent=0)
-        rendered = "\n".join(lines) + "\n"
+def _render(payload: dict, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    lines: list = []
+    _render_text(payload, lines, indent=0)
+    return "\n".join(lines) + "\n"
+
+
+def _write(rendered: str, args) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(rendered)
     else:
         sys.stdout.write(rendered)
+
+
+def _emit(payload: dict, args) -> None:
+    _write(_render(payload, args.format), args)
 
 
 def _render_text(value, lines: list, indent: int, label: str | None = None) -> None:
@@ -148,13 +154,34 @@ def _cmd_selftest(args) -> int:
             ],
             "status": "pass" if all_passed else "fail",
         }
-        _emit(payload, args)
+        rendered = _render(payload, "json")
     else:
-        for res in results:
-            mark = "PASS" if res.passed else "FAIL"
-            print(f"[{mark}] criterion {res.number:2d} ({res.title}): {res.details} [{res.elapsed:.2f}s]")
-        print("selftest:", "pass" if all_passed else "fail")
+        rendered = "".join(
+            f"[{'PASS' if res.passed else 'FAIL'}] criterion {res.number:2d} ({res.title}): "
+            f"{res.details} [{res.elapsed:.2f}s]\n"
+            for res in results
+        )
+        rendered += f"selftest: {'pass' if all_passed else 'fail'}\n"
+    _write(rendered, args)
     return 0 if all_passed else 1
+
+
+def _appendix_reports(a_range: range, s_range: range):
+    """The identity checkers' reports over the (a, s) grid, in report order."""
+    for a in a_range:
+        for s in s_range:
+            if s >= 4:
+                for variant in ("r2l0", "r3l0", "r3l1"):
+                    yield check_coefficient_table(a, s, variant)
+            yield check_closed_forms(a, s)
+            if s >= 4:
+                yield check_gap_identities(a, s)
+        yield check_s4_tables(a)
+    for a in (min(a_range), max(a_range)):
+        for s in (min(s_range), max(s_range)):
+            if s >= 2:
+                for r, ell in ((2, 0), (3, 0), (3, 1)):
+                    yield check_structure(a, 4, s, r, ell)
 
 
 def _cmd_verify_appendix(args) -> int:
@@ -168,25 +195,8 @@ def _cmd_verify_appendix(args) -> int:
     if args.d_max < 1:
         raise ValueError("--d-max must be >= 1")
 
-    tasks = []
-    for a in a_range:
-        for s in s_range:
-            if s >= 4:
-                for variant in ("r2l0", "r3l0", "r3l1"):
-                    tasks.append(lambda a=a, s=s, v=variant: check_coefficient_table(a, s, v))
-            tasks.append(lambda a=a, s=s: check_closed_forms(a, s))
-            if s >= 4:
-                tasks.append(lambda a=a, s=s: check_gap_identities(a, s))
-        tasks.append(lambda a=a: check_s4_tables(a))
-    for a in (min(a_range), max(a_range)):
-        for s in (min(s_range), max(s_range)):
-            if s >= 2:
-                for r, ell in ((2, 0), (3, 0), (3, 1)):
-                    tasks.append(lambda a=a, s=s, r=r, ell=ell: check_structure(a, 4, s, r, ell))
-
     reports = []
-    for task in tasks:
-        report = task()
+    for report in _appendix_reports(a_range, s_range):
         reports.append(report)
         if args.fail_fast and not report.passed:
             break
@@ -298,7 +308,7 @@ def main(argv=None) -> int:
         # check of the package's own polynomials, not bad input
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (OutOfTheoremScope, ValueError) as exc:
+    except (OutOfTheoremScope, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ from ulrichcert.certify import (
 )
 from ulrichcert.errors import OutOfTheoremScope
 from ulrichcert.euler import ChiProfile
-from ulrichcert.exactcore import parse_scalar
+from ulrichcert.exactcore import SparsePoly, parse_scalar
 
 
 ctx = ChiProfile
@@ -207,3 +207,17 @@ def test_replay_round_trip():
         assert replay(cert).to_json() == cert.to_json()
     ci_cert = certify_complete_intersection(ctx(5, (2, 2), 3, 3))
     assert replay_matches(ci_cert)
+
+
+def test_certify_builds_no_polynomial(monkeypatch):
+    # the gap value comes from the degrees' power sums, never from a SparsePoly
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify built a SparsePoly")
+
+    monkeypatch.setattr(SparsePoly, "__init__", refuse)
+    monkeypatch.setattr(SparsePoly, "_trusted", refuse)
+    for r in (2, 3):
+        cert = certify_veronese(200, 9, r)
+        assert (cert.branch, cert.conclusion) == (BRANCH_CHI_MISMATCH, NONEXISTENT)
+    cert = certify_complete_intersection(ctx(6, (5, 3, 2, 1), 3, 3))
+    assert (cert.branch, cert.conclusion) == (BRANCH_CHI_MISMATCH, NONEXISTENT)

