@@ -170,8 +170,6 @@ def _excluded_type(degrees: tuple) -> str | None:
 def certify_complete_intersection(ctx: ChiProfile) -> Certificate:
     """Decide non-existence of rank <= 3 Ulrich bundles for a Veronese
     embedding of a complete intersection of dimension >= 4."""
-    if ctx.a < 2:
-        raise OutOfTheoremScope("pipeline needs twist a >= 2")
     if ctx.r == 1:
         if ctx.m < 1:
             raise OutOfTheoremScope("need m >= 1")
@@ -233,10 +231,6 @@ def certify_veronese(n: int, a: int, r: int) -> Certificate:
         raise OutOfTheoremScope(f"rank {r} outside the decided range 1..3")
 
     echo = {"n": n, "a": a, "r": r}
-    if n == 4:
-        inner = certify_complete_intersection(ChiProfile(4, (1,), a, r))
-        return Certificate(echo, inner.branch, inner.witnesses, inner.hypotheses_attested, inner.conclusion)
-
     if a == 2 and n in (5, 6):
         violated = prime_power_screen(n, a, r)
         if not violated:
@@ -251,8 +245,7 @@ def certify_veronese(n: int, a: int, r: int) -> Certificate:
             conclusion=NONEXISTENT,
         )
 
-    ctx = ChiProfile(4, (a,) * (n - 4), a, r)
-    inner = certify_complete_intersection(ctx)
+    inner = certify_complete_intersection(ChiProfile(4, (a,) * (n - 4) or (1,), a, r))
     return Certificate(echo, inner.branch, inner.witnesses, inner.hypotheses_attested, inner.conclusion)
 
 

@@ -112,15 +112,13 @@ def chi_ulrich(ell: ScalarLike, profile: ChiProfile) -> Fraction:
     return out
 
 
-def chi_subvariety(
-    ell: ScalarLike, profile: ChiProfile, u: ScalarLike, verify: bool = True
-) -> Fraction:
+def chi_subvariety(ell: ScalarLike, profile: ChiProfile, u: ScalarLike) -> Fraction:
     """chi of O_Z(ell) on the codimension-2 subvariety attached to the bundle.
 
     u is the hyperplane coefficient of the bundle's determinant, supplied by
     the invariants layer (it can be a non-integer rational when r is odd).
-    The value is computed from the closed expansion; with ``verify`` it is
-    cross-checked against the three-term route
+    The value is computed from the closed expansion and cross-checked
+    against the three-term route
     chi(O_X(ell)) - chi(E(ell-u)) + (r-1) chi(O_X(ell-u)),
     which exercises disjoint code paths.
     """
@@ -142,16 +140,15 @@ def chi_subvariety(
                 binom(shift - ell - 1, n) + (r - 1) * binom(shift + u - ell - 1, n)
             )
 
-    if verify:
-        other = (
-            chi_ci(ell, profile)
-            - chi_ulrich(ell - u, profile)
-            + (r - 1) * chi_ci(ell - u, profile)
+    other = (
+        chi_ci(ell, profile)
+        - chi_ulrich(ell - u, profile)
+        + (r - 1) * chi_ci(ell - u, profile)
+    )
+    if other != total:
+        raise InternalContradiction(
+            f"chi routes disagree at ell={ell}: {total} vs {other}"
         )
-        if other != total:
-            raise InternalContradiction(
-                f"chi routes disagree at ell={ell}: {total} vs {other}"
-            )
     return total
 
 

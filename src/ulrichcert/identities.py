@@ -17,6 +17,9 @@ d = x_1 ... x_s, in the monomial basis of s variables.  The checkers compare
 those basis forms; none of them expands an orbit.  The frozen closed-form
 tables below check the builders against independent expansions.
 
+Each checker returns a :class:`VerificationReport` that lists only the
+comparisons that failed, with their exact residuals; an empty list is a pass.
+
 Two construction notes surface in every relevant report:
 
 * the K_Z^2 polynomial is built as 5*(m1 - s + 3a - 5)*h minus
@@ -632,17 +635,22 @@ CLOSED_FORM_TABLES = _closed_form_tables()
 
 @dataclass
 class VerificationReport:
-    """Structured pass/fail outcome of one exact check."""
+    """Outcome of one exact check: the comparisons that failed, each with its
+    exact nonzero residual or the error it raised.  The check passed when
+    there are none."""
 
     check: str
     parameters: dict
-    status: str  # "pass" | "fail"
     residuals: list = field(default_factory=list)  # (label, exact residual string)
     notes: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return not self.residuals
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
 
     def to_json(self) -> dict:
         return {
@@ -680,6 +688,18 @@ class GapReport:
             "base_checked": self.base_checked,
         }
 
+    def summary(self) -> dict:
+        """The report with its value grid reduced to its size and minimum."""
+        return {
+            "s": self.s,
+            "a": self.a,
+            "b": self.b,
+            "grid_points": len(self.value_grid),
+            "min_value": scalar_str(self.min_value),
+            "recursion_checked": self.recursion_checked,
+            "base_checked": self.base_checked,
+        }
+
 
 def _label(partition: tuple) -> str:
     """The report label of a monomial basis element: m_<parts>, or 1."""
@@ -690,25 +710,23 @@ def _basis_compare(
     check: str, parameters: dict, compared: dict, notes: Optional[list] = None
 ) -> VerificationReport:
     """Compare basis expressions against expected coefficients, reporting the
-    exact residual for every basis element and any unexpected support.
+    exact residual of every basis element that differs and any unexpected
+    support.
 
     ``compared`` maps a label prefix to (basis expression, expected
     coefficients by partition)."""
     residuals = []
-    status = "pass"
     for prefix, (actual, expected) in compared.items():
         s = actual.nvars
         for partition in BASIS:
             if len(partition) > s:
                 continue
             diff = actual.get(partition) - Fraction(expected.get(partition, 0))
-            residuals.append((prefix + _label(partition), scalar_str(diff)))
             if diff:
-                status = "fail"
+                residuals.append((prefix + _label(partition), scalar_str(diff)))
         for partition in sorted(set(actual.coeffs) - set(BASIS)):
             residuals.append((prefix + _label(partition), scalar_str(actual.get(partition))))
-            status = "fail"
-    return VerificationReport(check, parameters, status, residuals, list(notes or []))
+    return VerificationReport(check, parameters, residuals, list(notes or []))
 
 
 def check_coefficient_table(a: int, s: int, variant: str) -> VerificationReport:
@@ -757,20 +775,13 @@ def check_gap_identities(a: int, s: int) -> VerificationReport:
     power sums; the difference is decided in s variables, and a nonzero one
     is reported multiplied back by that product."""
     residuals = []
-    status = "pass"
     for label, r in (("rank2", 2), ("rank3", 3)):
         gap = gap_value(s, a, GAP_B[r], _P2, _P4)
         chi = basis_to_power_sums(subvariety_chi_basis(a, 4, s, r, 0))
         diff = power_sums_to_basis(_chain(a, r, s)[6] - chi - gap / GAP_FACTOR[r], s)
-        if diff.coeffs:
-            status = "fail"
-            for partition, coeff in times_all_vars(diff).sorted_items():
-                residuals.append((f"{label}:{_label(partition)}", scalar_str(coeff)))
-        else:
-            residuals.append((f"{label}:difference", "0"))
-    return VerificationReport(
-        "chi-gap-identity", {"a": a, "s": s}, status, residuals, [NOETHER_R2_NOTE]
-    )
+        for partition, coeff in times_all_vars(diff).sorted_items():
+            residuals.append((f"{label}:{_label(partition)}", scalar_str(coeff)))
+    return VerificationReport("chi-gap-identity", {"a": a, "s": s}, residuals, [NOETHER_R2_NOTE])
 
 
 def check_structure(
@@ -784,29 +795,16 @@ def check_structure(
     if poly is None:
         poly = subvariety_chi_poly(a, m, s, r, ell)
     residuals = []
-    status = "pass"
-    try:
-        to_basis(poly)
-        residuals.append(("symmetry", "0"))
-    except Exception as exc:  # noqa: BLE001 - recorded, not suppressed
-        status = "fail"
-        residuals.append(("symmetry", str(exc)))
-    try:
-        divide_all_vars(poly)
-        residuals.append(("divisibility", "0"))
-    except Exception as exc:  # noqa: BLE001
-        status = "fail"
-        residuals.append(("divisibility", str(exc)))
+    for label, check in (("symmetry", to_basis), ("divisibility", divide_all_vars)):
+        try:
+            check(poly)
+        except Exception as exc:  # noqa: BLE001 - recorded, not suppressed
+            residuals.append((label, str(exc)))
     for k in range(1, s):
         diff = specialize_ones(poly, k) - subvariety_chi_poly(a, m, k, r, ell)
-        if diff.is_zero():
-            residuals.append((f"specialize[k={k}]", "0"))
-        else:
-            status = "fail"
+        if not diff.is_zero():
             residuals.append((f"specialize[k={k}]", str(diff)))
-    return VerificationReport(
-        "structure", {"a": a, "m": m, "s": s, "r": r, "ell": ell}, status, residuals
-    )
+    return VerificationReport("structure", {"a": a, "m": m, "s": s, "r": r, "ell": ell}, residuals)
 
 
 def _recursion_step(s: int, a: int, b: int, p2):

@@ -116,6 +116,21 @@ def test_verify_appendix_small_grid_deterministic(tmp_path):
     assert all(report["status"] == "pass" for report in payload["reports"])
 
 
+def test_verify_appendix_structure_corners_are_distinct(capsys):
+    # a one-value --a or --s range is one corner, not the same corner twice
+    for a_text, checks, structure in (("2", 9, 3), ("2..3", 18, 6)):
+        args = ["verify-appendix", "--a", a_text, "--s", "4", "--d-max", "2", "--format", "json"]
+        assert main(args) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["summary"]["checks"] == checks
+        corners = [
+            json.dumps(report["parameters"], sort_keys=True)
+            for report in payload["reports"]
+            if report["lemma"] == "structure"
+        ]
+        assert len(corners) == len(set(corners)) == structure
+
+
 def test_stray_jobs_variable_is_ignored(monkeypatch, capsys):
     # no environment variable is read, so a stray value cannot break argument parsing
     monkeypatch.setenv("ULRICHCERT_JOBS", "x")

@@ -113,9 +113,9 @@ def test_chi_subvariety_routes_agree_on_random_samples():
         ell = rng.randint(-4, 4)
         ctx = ChiProfile(m, degrees, a, r)
         u = c1_coeff(ctx)
-        # verify=True cross-asserts the closed display against the
+        # chi_subvariety cross-asserts the closed display against the
         # three-term route and raises on any disagreement
-        chi_subvariety(ell, ctx, u, verify=True)
+        chi_subvariety(ell, ctx, u)
 
 
 def test_chi_subvariety_half_integer_u():
@@ -127,7 +127,7 @@ def test_chi_subvariety_half_integer_u():
     ctx2 = ChiProfile(4, (3,), 2, 3)
     u2 = c1_coeff(ctx2)
     assert u2.denominator == 2
-    chi_subvariety(0, ctx2, u2, verify=True)
+    chi_subvariety(0, ctx2, u2)
 
 
 def test_chi_subvariety_equals_poly_eval():
@@ -241,7 +241,7 @@ def test_chi_ci_and_subvariety_match_subset_oracles():
         half_integer_u += u.denominator == 2
         ell = i % 3 - 1
         assert chi_ci(ell, profile) == brute_chi_ci(ell, m, profile.degrees)
-        assert chi_subvariety(ell, profile, u, verify=False) == brute_chi_subvariety(
+        assert chi_subvariety(ell, profile, u) == brute_chi_subvariety(
             ell, m, profile.degrees, a, r, u
         )
     assert half_integer_u >= 3

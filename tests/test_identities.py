@@ -174,6 +174,17 @@ def test_structure_checks_pass():
         assert check_structure(*args).passed
 
 
+def test_reports_list_only_failed_comparisons(monkeypatch):
+    assert check_closed_forms(2, 4).residuals == []
+    assert check_structure(2, 4, 5, 2, 0).residuals == []
+    rows = CLOSED_FORM_TABLES["deg_poly_r3"][2]
+    row = rows[(1,)]
+    monkeypatch.setitem(rows, (1,), lambda a, s: row(a, s) + 1)
+    report = check_closed_forms(2, 4)
+    assert report.status == "fail" and report.residuals
+    assert all(value != "0" for _, value in report.residuals)
+
+
 def test_structure_mutation_is_detected():
     base = subvariety_chi_poly(2, 4, 4, 2, 0)
     # an asymmetric, non-divisible perturbation
@@ -260,11 +271,12 @@ def _failing_reports_digest(reports) -> str:
 
 
 # sha256 of failing reports, one json line each: the residual bytes of a
-# failed check are pinned as well as its pass
+# failed check are pinned as well as its pass.  A report lists only the
+# comparisons that failed
 FAILING_REPORT_DIGESTS = {
     "gap": "880a26d189efe60901311d581c5dbf2211993e737e16c134b84b9698d64a44bf",
-    "closed": "a229d1de8e357ef8b714b80a8581c22484a0e3c357ec287299b614704dd802f3",
-    "coeff": "fb3325e25f213a58ec7281c8b60170b3e9a273b81f024e8840d68b1b2f0e1df5",
+    "closed": "890cab96190dcd9a91bdd88b6436dbcc437f871d5489a70b0ce70e5b003ed54d",
+    "coeff": "d7728af462583dc6427f3b2f312723b02436a50fd595d4dca7cef57a0e9b43b1",
 }
 
 
