@@ -266,12 +266,10 @@ CRITERIA: list[tuple[int, str, Callable[[], tuple[bool, str]]]] = [
 ]
 
 
-def run_all(fail_fast: bool = False) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
     results = []
     for number, title, fn in CRITERIA:
         start = time.perf_counter()
         passed, details = fn()
         results.append(CriterionResult(number, title, passed, details, time.perf_counter() - start))
-        if fail_fast and not passed:
-            break
     return results

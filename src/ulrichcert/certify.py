@@ -225,10 +225,7 @@ def certify_veronese(n: int, a: int, r: int) -> Certificate:
     projective space polarized by O(a), n >= 4."""
     if n < 4:
         raise OutOfTheoremScope(f"n = {n} < 4: low-rank Ulrich bundles can exist there")
-    if a < 2:
-        raise OutOfTheoremScope("a = 1 is the trivial polarization")
-    if not 1 <= r <= 3:
-        raise OutOfTheoremScope(f"rank {r} outside the decided range 1..3")
+    profile = ChiProfile(4, (a,) * (n - 4) or (1,), a, r)
 
     echo = {"n": n, "a": a, "r": r}
     if a == 2 and n in (5, 6):
@@ -245,7 +242,7 @@ def certify_veronese(n: int, a: int, r: int) -> Certificate:
             conclusion=NONEXISTENT,
         )
 
-    inner = certify_complete_intersection(ChiProfile(4, (a,) * (n - 4) or (1,), a, r))
+    inner = certify_complete_intersection(profile)
     return Certificate(echo, inner.branch, inner.witnesses, inner.hypotheses_attested, inner.conclusion)
 
 

@@ -8,25 +8,20 @@ certify-ci        decide a complete-intersection input (m, degrees, a, r)
 chi               print the three chi values for one twist
 selftest          run the full acceptance suite
 
-Exit codes: 0 all checks passed / certificate produced; 1 verification
-mismatch or internal contradiction; 2 usage error or out-of-scope input.
+Exit codes: 0 all checks passed / certificate produced; 2 the input was
+rejected (OutOfTheoremScope) before any computation; 1 anything else.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .acceptance import run_all
 from .certify import certify_complete_intersection, certify_veronese
-from .errors import (
-    DivisibilityError,
-    InternalContradiction,
-    OutOfTheoremScope,
-    SymmetryError,
-    VerificationFailure,
-)
+from .errors import OutOfTheoremScope
 from .euler import ChiProfile, chi_ci, chi_subvariety, chi_ulrich
 from .exactcore import scalar_str
 from .identities import (
@@ -40,23 +35,34 @@ from .identities import (
 from .invariants import c1_coeff
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise OutOfTheoremScope(f"not an integer: {text!r}") from None
+
+
 def parse_range(text: str) -> range:
     """Inclusive range syntax: "lo..hi" or a single value."""
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    lo_text, dots, hi_text = text.partition("..")
+    lo = _parse_int(lo_text)
+    hi = _parse_int(hi_text) if dots else lo
     if hi < lo:
-        raise ValueError(f"empty range {text!r}")
+        raise OutOfTheoremScope(f"empty range {text!r}")
     return range(lo, hi + 1)
 
 
 def parse_degrees(text: str) -> tuple:
-    degrees = tuple(int(part) for part in text.split(",") if part.strip())
+    degrees = tuple(_parse_int(part) for part in text.split(",") if part.strip())
     if not degrees:
-        raise ValueError("expected a comma-separated list of degrees")
+        raise OutOfTheoremScope("expected a comma-separated list of degrees")
     return degrees
+
+
+def _check_output(path: str | None) -> None:
+    """An --output path must name a file in an existing directory."""
+    if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise OutOfTheoremScope(f"cannot write --output {path!r}")
 
 
 def _render(payload: dict, fmt: str) -> str:
@@ -138,7 +144,7 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    results = run_all(fail_fast=args.fail_fast)
+    results = run_all()
     all_passed = all(res.passed for res in results)
     if args.format == "json":
         payload = {
@@ -189,17 +195,13 @@ def _cmd_verify_appendix(args) -> int:
     a_range = parse_range(args.a)
     s_range = parse_range(args.s)
     if min(s_range) < 1:
-        raise ValueError("s must be >= 1")
+        raise OutOfTheoremScope("s must be >= 1")
     if min(a_range) < 2:
-        raise ValueError("a must be >= 2")
+        raise OutOfTheoremScope("a must be >= 2")
     if args.d_max < 1:
-        raise ValueError("--d-max must be >= 1")
+        raise OutOfTheoremScope("--d-max must be >= 1")
 
-    reports = []
-    for report in _appendix_reports(a_range, s_range):
-        reports.append(report)
-        if args.fail_fast and not report.passed:
-            break
+    reports = list(_appendix_reports(a_range, s_range))
 
     gap_reports = check_gap_positivity(
         s_max=max(2, min(max(s_range), 5)),
@@ -241,7 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", default="2..6", help="twist range, e.g. 2..6")
     p.add_argument("--s", default="4..7", help="codimension range, e.g. 4..7")
     p.add_argument("--d-max", type=int, default=4, dest="d_max", help="degree grid bound for positivity")
-    p.add_argument("--fail-fast", action="store_true")
     p.add_argument("--full-grids", action="store_true", help="include every positivity grid value")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_verify_appendix)
@@ -271,7 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_chi)
 
     p = sub.add_parser("selftest", help="run the full acceptance suite")
-    p.add_argument("--fail-fast", action="store_true")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_selftest)
 
@@ -285,15 +285,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        _check_output(args.output)
         return args.handler(args)
-    except (SymmetryError, DivisibilityError, VerificationFailure, InternalContradiction) as exc:
-        # the two structural errors subclass ValueError but signal a failed
-        # check of the package's own polynomials, not bad input
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
-    except (OutOfTheoremScope, ValueError, OSError) as exc:
+    except (OutOfTheoremScope, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # noqa: BLE001 - a failed check or a bug, never bad input
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

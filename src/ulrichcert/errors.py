@@ -24,4 +24,6 @@ class InternalContradiction(Exception):
 
 
 class OutOfTheoremScope(ValueError):
-    """The requested parameters fall outside what the pipeline can decide."""
+    """The input is malformed or outside what the pipeline decides.  The one
+    usage error: the CLI rejects it with exit code 2 before any computation,
+    and reports every other exception as a failure (exit code 1)."""

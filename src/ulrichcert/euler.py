@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from .errors import InternalContradiction
+from .errors import InternalContradiction, OutOfTheoremScope
 from .exactcore import ScalarLike, SparsePoly, binom
 from .symmetric import BasisExpr, from_basis, m1_times, partitions_of, times_all_vars
 
@@ -41,17 +41,17 @@ class ChiProfile:
     def __post_init__(self):
         object.__setattr__(self, "degrees", tuple(sorted(self.degrees, reverse=True)))
         if self.m < 0:
-            raise ValueError("dimension m must be >= 0")
+            raise OutOfTheoremScope("dimension m must be >= 0")
         if not self.degrees:
-            raise ValueError("at least one degree is required")
+            raise OutOfTheoremScope("at least one degree is required")
         if any(d < 1 for d in self.degrees):
-            raise ValueError(f"degrees must be >= 1: {self.degrees}")
+            raise OutOfTheoremScope(f"degrees must be >= 1: {self.degrees}")
         if self.a < 2:
-            raise ValueError("polarization twist a must be >= 2")
+            raise OutOfTheoremScope("polarization twist a must be >= 2")
         if self.r < 1:
-            raise ValueError("rank r must be >= 1")
+            raise OutOfTheoremScope("rank r must be >= 1")
         if self.r > 3:
-            raise ValueError("pipeline handles rank r <= 3 only")
+            raise OutOfTheoremScope("pipeline handles rank r <= 3 only")
 
     @property
     def s(self) -> int:

@@ -784,16 +784,12 @@ def check_gap_identities(a: int, s: int) -> VerificationReport:
     return VerificationReport("chi-gap-identity", {"a": a, "s": s}, residuals, [NOETHER_R2_NOTE])
 
 
-def check_structure(
-    a: int, m: int, s: int, r: int, ell: int, poly: Optional[SparsePoly] = None
-) -> VerificationReport:
+def check_structure(a: int, m: int, s: int, r: int, ell: int) -> VerificationReport:
     """Symmetry, specialization consistency and divisibility of the chi
-    polynomial.  ``poly`` may inject a replacement polynomial (used by
-    mutation tests to confirm the checks have teeth)."""
+    polynomial."""
     if s < 2:
         raise ValueError("structure checks need s >= 2")
-    if poly is None:
-        poly = subvariety_chi_poly(a, m, s, r, ell)
+    poly = subvariety_chi_poly(a, m, s, r, ell)
     residuals = []
     for label, check in (("symmetry", to_basis), ("divisibility", divide_all_vars)):
         try:
@@ -814,12 +810,10 @@ def _recursion_step(s: int, a: int, b: int, p2):
     )
 
 
-def check_gap_positivity(
-    s_max: int, a_max: int, d_max: int, bs: tuple = (8, 9)
-) -> list:
+def check_gap_positivity(s_max: int, a_max: int, d_max: int) -> list:
     """Recursion, base case and strict positivity of the gap v.
 
-    For every s <= s_max and b in bs: the recursion in a is checked up to
+    For every s <= s_max and b in GAP_B: the recursion in a is checked up to
     a_max as an exact identity over the power sums p_1, ..., p_4 (free
     variables, so it holds in s variables too); values on the full degree
     grid {1..d_max}^s are recorded for a in 1..a_max, demanding strict
@@ -834,7 +828,7 @@ def check_gap_positivity(
     for s in range(2, s_max + 1):
         ones = (1,) * s
         grid = list(itertools.product(range(1, d_max + 1), repeat=s))
-        for b in bs:
+        for b in GAP_B.values():
             base_value = gap_at(ones, 1, b)
             base_ok = base_value == 0
             if not base_ok:

@@ -1,7 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ulrichcert import cli, identities
+from ulrichcert.certify import NONEXISTENT, Certificate, replay_matches
 from ulrichcert.cli import main, parse_degrees, parse_range
 from ulrichcert.exactcore import SparsePoly
 from ulrichcert.symmetric import divide_all_vars, expand_m, from_basis, times_all_vars, to_basis
@@ -213,3 +219,120 @@ def test_verify_appendix_usage_errors_exit_2(capsys, tmp_path):
     for args in (["--s", "0"], ["--a", "1"], ["--a", "3..2"], *unwritable):
         assert main(["verify-appendix", *args]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_appendix_malformed_ranges_exit_2(capsys):
+    for args in (["--a", "x"], ["--s", "4..x"], ["--a", "2.."]):
+        assert main(["verify-appendix", *args]) == 2, args
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_internal_value_error_exits_1(monkeypatch, capsys):
+    # a ValueError from inside a computation is a bug, not bad input
+    def checker(a, s):
+        raise ValueError("variable count mismatch")
+
+    monkeypatch.setattr(cli, "check_closed_forms", checker)
+    assert main(["verify-appendix", "--a", "2", "--s", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: ") and "variable count mismatch" in err
+
+
+def test_unwritable_output_is_rejected_before_computing(monkeypatch, capsys, tmp_path):
+    def computed(*args, **kwargs):
+        raise AssertionError("computation started before --output was checked")
+
+    monkeypatch.setattr(cli, "check_gap_positivity", computed)
+    monkeypatch.setattr(cli, "check_coefficient_table", computed)
+    out = tmp_path / "missing" / "x.json"
+    assert main(["verify-appendix", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _run(argv: list) -> tuple:
+    """(exit code, stdout) of one in-process CLI call; stderr is discarded."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _in_scope(command: str, n: int, m: int, tokens: list, a: int, r: int) -> bool:
+    """The README's decided range, written out independently of the code."""
+    if not (a >= 2 and 1 <= r <= 3):
+        return False
+    if command == "certify":
+        return n >= 4
+    if not tokens or not all(isinstance(d, int) and d >= 1 for d in tokens):
+        return False
+    if command == "chi":
+        return m >= 0
+    return m >= (1 if r == 1 else 4)
+
+
+@st.composite
+def _cli_inputs(draw):
+    """A command and its inputs.  At most one input is drawn from a range that
+    reaches outside the decided scope, so many draws are in scope."""
+    wide = draw(st.sampled_from((None, "n", "m", "degrees", "a", "r")))
+
+    def pick(name, usual, anything):
+        return draw(anything if name == wide else usual)
+
+    return (
+        draw(st.sampled_from(("certify", "certify-ci", "chi"))),
+        pick("n", st.integers(4, 12), st.integers(0, 12)),
+        pick("m", st.integers(4, 6), st.integers(-1, 6)),
+        pick(
+            "degrees",
+            st.lists(st.integers(1, 4), min_size=1, max_size=4),
+            st.lists(st.integers(-1, 4) | st.just("x"), max_size=4),
+        ),
+        pick("a", st.integers(2, 5), st.integers(-1, 5)),
+        pick("r", st.integers(1, 3), st.integers(-1, 4)),
+        draw(st.integers(-2, 2)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cli_inputs())
+def test_cli_exit_codes_and_outputs(inputs):
+    command, n, m, tokens, a, r, ell = inputs
+    degrees = ",".join(map(str, tokens))
+    if command == "certify":
+        argv = ["certify", "--n", str(n)]
+    else:
+        argv = [command, f"--degrees={degrees}", "--m", str(m)]
+        if command == "chi":
+            argv += ["--ell", str(ell)]
+    argv += ["--a", str(a), "--r", str(r)]
+
+    code, text = _run(argv)
+    assert code in (0, 1, 2)
+    assert (code == 2) == (not _in_scope(command, n, m, tokens, a, r)), argv
+    if code != 0:
+        return
+    json_code, rendered = _run(argv + ["--format", "json"])
+    assert json_code == 0
+    payload = json.loads(rendered)
+    if command == "chi":
+        pending = [item for item in payload.items() if item[0] != "input"]
+    else:
+        pending = list(payload["witnesses"].items())
+        if payload["conclusion"] == NONEXISTENT:
+            cert = Certificate(**{**payload, "hypotheses_attested": tuple(payload["hypotheses_attested"])})
+            assert replay_matches(cert)
+    # every JSON value appears in the text output under its own key
+    while pending:
+        key, value = pending.pop()
+        if isinstance(value, dict):
+            pending.extend(value.items())
+        else:
+            shown = ", ".join(map(str, value)) if isinstance(value, list) else str(value)
+            assert f"{key}: {shown}" in text, (key, value)
+    if command == "certify-ci":
+        padded_code, padded = _run([command, f"--degrees={degrees},1,1", *argv[2:], "--format", "json"])
+        assert padded_code == 0
+        padded_payload = json.loads(padded)
+        assert padded_payload.pop("input") != payload.pop("input")
+        assert padded_payload == payload

@@ -185,15 +185,23 @@ def test_reports_list_only_failed_comparisons(monkeypatch):
     assert all(value != "0" for _, value in report.residuals)
 
 
-def test_structure_mutation_is_detected():
-    base = subvariety_chi_poly(2, 4, 4, 2, 0)
+def test_structure_mutation_is_detected(monkeypatch):
+    def perturbed(delta):
+        # only the s = 4 polynomial moves; its k-variable specializations do not
+        def chi_poly(a, m, s, r, ell):
+            poly = subvariety_chi_poly(a, m, s, r, ell)
+            return poly + delta if s == 4 else poly
+
+        return chi_poly
+
     # an asymmetric, non-divisible perturbation
-    broken = base + SparsePoly(4, {(2, 0, 0, 0): Fraction(1, 7)})
-    report = check_structure(2, 4, 4, 2, 0, poly=broken)
-    assert not report.passed
+    broken = SparsePoly(4, {(2, 0, 0, 0): Fraction(1, 7)})
+    monkeypatch.setattr(identities, "subvariety_chi_poly", perturbed(broken))
+    assert not check_structure(2, 4, 4, 2, 0).passed
     # a symmetric, divisible perturbation still breaks specialization
-    subtle = base + from_basis(to_basis(expand_m((2, 1, 1, 1), 4)))
-    report = check_structure(2, 4, 4, 2, 0, poly=subtle)
+    subtle = from_basis(to_basis(expand_m((2, 1, 1, 1), 4)))
+    monkeypatch.setattr(identities, "subvariety_chi_poly", perturbed(subtle))
+    report = check_structure(2, 4, 4, 2, 0)
     assert not report.passed
     assert any(label.startswith("specialize") and value != "0" for label, value in report.residuals)
 
@@ -236,9 +244,10 @@ def test_verify_appendix_full_grids_golden_digest(capsys):
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, fmt
 
 
-def test_gap_positivity_failure_carries_witness():
+def test_gap_positivity_failure_carries_witness(monkeypatch):
+    monkeypatch.setattr(identities, "GAP_B", {2: -1000})
     with pytest.raises(VerificationFailure) as info:
-        check_gap_positivity(s_max=2, a_max=2, d_max=2, bs=(-1000,))
+        check_gap_positivity(s_max=2, a_max=2, d_max=2)
     assert info.value.witness is not None
 
 
