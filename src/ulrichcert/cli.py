@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .acceptance import run_all
 from .certify import certify_complete_intersection, certify_veronese
@@ -231,6 +232,7 @@ def _add_output_flags(sub) -> None:
     sub.add_argument("--output", help="write the report to this path instead of stdout")
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ulrichcert",

@@ -42,11 +42,39 @@ def binom(q: ScalarLike, m: int) -> Fraction:
     if m < 0:
         raise ValueError(f"binomial lower index must be >= 0, got {m}")
     q = Fraction(q)
-    p, den = q.numerator, q.denominator
-    num = 1
+    return Fraction(_falling(q.numerator, q.denominator, m), q.denominator**m * factorial(m))
+
+
+def _falling(p: int, den: int, m: int) -> int:
+    """The integer falling product prod_{j<m} (p - j*den)."""
+    out = 1
     for j in range(m):
-        num *= p - j * den
-    return Fraction(num, den**m * factorial(m))
+        out *= p - j * den
+    return out
+
+
+def stepped_binom_sum(q0: ScalarLike, step: int, coeffs: Mapping[int, int], m: int) -> Fraction:
+    """sum_k c_k * binom(q0 + step*k, m) over the shifts k >= 0 of ``coeffs``,
+    for step = 1 or -1.
+
+    With q0 = p/den the walk over k = 0, 1, ... keeps the integer falling
+    product P(p) of :func:`binom` and moves it one shift with one exact
+    multiply and divide: P(p - den) = P(p)*(p - m*den)/p and
+    P(p + den) = P(p)*(p + den)/(p - (m-1)*den).  Where the divisor is 0,
+    P is formed from scratch.  The sum of c*P is kept in integers and
+    divided once by den**m * m!.
+    """
+    q0 = Fraction(q0)
+    p, den = q0.numerator, q0.denominator
+    prod = _falling(p, den, m)
+    total = coeffs.get(0, 0) * prod
+    for k in range(1, max(coeffs, default=0) + 1):
+        lost = p if step < 0 else p - (m - 1) * den
+        p += step * den
+        gained = p - (m - 1) * den if step < 0 else p
+        prod = prod * gained // lost if lost else _falling(p, den, m)
+        total += coeffs.get(k, 0) * prod
+    return Fraction(total, den**m * factorial(m))
 
 
 def binom_int(q: int, m: int) -> int:

@@ -2,6 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,6 +59,27 @@ def test_certify_out_of_scope(capsys):
 def test_unknown_flag_exits_2(capsys):
     assert main(["certify", "--bogus", "1"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # one process, one parser: a rejected call leaves nothing behind that
+    # changes the next calls, which print what a fresh process prints
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["certify", "--bogus"]) == 2
+    capsys.readouterr()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for argv in (
+        ["certify", "--n", "7", "--a", "3", "--r", "2", "--format", "json"],
+        ["certify-ci", "--degrees", "3,2,1", "--a", "2", "--r", "3", "--format", "json"],
+    ):
+        assert main(argv) == 0
+        fresh = subprocess.run(
+            [sys.executable, "-m", "ulrichcert.cli", *argv],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert capsys.readouterr().out == fresh.stdout
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_certify_ci_text_and_json_values_agree(capsys):

@@ -1,8 +1,11 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ulrichcert.euler import (
     ChiProfile,
@@ -32,6 +35,13 @@ def test_profile_derived_values():
     assert (p.s, p.d, p.S, p.Sprime) == (3, 12, 7, 16)
     single = ChiProfile(m=4, degrees=(5,), a=2, r=2)
     assert single.Sprime == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=12))
+def test_sprime_matches_pairwise_sum(degrees):
+    profile = ChiProfile(4, tuple(degrees), 2, 2)
+    assert profile.Sprime == sum(d * e for d, e in combinations(degrees, 2))
 
 
 def test_profile_validation():
@@ -128,6 +138,19 @@ def test_chi_subvariety_half_integer_u():
     u2 = c1_coeff(ctx2)
     assert u2.denominator == 2
     chi_subvariety(0, ctx2, u2)
+
+
+def test_chi_subvariety_half_integer_u_many_degrees():
+    # r = 3 with s >= 10: u is a half-integer, so the shifted Koszul family
+    # steps a falling product with den = 2 over 2^s subset sums
+    for degrees in ((3,) * 10, (5, 4, 3, 3, 2, 2, 2, 1, 1, 1, 1)):
+        profile = ChiProfile(4, degrees, 2, 3)
+        u = c1_coeff(profile)
+        assert u.denominator == 2
+        for ell in (-1, 2):
+            assert chi_subvariety(ell, profile, u) == brute_chi_subvariety(
+                ell, 4, profile.degrees, 2, 3, u
+            )
 
 
 def test_chi_subvariety_equals_poly_eval():
