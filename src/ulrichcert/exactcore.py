@@ -53,27 +53,28 @@ def _falling(p: int, den: int, m: int) -> int:
     return out
 
 
-def stepped_binom_sum(q0: ScalarLike, step: int, coeffs: Mapping[int, int], m: int) -> Fraction:
-    """sum_k c_k * binom(q0 + step*k, m) over the shifts k >= 0 of ``coeffs``,
-    for step = 1 or -1.
+def stepped_binom_sum(q0: ScalarLike, coeffs: Mapping[int, int], m: int) -> Fraction:
+    """sum_k c_k * binom(q0 + k, m) over the integer shifts k of ``coeffs``.
 
-    With q0 = p/den the walk over k = 0, 1, ... keeps the integer falling
-    product P(p) of :func:`binom` and moves it one shift with one exact
-    multiply and divide: P(p - den) = P(p)*(p - m*den)/p and
-    P(p + den) = P(p)*(p + den)/(p - (m-1)*den).  Where the divisor is 0,
-    P is formed from scratch.  The sum of c*P is kept in integers and
-    divided once by den**m * m!.
+    With q0 = p/den the nonzero shifts are visited in increasing order,
+    carrying the integer falling product P(p) of :func:`binom`.  A gap of at
+    most m shifts is crossed one shift at a time, P(p + den) =
+    P(p)*(p + den)/(p - (m-1)*den); a wider gap, or a zero divisor, forms P
+    from scratch, so no shift costs more than one :func:`binom`.  The sum of
+    c*P is kept in integers and divided once by den**m * m!.
     """
     q0 = Fraction(q0)
-    p, den = q0.numerator, q0.denominator
-    prod = _falling(p, den, m)
-    total = coeffs.get(0, 0) * prod
-    for k in range(1, max(coeffs, default=0) + 1):
-        lost = p if step < 0 else p - (m - 1) * den
-        p += step * den
-        gained = p - (m - 1) * den if step < 0 else p
-        prod = prod * gained // lost if lost else _falling(p, den, m)
-        total += coeffs.get(k, 0) * prod
+    den = q0.denominator
+    total, at, prod = 0, None, 1
+    for k in sorted(k for k, c in coeffs.items() if c):
+        if at is None or k - at > m:
+            prod = _falling(q0.numerator + k * den, den, m)
+        else:
+            for p in range(q0.numerator + at * den, q0.numerator + k * den, den):
+                lost = p - (m - 1) * den
+                prod = prod * (p + den) // lost if lost else _falling(p + den, den, m)
+        total += coeffs[k] * prod
+        at = k
     return Fraction(total, den**m * factorial(m))
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -180,6 +181,17 @@ def test_certify_veronese_golden_digest():
     )
     digest = hashlib.sha256(blob.encode()).hexdigest()
     assert digest == "883dbf751794cbc4f526f4aa69b77bc8c44fbfc2a22f96593c8ff90ae4b37690"
+
+
+def test_certify_with_huge_degrees_in_bounded_time():
+    # Koszul shifts a million apart: the sums jump each gap with one binomial
+    # instead of stepping through the empty shifts between them (8 walks of
+    # 6 M steps took about 20 s), so the whole call stays in milliseconds
+    start = time.perf_counter()
+    cert = certify_veronese(10, 10**6, 3)
+    assert (cert.branch, cert.conclusion) == (BRANCH_CHI_MISMATCH, NONEXISTENT)
+    certify_complete_intersection(ctx(6, (10**6, 3), 3, 3))
+    assert time.perf_counter() - start < 2.0
 
 
 def test_certify_veronese_scope():

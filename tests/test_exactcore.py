@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -48,50 +49,54 @@ def test_binom_matches_literal_falling_product(num, den, m):
     assert binom(q, m) == falling_binom(q, m)
 
 
-def _literal_stepped_sum(q0, step, coeffs, m):
-    return sum((c * falling_binom(q0 + step * k, m) for k, c in coeffs.items()), Fraction(0))
+def _literal_stepped_sum(q0, coeffs, m):
+    return sum((c * falling_binom(q0 + k, m) for k, c in coeffs.items()), Fraction(0))
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(min_value=-40, max_value=40),
     st.integers(min_value=1, max_value=3),
-    st.sampled_from((1, -1)),
     st.integers(min_value=0, max_value=14),
     st.dictionaries(st.integers(min_value=0, max_value=30), st.integers(min_value=-9, max_value=9)),
 )
-def test_stepped_binom_sum_matches_literal_binomials(num, den, step, m, coeffs):
+def test_stepped_binom_sum_matches_literal_binomials(num, den, m, coeffs):
     q0 = Fraction(num, den)
-    assert stepped_binom_sum(q0, step, coeffs, m) == _literal_stepped_sum(q0, step, coeffs, m)
+    assert stepped_binom_sum(q0, coeffs, m) == _literal_stepped_sum(q0, coeffs, m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 9])
 def test_stepped_binom_sum_recomputes_where_the_divisor_is_zero(m):
     # With den = 1 the stepped product P(p) = prod_{j<m} (p - j) is 0 for p in
-    # 0..m-1.  The step that leaves that band divides by 0, so P is formed
-    # from scratch there, and the terms past the band depend on it.
+    # 0..m-1.  Walking up from q0 = -3 over consecutive shifts, P turns 0 at
+    # p = 0, and the step from p = m - 1 divides by p - (m - 1) = 0, so P is
+    # formed from scratch there; the terms past the band depend on it.
     coeffs = {k: k + 1 for k in range(3 * m + 4)}
-    shifts = range(max(coeffs) + 1)
-    # step -1 from q0 = m + 2: P turns 0 on the step from p = m (p - m = 0),
-    # and the step from p = 0 divides by p = 0
-    q0 = m + 2
-    walk = [q0 - k for k in shifts]
-    assert m in walk[:-1] and 0 in walk[:-1] and walk[-1] < 0
-    assert stepped_binom_sum(q0, -1, coeffs, m) == _literal_stepped_sum(q0, -1, coeffs, m)
-    # step +1 from q0 = -3: P turns 0 at p = 0, and the step from p = m - 1
-    # divides by p - (m - 1) = 0
     q0 = -3
-    walk = [q0 + k for k in shifts]
+    walk = [q0 + k for k in sorted(coeffs)]
     assert 0 in walk and m - 1 in walk[:-1] and walk[-1] > m - 1
-    assert stepped_binom_sum(q0, 1, coeffs, m) == _literal_stepped_sum(q0, 1, coeffs, m)
+    assert stepped_binom_sum(q0, coeffs, m) == _literal_stepped_sum(q0, coeffs, m)
+
+
+@pytest.mark.parametrize("m", [0, 1, 4])
+def test_stepped_binom_sum_jumps_gaps_wider_than_m(m):
+    # shifts m + 1 or more apart are not stepped through: P is formed from
+    # scratch at the far side, so a gap of 10**7 costs one binomial, not
+    # 10**7 steps (several seconds)
+    coeffs = {0: 3, m + 1: -2, m + 2: 5, 10**7: 7, 10**7 + m + 1: -1}
+    start = time.perf_counter()
+    for q0 in (Fraction(-5, 2), Fraction(1, 3), 4):
+        assert stepped_binom_sum(q0, coeffs, m) == _literal_stepped_sum(q0, coeffs, m)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_stepped_binom_sum_edge_cases():
-    assert stepped_binom_sum(Fraction(7, 2), 1, {}, 3) == 0
-    assert stepped_binom_sum(5, -1, {0: 1}, 2) == 10
-    assert stepped_binom_sum(Fraction(1, 3), -1, {4: 2}, 0) == 2
+    assert stepped_binom_sum(Fraction(7, 2), {}, 3) == 0
+    assert stepped_binom_sum(5, {0: 1}, 2) == 10
+    assert stepped_binom_sum(Fraction(1, 3), {4: 2}, 0) == 2
+    assert stepped_binom_sum(2, {0: 0, 3: 1}, 2) == 10
     with pytest.raises(ValueError):
-        stepped_binom_sum(5, 1, {0: 1}, -1)
+        stepped_binom_sum(5, {0: 1}, -1)
 
 
 def test_binom_reflection_identity_exhaustive():
