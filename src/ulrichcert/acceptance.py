@@ -220,7 +220,7 @@ def criterion_10() -> tuple[bool, str]:
         if to_basis(from_basis(expr)) != expr:
             problems.append(("round-trip", s, sorted(coeffs)))
 
-    # structure checks (symmetry, divisibility, specialization) on samples
+    # structure checks (specialization consistency) on samples
     for args in [(2, 4, 5, 2, 0), (3, 4, 6, 3, 1), (2, 3, 4, 3, 0), (4, 5, 3, 2, 1)]:
         if not check_structure(*args).passed:
             problems.append(("structure", args))

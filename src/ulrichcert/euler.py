@@ -23,11 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
+from types import MappingProxyType
 
 from .errors import InternalContradiction, OutOfTheoremScope
 from .exactcore import ScalarLike, SparsePoly, binom, stepped_binom_sum
-from .symmetric import BasisExpr, from_basis, m1_times, partitions_of, times_all_vars
+from .symmetric import BasisExpr, from_basis, p_times_coeffs, partitions_of, times_all_vars
+from .symmetric import m1_times  # noqa: F401 - the benchmark tracer wraps euler.m1_times
 
 
 @dataclass(frozen=True)
@@ -82,16 +84,19 @@ def chi_proj(ell: ScalarLike, m: int) -> Fraction:
     return binom(Fraction(ell) + m, m)
 
 
-def koszul_coefficients(degrees: tuple) -> dict:
-    """The coefficients of prod_i (1 - x^{d_i}): a map from each subset degree
-    sum to the number of subsets with that sum, signed by (-1)^size."""
+@lru_cache(maxsize=16)
+def koszul_coefficients(degrees: tuple) -> MappingProxyType:
+    """The coefficients of prod_i (1 - x^{d_i}): a read-only map from each
+    subset degree sum to the number of subsets with that sum, signed by
+    (-1)^size.  Cached, because one certificate reads the same map from
+    every chi_ci and chi_subvariety call."""
     coeffs = {0: 1}
     for d in degrees:
         out = dict(coeffs)
         for shift, c in coeffs.items():
             out[shift + d] = out.get(shift + d, 0) - c
         coeffs = out
-    return {shift: c for shift, c in coeffs.items() if c}
+    return MappingProxyType({shift: c for shift, c in coeffs.items() if c})
 
 
 def chi_ci(ell: ScalarLike, profile: ChiProfile) -> Fraction:
@@ -156,14 +161,15 @@ def chi_subvariety(ell: ScalarLike, profile: ChiProfile, u: ScalarLike) -> Fract
 # ---------------------------------------------------------------------------
 
 
-def _falling_binom_2var(order: int, const: Fraction, wcoeff: Fraction) -> dict:
-    """Coefficients of binom(t + wcoeff*w + const, order) in Q[t, w].
+def _falling_binom_2var(order: int, const: Fraction, wcoeff: Fraction) -> tuple:
+    """Coefficients of binom(t + wcoeff*w + const, order) in Q[t, w], over
+    one integer denominator.
 
-    Returns a map (t-power, w-power) -> nonzero coefficient for the product
-    (xi)(xi - 1)...(xi - order + 1)/order! with xi = t + wcoeff*w + const.
-    With D the common denominator of const and wcoeff, the product of the
-    integer factors D*xi - j*D is formed over Python ints and each
-    coefficient is divided once by D**order * order!.
+    Returns (poly, scale): poly maps (t-power, w-power) to the nonzero int
+    numerators of (xi)(xi - 1)...(xi - order + 1)/order! with
+    xi = t + wcoeff*w + const, formed as the product of the integer factors
+    D*xi - j*D with D the common denominator of const and wcoeff, and
+    scale = D**order * order!.
     """
     den = lcm(const.denominator, wcoeff.denominator)
     w_int = wcoeff.numerator * (den // wcoeff.denominator)
@@ -179,15 +185,7 @@ def _falling_binom_2var(order: int, const: Fraction, wcoeff: Fraction) -> dict:
             if shift:
                 out[i1, i2] = out.get((i1, i2), 0) + c * shift
         poly = out
-    scale = den**order * factorial(order)
-    return {key: Fraction(c, scale) for key, c in poly.items() if c}
-
-
-def _multinomial(weight: int, partition: tuple) -> int:
-    out = factorial(weight)
-    for part in partition:
-        out //= factorial(part)
-    return out
+    return {key: c for key, c in poly.items() if c}, den**order * factorial(order)
 
 
 @lru_cache(maxsize=None)
@@ -211,66 +209,61 @@ def subvariety_chi_basis(a: int, m: int, s: int, r: int, ell: int) -> BasisExpr:
     0 otherwise.  So only the partitions with exactly s parts survive, each
     with weight (-1)^m times its multinomial coefficient, and this
     cancellation is why the polynomial is divisible by x_1 ... x_s.  Powers
-    of the full variable sum w = x_1 + ... + x_s are multiplied in
-    afterwards, directly in the monomial basis; every partition there keeps
-    s parts, and the division subtracts 1 from each.  The result is
-    identical to the literal per-subset expansion (the tests compare against
-    one) but runs in time polynomial in m + s.
+    of the full variable sum w = x_1 + ... + x_s are multiplied into the
+    quotient afterwards, directly in the monomial basis, as ints over one
+    common denominator.  The result is identical to the literal per-subset
+    expansion (the tests compare against one) but runs in time polynomial
+    in m + s.
     """
     if s < 1 or m < 1:
         raise ValueError("need m >= 1 and s >= 1")
     if r < 2:
         raise ValueError("the chi polynomial is defined for rank r >= 2")
     order = m + s
-    half_r = Fraction(r, 2)
-    u_const = half_r * ((m + 1) * (a - 1) - s)
+    twice_u = r * ((m + 1) * (a - 1) - s)
+    # every coefficient below is an int over this one denominator
+    den = 2**order * factorial(order) * factorial(m)
 
-    plain = _falling_binom_2var(order, Fraction(-ell - 1), Fraction(0))
-    shifted = _falling_binom_2var(order, u_const - ell - 1, half_r)
-    combined: dict = dict(plain)
+    plain, plain_scale = _falling_binom_2var(order, Fraction(-ell - 1), Fraction(0))
+    shifted, shifted_scale = _falling_binom_2var(order, Fraction(twice_u, 2) - ell - 1, Fraction(r, 2))
+    combined = {key: c * (den // plain_scale) for key, c in plain.items()}
+    lift = (r - 1) * (den // shifted_scale)
     for key, c in shifted.items():
-        combined[key] = combined.get(key, 0) + (r - 1) * c
+        combined[key] = combined.get(key, 0) + lift * c
 
-    full_rows = {
-        weight: [(p, _multinomial(weight, p)) for p in partitions_of(weight) if len(p) == s]
-        for weight in range(s, order + 1)
+    # the s-part partitions of each weight, with 1 taken from each part,
+    # and their multinomial coefficients
+    rows = {
+        w: [(p, factorial(w + s) // prod(factorial(q + 1) for q in p)) for p in partitions_of(w, s)]
+        for w in range(m + 1)
     }
-
     acc: dict = {}
     sign = (-1) ** m
     for (i1, i2), c in combined.items():
-        for partition, mult in full_rows.get(i1, ()):
+        for partition, mult in rows.get(i1 - s, ()):
             key = (partition, i2)
             acc[key] = acc.get(key, 0) + sign * c * mult
 
     # the bundle-chi block: a pure product of all variables times a
-    # polynomial in w
-    wpoly = {0: Fraction((-1) ** (m + 1) * r, factorial(m))}
+    # polynomial in w, each factor doubled
+    wpoly = {0: (-1) ** (m + 1) * r * (den // (2**m * factorial(m)))}
     for j in range(1, m + 1):
-        shift = u_const - ell - j * a
+        shift = twice_u - 2 * (ell + j * a)
         out: dict = {}
         for i2, c in wpoly.items():
-            for key, value in ((i2 + 1, c * half_r), (i2, c * shift)):
-                out[key] = out.get(key, 0) + value
+            out[i2 + 1] = out.get(i2 + 1, 0) + c * r
+            out[i2] = out.get(i2, 0) + c * shift
         wpoly = out
-    ones = (1,) * s
     for i2, c in wpoly.items():
-        key = (ones, i2)
-        acc[key] = acc.get(key, 0) + c
+        acc[(), i2] = acc.get(((), i2), 0) + c
 
     # fold in the powers of w, highest first (Horner in m1-multiplication)
     by_wpow: dict = {}
     for (partition, i2), c in acc.items():
         by_wpow.setdefault(i2, {})[partition] = c
-    top = max(by_wpow)
-    basis = BasisExpr(s, by_wpow[top])
-    for i2 in range(top - 1, -1, -1):
-        lifted = m1_times(basis)
-        layer = by_wpow.get(i2, {})
-        merged = dict(lifted.coeffs)
-        for partition, c in layer.items():
-            merged[partition] = merged.get(partition, 0) + c
-        basis = BasisExpr(s, merged)
-    return BasisExpr(
-        s, {tuple(p - 1 for p in partition if p > 1): c for partition, c in basis.coeffs.items()}
-    )
+    coeffs: dict = {}
+    for i2 in range(max(by_wpow), -1, -1):
+        coeffs = p_times_coeffs(coeffs, s, 1)
+        for partition, c in by_wpow.get(i2, {}).items():
+            coeffs[partition] = coeffs.get(partition, 0) + c
+    return BasisExpr(s, {partition: Fraction(c, den) for partition, c in coeffs.items()})

@@ -15,11 +15,13 @@ m_lambda of weight <= 4 has one fixed power-sum form, valid for every s.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import DivisibilityError, SymmetryError
 from .exactcore import SparsePoly
@@ -36,8 +38,9 @@ def check_partition(partition: Sequence[int]) -> Partition:
     return partition
 
 
-def partitions_of(weight: int) -> list[Partition]:
-    """All partitions of the given weight, largest-part-first order."""
+def partitions_of(weight: int, max_parts: Optional[int] = None) -> list[Partition]:
+    """All partitions of the given weight, largest-part-first order; with
+    ``max_parts``, only those with at most that many parts."""
     if weight < 0:
         raise ValueError("weight must be >= 0")
     result: list[Partition] = []
@@ -45,6 +48,8 @@ def partitions_of(weight: int) -> list[Partition]:
     def descend(remaining: int, cap: int, prefix: list[int]) -> None:
         if remaining == 0:
             result.append(tuple(prefix))
+            return
+        if len(prefix) == max_parts:
             return
         for part in range(min(cap, remaining), 0, -1):
             prefix.append(part)
@@ -212,6 +217,26 @@ def specialize_ones(poly: SparsePoly, k: int) -> SparsePoly:
     return SparsePoly(k, out)
 
 
+def specialize_ones_basis(expr: BasisExpr, k: int) -> BasisExpr:
+    """:func:`specialize_ones` in the monomial basis: m_lambda at
+    x_{k+1} = ... = x_s = 1 is the sum, over the ways of splitting lambda
+    into a head and a tail multiset, of m_head in k variables times the
+    number of arrangements of the tail on the last s - k variables."""
+    s = expr.nvars
+    if not 1 <= k <= s:
+        raise ValueError(f"k must be in [1, {s}], got {k}")
+    out: dict[Partition, Fraction] = {}
+    for partition, coeff in expr.coeffs.items():
+        values = sorted(Counter(partition).items(), reverse=True)
+        for kept in itertools.product(*(range(c + 1) for _, c in values)):
+            head = tuple(v for (v, _), n in zip(values, kept) for _ in range(n))
+            tail = tuple(v for (v, c), n in zip(values, kept) for _ in range(c - n))
+            weight = orbit_size(tail, s - k)
+            if weight and len(head) <= k:
+                out[head] = out.get(head, 0) + coeff * weight
+    return BasisExpr(k, out)
+
+
 def times_all_vars(expr: BasisExpr) -> BasisExpr:
     """Multiply by the product of all variables: every part is raised by 1
     and the partition is padded with parts 1 to exactly s parts."""
@@ -222,15 +247,20 @@ def times_all_vars(expr: BasisExpr) -> BasisExpr:
 
 
 def p_times(expr: BasisExpr, k: int) -> BasisExpr:
-    """Multiply by the power sum p_k = m_k directly in the basis.
+    """Multiply by the power sum p_k = m_k directly in the basis."""
+    return BasisExpr(expr.nvars, p_times_coeffs(expr.coeffs, expr.nvars, k))
+
+
+def p_times_coeffs(coeffs: Mapping[Partition, object], s: int, k: int) -> dict:
+    """:func:`p_times` on a bare map from partitions to coefficients of any
+    exact type (ints stay ints), in s variables.
 
     The product of p_k with m_lambda is the sum, over ways of raising one
     part value of lambda by k or appending a new part k, of the resulting
     m_mu weighted by the multiplicity of the raised value in mu.
     """
-    s = expr.nvars
-    out: dict[Partition, Fraction] = {}
-    for partition, coeff in expr.coeffs.items():
+    out: dict = {}
+    for partition, coeff in coeffs.items():
         for v in sorted(set(partition)):
             raised = list(partition)
             raised.remove(v)
@@ -240,7 +270,7 @@ def p_times(expr: BasisExpr, k: int) -> BasisExpr:
         if len(partition) < s:
             mu = tuple(sorted(partition + (k,), reverse=True))
             out[mu] = out.get(mu, 0) + coeff * mu.count(k)
-    return BasisExpr(s, out)
+    return out
 
 
 def m1_times(expr: BasisExpr) -> BasisExpr:

@@ -6,6 +6,7 @@ checks.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
@@ -66,11 +67,13 @@ def brute_binom_poly(poly, m):
     return out * Fraction(1, factorial(m))
 
 
+@lru_cache(maxsize=None)
 def brute_chi_poly(a, m, s, r, ell):
     """The chi polynomial in the degrees, assembled term by term from its
     explicit expansion: one generalized binomial per subset of the
     variables, twice (plain and determinant-shifted), plus the bundle-chi
-    product block."""
+    product block.  Cached, since several tests compare against the same
+    slow s = 5 expansion; the result is never mutated."""
     x = [SparsePoly.variable(s, i) for i in range(s)]
     half = Fraction(r, 2)
     full_sum = SparsePoly.zero(s)

@@ -15,6 +15,7 @@ from ulrichcert.euler import (
     chi_subvariety,
     chi_ulrich,
     koszul_coefficients,
+    subvariety_chi_basis,
     subvariety_chi_poly,
 )
 from ulrichcert.exactcore import SparsePoly, binom_int
@@ -211,7 +212,24 @@ def test_falling_binom_2var_matches_brute_binom_poly():
         for wcoeff in (Fraction(0), Fraction(1), Fraction(3, 2)):
             for order in range(10):
                 expected = brute_binom_poly(t + wcoeff * w + const, order)
-                assert _falling_binom_2var(order, const, wcoeff) == expected.terms
+                poly, scale = _falling_binom_2var(order, const, wcoeff)
+                assert all(isinstance(c, int) and c for c in poly.values())
+                assert {key: Fraction(c, scale) for key, c in poly.items()} == expected.terms
+
+
+def test_chi_basis_golden_digest():
+    # sha256 over the basis forms the verify-appendix checkers read, taken
+    # from the Fraction builder before it moved to integers
+    text = "".join(
+        f"{a} {s} {r} {ell}: {subvariety_chi_basis(a, 4, s, r, ell).sorted_items()}\n"
+        for r, ell in ((2, 0), (3, 0), (3, 1))
+        for a in range(2, 7)
+        for s in range(1, 13)
+    )
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "12b8ea3313d36089d5c33b54a2a9c29ac23996e44fed3ec22bbf9f3992719a01"
+    )
 
 
 def test_chi_poly_structure():
@@ -242,6 +260,14 @@ def test_koszul_coefficients_match_bitmask_enumeration():
             shift = sum(degrees[i] for i in range(s) if mask >> i & 1)
             expected[shift] = expected.get(shift, 0) + (-1) ** bin(mask).count("1")
         assert koszul_coefficients(degrees) == {k: c for k, c in expected.items() if c}
+
+
+def test_koszul_coefficients_are_cached_read_only():
+    coeffs = koszul_coefficients((3, 2, 2))
+    assert koszul_coefficients((3, 2, 2)) is coeffs
+    with pytest.raises(TypeError):
+        coeffs[0] = 7
+    assert coeffs == {0: 1, 2: -2, 3: -1, 4: 1, 5: 2, 7: -1}
 
 
 def _oracle_cases():

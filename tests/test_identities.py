@@ -8,8 +8,7 @@ import pytest
 from ulrichcert import identities
 from ulrichcert.cli import main
 from ulrichcert.errors import VerificationFailure
-from ulrichcert.euler import subvariety_chi_poly
-from ulrichcert.exactcore import SparsePoly
+from ulrichcert.euler import subvariety_chi_basis, subvariety_chi_poly
 from ulrichcert.identities import (
     BASIS,
     CLOSED_FORM_TABLES,
@@ -29,7 +28,17 @@ from ulrichcert.identities import (
     c2_poly_r3,
 )
 from ulrichcert.invariants import noether_chain
-from ulrichcert.symmetric import divide_all_vars, expand_m, from_basis, times_all_vars, to_basis
+from ulrichcert.symmetric import (
+    BasisExpr,
+    divide_all_vars,
+    expand_m,
+    from_basis,
+    specialize_ones,
+    specialize_ones_basis,
+    times_all_vars,
+    to_basis,
+)
+from oracles import brute_chi_poly
 
 
 def test_gap_poly_vanishes_at_ones_for_unit_twist():
@@ -186,24 +195,40 @@ def test_reports_list_only_failed_comparisons(monkeypatch):
 
 
 def test_structure_mutation_is_detected(monkeypatch):
-    def perturbed(delta):
-        # only the s = 4 polynomial moves; its k-variable specializations do not
-        def chi_poly(a, m, s, r, ell):
-            poly = subvariety_chi_poly(a, m, s, r, ell)
-            return poly + delta if s == 4 else poly
+    def perturbed(partition, delta):
+        # one coefficient of the s = 4 basis form moves; the k-variable
+        # forms it is specialized against do not
+        def chi_basis(a, m, s, r, ell):
+            basis = subvariety_chi_basis(a, m, s, r, ell)
+            if s != 4:
+                return basis
+            return BasisExpr(s, {**basis.coeffs, partition: basis.get(partition) + delta})
 
-        return chi_poly
+        return chi_basis
 
-    # an asymmetric, non-divisible perturbation
-    broken = SparsePoly(4, {(2, 0, 0, 0): Fraction(1, 7)})
-    monkeypatch.setattr(identities, "subvariety_chi_poly", perturbed(broken))
-    assert not check_structure(2, 4, 4, 2, 0).passed
-    # a symmetric, divisible perturbation still breaks specialization
-    subtle = from_basis(to_basis(expand_m((2, 1, 1, 1), 4)))
-    monkeypatch.setattr(identities, "subvariety_chi_poly", perturbed(subtle))
-    report = check_structure(2, 4, 4, 2, 0)
-    assert not report.passed
-    assert any(label.startswith("specialize") and value != "0" for label, value in report.residuals)
+    for partition in ((2, 1), (1, 1, 1, 1), ()):
+        monkeypatch.setattr(identities, "subvariety_chi_basis", perturbed(partition, Fraction(1, 7)))
+        report = check_structure(2, 4, 4, 2, 0)
+        assert not report.passed, partition
+        labels = [label for label, _ in report.residuals]
+        assert labels == [f"specialize[k={k}]" for k in (1, 2, 3)], partition
+        assert all(value != "0" for _, value in report.residuals)
+        # at s = 5 the perturbed form is the expected side, at k = 4 only
+        assert [label for label, _ in check_structure(2, 4, 5, 2, 0).residuals] == ["specialize[k=4]"]
+
+
+@pytest.mark.parametrize("r, ell", [(2, 0), (3, 0), (3, 1)])
+def test_basis_specialization_matches_literal_expansion(r, ell):
+    # the basis-form specialization that check_structure reads, against
+    # x_{k+1..s} = 1 in the literal per-subset expansion; the literal
+    # expansion is also symmetric and divisible by x_1 ... x_s
+    for s in range(1, 6):
+        literal = brute_chi_poly(2, 4, s, r, ell)
+        assert from_basis(times_all_vars(to_basis(divide_all_vars(literal)))) == literal
+        basis = subvariety_chi_basis(2, 4, s, r, ell)
+        for k in range(1, s + 1):
+            specialized = from_basis(times_all_vars(specialize_ones_basis(basis, k)))
+            assert specialized == specialize_ones(literal, k), (s, k)
 
 
 def test_gap_positivity_reports():

@@ -22,6 +22,7 @@ from ulrichcert.symmetric import (
     partitions_of,
     partitions_up_to,
     specialize_ones,
+    specialize_ones_basis,
     to_basis,
 )
 
@@ -100,6 +101,38 @@ def test_specialize_ones():
     assert specialize_ones(m2, 2) == SparsePoly(2, {(2, 0): 1, (0, 2): 1, (0, 0): 1})
     with pytest.raises(ValueError):
         specialize_ones(m2, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.dictionaries(
+        st.sampled_from(partitions_up_to(5)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7),
+        max_size=6,
+    ),
+    st.integers(min_value=1, max_value=6),
+)
+def test_specialize_ones_basis_matches_expansion(s, coeffs, k):
+    expr = BasisExpr(s, {p: c for p, c in coeffs.items() if len(p) <= s})
+    k = min(k, s)
+    assert from_basis(specialize_ones_basis(expr, k)) == specialize_ones(from_basis(expr), k)
+
+
+def test_specialize_ones_basis_examples():
+    # m_2 in 3 variables at x_3 = 1: m_2 + 1; m_11 at x_3 = 1: m_11 + m_1
+    assert specialize_ones_basis(BasisExpr(3, {(2,): 1}), 2).coeffs == {(2,): 1, (): 1}
+    assert specialize_ones_basis(BasisExpr(3, {(1, 1): 1}), 2).coeffs == {(1, 1): 1, (1,): 1}
+    assert specialize_ones_basis(BasisExpr(4, {(1, 1, 1): 1}), 1).coeffs == {(1,): 3, (): 1}
+    with pytest.raises(ValueError):
+        specialize_ones_basis(BasisExpr(3, {(2,): 1}), 4)
+
+
+def test_partitions_with_at_most_given_parts():
+    for weight in range(9):
+        for parts in range(1, 6):
+            expected = [p for p in partitions_of(weight) if len(p) <= parts]
+            assert partitions_of(weight, parts) == expected
 
 
 def test_m1_times_matches_expanded_product():
