@@ -15,7 +15,8 @@ parity of the size, so the exact sums run over the coefficients of
 prod_i (1 - x^{d_i}) rather than over the 2^s subsets: at most S + 1 terms,
 s + 1 when the degrees are equal, so the cost is polynomial in s.  Each sum
 walks its shifts in order and steps one integer falling product from shift
-to shift (exactcore.stepped_binom_sum).
+to shift (exactcore.stepped_binom_numerator).  Each chi value is one integer
+numerator over one denominator, made into one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import factorial, lcm, prod
 from types import MappingProxyType
 
 from .errors import InternalContradiction, OutOfTheoremScope
-from .exactcore import ScalarLike, SparsePoly, binom, stepped_binom_sum
+from .exactcore import ScalarLike, SparsePoly, binom, falling, stepped_binom_numerator
 from .symmetric import BasisExpr, from_basis, p_times_coeffs, partitions_of, times_all_vars
 from .symmetric import m1_times  # noqa: F401 - the benchmark tracer wraps euler.m1_times
 
@@ -63,10 +64,7 @@ class ChiProfile:
 
     @property
     def d(self) -> int:
-        out = 1
-        for deg in self.degrees:
-            out *= deg
-        return out
+        return prod(self.degrees)
 
     @property
     def S(self) -> int:
@@ -103,17 +101,18 @@ def chi_ci(ell: ScalarLike, profile: ChiProfile) -> Fraction:
     """chi of O_X(ell) by inclusion-exclusion over subsets of the degrees."""
     # binom(ell + n - shift, n) = (-1)^n binom(shift - ell - 1, n)
     n = profile.m + profile.s
-    coeffs = koszul_coefficients(profile.degrees)
-    return (-1) ** n * stepped_binom_sum(-Fraction(ell) - 1, coeffs, n)
+    p, q = ell.numerator, ell.denominator
+    top = stepped_binom_numerator(-p - q, q, koszul_coefficients(profile.degrees), n)
+    return Fraction((-1) ** n * top, q**n * factorial(n))
 
 
 def chi_ulrich(ell: ScalarLike, profile: ChiProfile) -> Fraction:
     """chi of the twisted Ulrich bundle: (r d / m!) (ell + a)...(ell + m a)."""
-    ell = Fraction(ell)
-    out = Fraction(profile.r * profile.d, factorial(profile.m))
+    p, q = ell.numerator, ell.denominator
+    top = profile.r * profile.d
     for j in range(1, profile.m + 1):
-        out *= ell + j * profile.a
-    return out
+        top *= p + j * profile.a * q
+    return Fraction(top, factorial(profile.m) * q**profile.m)
 
 
 def chi_subvariety(ell: ScalarLike, profile: ChiProfile, u: ScalarLike) -> Fraction:
@@ -121,28 +120,31 @@ def chi_subvariety(ell: ScalarLike, profile: ChiProfile, u: ScalarLike) -> Fract
 
     u is the hyperplane coefficient of the bundle's determinant, supplied by
     the invariants layer (it can be a non-integer rational when r is odd).
-    The value is computed from the closed expansion and cross-checked
-    against the three-term route
+    Route 1, the closed display, sums its terms as integers over
+    den**n * n!, den the common denominator of ell and u.  It is
+    cross-checked against route 2, the three-term
     chi(O_X(ell)) - chi(E(ell-u)) + (r-1) chi(O_X(ell-u)),
-    which exercises disjoint code paths.
+    which route 1 never calls, so it exercises disjoint code paths.
     """
     m = profile.m
     n = m + profile.s
     r, a = profile.r, profile.a
-    ell = Fraction(ell)
-    u = Fraction(u)
+    den = lcm(ell.denominator, u.denominator)
+    L = ell.numerator * (den // ell.denominator)
+    U = u.numerator * (den // u.denominator)
 
-    total = binom(ell + n, n)
-    prod = Fraction(r * profile.d, factorial(m))
+    block = r * profile.d
     for j in range(1, m + 1):
-        prod *= u - ell - j * a
-    total += (-1) ** (m + 1) * prod
-    total += (-1) ** n * (r - 1) * binom(u - ell - 1, n)
+        block *= U - L - j * a * den
+    top = falling(L + n * den, den, n)
+    top += (-1) ** (m + 1) * block * den ** (n - m) * (factorial(n) // factorial(m))
     coeffs = {shift: c for shift, c in koszul_coefficients(profile.degrees).items() if shift}
-    total += (-1) ** n * (
-        stepped_binom_sum(-ell - 1, coeffs, n)
-        + (r - 1) * stepped_binom_sum(u - ell - 1, coeffs, n)
+    top += (-1) ** n * (
+        (r - 1) * falling(U - L - den, den, n)
+        + stepped_binom_numerator(-L - den, den, coeffs, n)
+        + (r - 1) * stepped_binom_numerator(U - L - den, den, coeffs, n)
     )
+    total = Fraction(top, den**n * factorial(n))
 
     other = (
         chi_ci(ell, profile)
@@ -150,9 +152,7 @@ def chi_subvariety(ell: ScalarLike, profile: ChiProfile, u: ScalarLike) -> Fract
         + (r - 1) * chi_ci(ell - u, profile)
     )
     if other != total:
-        raise InternalContradiction(
-            f"chi routes disagree at ell={ell}: {total} vs {other}"
-        )
+        raise InternalContradiction(f"chi routes disagree at ell={ell}: {total} vs {other}")
     return total
 
 

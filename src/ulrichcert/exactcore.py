@@ -21,7 +21,7 @@ ScalarLike = Union[int, Fraction]
 
 def scalar_str(x: ScalarLike) -> str:
     """Render a rational as ``"p/q"``, or ``"p"`` when the denominator is 1."""
-    x = Fraction(x)
+    x = x if isinstance(x, Fraction) else Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -39,43 +39,42 @@ def binom(q: ScalarLike, m: int) -> Fraction:
     empty product, giving 1).  With q = p/den the falling product is formed
     in integers as prod_j (p - j*den) over den**m * m!, and reduced once.
     """
+    q = Fraction(q)
+    return Fraction(falling(q.numerator, q.denominator, m), q.denominator**m * factorial(m))
+
+
+def falling(p: int, den: int, m: int) -> int:
+    """The integer falling product prod_{j<m} (p - j*den) = den**m m! binom(p/den, m)."""
     if m < 0:
         raise ValueError(f"binomial lower index must be >= 0, got {m}")
-    q = Fraction(q)
-    return Fraction(_falling(q.numerator, q.denominator, m), q.denominator**m * factorial(m))
-
-
-def _falling(p: int, den: int, m: int) -> int:
-    """The integer falling product prod_{j<m} (p - j*den)."""
     out = 1
     for j in range(m):
         out *= p - j * den
     return out
 
 
-def stepped_binom_sum(q0: ScalarLike, coeffs: Mapping[int, int], m: int) -> Fraction:
-    """sum_k c_k * binom(q0 + k, m) over the integer shifts k of ``coeffs``.
+def stepped_binom_numerator(p0: int, den: int, coeffs: Mapping[int, int], m: int) -> int:
+    """den**m * m! * sum_k c_k * binom(p0/den + k, m) over the integer
+    shifts k of ``coeffs``, as an int.
 
-    With q0 = p/den the nonzero shifts are visited in increasing order,
-    carrying the integer falling product P(p) of :func:`binom`.  A gap of at
-    most m shifts is crossed one shift at a time, P(p + den) =
+    (p0, den) need not be in lowest terms (den > 0), so callers can add
+    several sums over one denominator.  The nonzero shifts are visited in
+    increasing order, carrying the falling product P(p) of :func:`falling`.
+    A gap of at most m shifts is crossed one shift at a time, P(p + den) =
     P(p)*(p + den)/(p - (m-1)*den); a wider gap, or a zero divisor, forms P
-    from scratch, so no shift costs more than one :func:`binom`.  The sum of
-    c*P is kept in integers and divided once by den**m * m!.
+    from scratch, so no shift costs more than one :func:`falling`.
     """
-    q0 = Fraction(q0)
-    den = q0.denominator
     total, at, prod = 0, None, 1
     for k in sorted(k for k, c in coeffs.items() if c):
         if at is None or k - at > m:
-            prod = _falling(q0.numerator + k * den, den, m)
+            prod = falling(p0 + k * den, den, m)
         else:
-            for p in range(q0.numerator + at * den, q0.numerator + k * den, den):
+            for p in range(p0 + at * den, p0 + k * den, den):
                 lost = p - (m - 1) * den
-                prod = prod * (p + den) // lost if lost else _falling(p + den, den, m)
+                prod = prod * (p + den) // lost if lost else falling(p + den, den, m)
         total += coeffs[k] * prod
         at = k
-    return Fraction(total, den**m * factorial(m))
+    return total
 
 
 def binom_int(q: int, m: int) -> int:

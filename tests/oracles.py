@@ -136,3 +136,14 @@ def brute_chi_subvariety(ell, m, degrees, a, r, u):
                 falling_binom(shift - ell - 1, n) + (r - 1) * falling_binom(shift + u - ell - 1, n)
             )
     return total
+
+
+def brute_chi_ulrich(ell, m, degrees, a, r):
+    """chi(E(ell)) for a rank-r Ulrich bundle, (r d / m!) (ell + a)...(ell + m a),
+    as a literal product of Fractions."""
+    out = Fraction(r, factorial(m))
+    for deg in degrees:
+        out *= deg
+    for j in range(1, m + 1):
+        out *= Fraction(ell) + j * a
+    return out

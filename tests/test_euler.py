@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ulrichcert import cli, euler
+from ulrichcert.errors import InternalContradiction
 from ulrichcert.euler import (
     ChiProfile,
     _falling_binom_2var,
@@ -21,7 +23,13 @@ from ulrichcert.euler import (
 from ulrichcert.exactcore import SparsePoly, binom_int
 from ulrichcert.invariants import c1_coeff
 from ulrichcert.symmetric import divide_all_vars, specialize_ones, to_basis
-from oracles import brute_binom_poly, brute_chi_ci, brute_chi_poly, brute_chi_subvariety
+from oracles import (
+    brute_binom_poly,
+    brute_chi_ci,
+    brute_chi_poly,
+    brute_chi_subvariety,
+    brute_chi_ulrich,
+)
 
 
 def test_chi_proj_values():
@@ -294,3 +302,38 @@ def test_chi_ci_and_subvariety_match_subset_oracles():
             ell, m, profile.degrees, a, r, u
         )
     assert half_integer_u >= 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=5),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=-20, max_value=20),
+    st.integers(min_value=-20, max_value=20),
+    st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]),
+)
+def test_chi_values_match_oracles_on_halves(m, degrees, a, r, i, j, halves):
+    # ell and u in (1/2)Z: neither, one or both a half.  When both are,
+    # ell - u is integral while their common denominator 2 stays unreduced.
+    ell, u = Fraction(2 * i + halves[0], 2), Fraction(2 * j + halves[1], 2)
+    profile = ChiProfile(m, tuple(degrees), a, r)
+    assert chi_ci(ell, profile) == brute_chi_ci(ell, m, profile.degrees)
+    assert chi_ulrich(ell, profile) == brute_chi_ulrich(ell, m, profile.degrees, a, r)
+    assert chi_subvariety(ell, profile, u) == brute_chi_subvariety(
+        ell, m, profile.degrees, a, r, u
+    )
+
+
+@pytest.mark.parametrize("name", ["chi_ulrich", "chi_ci"])
+def test_cross_check_trips_on_a_faulty_route(monkeypatch, capsys, name):
+    # the closed display calls neither chi_ci nor chi_ulrich, so a fault in
+    # either one shows up as a disagreement of the two routes
+    faulty = getattr(euler, name)
+    monkeypatch.setattr(euler, name, lambda *args: faulty(*args) + 1)
+    profile = ChiProfile(4, (3,), 2, 3)
+    with pytest.raises(InternalContradiction):
+        chi_subvariety(0, profile, c1_coeff(profile))
+    assert cli.main(["certify", "--n", "10", "--a", "5", "--r", "3"]) == 1
+    assert "chi routes disagree" in capsys.readouterr().err

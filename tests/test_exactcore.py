@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from ulrichcert.exactcore import (
     binom_int,
     parse_scalar,
     scalar_str,
-    stepped_binom_sum,
+    stepped_binom_numerator,
 )
 from oracles import (
     brute_binom_poly,
@@ -53,6 +54,12 @@ def _literal_stepped_sum(q0, coeffs, m):
     return sum((c * falling_binom(q0 + k, m) for k, c in coeffs.items()), Fraction(0))
 
 
+def _literal_numerator(p0, den, coeffs, m):
+    """The kernel's value from the literal sum: den**m * m! times the sum
+    of the binomials at p0/den + k."""
+    return _literal_stepped_sum(Fraction(p0, den), coeffs, m) * den**m * factorial(m)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(min_value=-40, max_value=40),
@@ -61,42 +68,63 @@ def _literal_stepped_sum(q0, coeffs, m):
     st.dictionaries(st.integers(min_value=0, max_value=30), st.integers(min_value=-9, max_value=9)),
 )
 def test_stepped_binom_sum_matches_literal_binomials(num, den, m, coeffs):
-    q0 = Fraction(num, den)
-    assert stepped_binom_sum(q0, coeffs, m) == _literal_stepped_sum(q0, coeffs, m)
+    # (num, den) is passed as drawn, so unreduced pairs such as (4, 2) occur
+    assert stepped_binom_numerator(num, den, coeffs, m) == _literal_numerator(num, den, coeffs, m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 9])
 def test_stepped_binom_sum_recomputes_where_the_divisor_is_zero(m):
     # With den = 1 the stepped product P(p) = prod_{j<m} (p - j) is 0 for p in
-    # 0..m-1.  Walking up from q0 = -3 over consecutive shifts, P turns 0 at
+    # 0..m-1.  Walking up from p0 = -3 over consecutive shifts, P turns 0 at
     # p = 0, and the step from p = m - 1 divides by p - (m - 1) = 0, so P is
     # formed from scratch there; the terms past the band depend on it.
     coeffs = {k: k + 1 for k in range(3 * m + 4)}
-    q0 = -3
-    walk = [q0 + k for k in sorted(coeffs)]
+    p0 = -3
+    walk = [p0 + k for k in sorted(coeffs)]
     assert 0 in walk and m - 1 in walk[:-1] and walk[-1] > m - 1
-    assert stepped_binom_sum(q0, coeffs, m) == _literal_stepped_sum(q0, coeffs, m)
+    assert stepped_binom_numerator(p0, 1, coeffs, m) == _literal_numerator(p0, 1, coeffs, m)
 
 
 @pytest.mark.parametrize("m", [0, 1, 4])
 def test_stepped_binom_sum_jumps_gaps_wider_than_m(m):
     # shifts m + 1 or more apart are not stepped through: P is formed from
-    # scratch at the far side, so a gap of 10**7 costs one binomial, not
-    # 10**7 steps (several seconds)
+    # scratch at the far side, so a gap of 10**7 costs one falling product,
+    # not 10**7 steps (several seconds)
     coeffs = {0: 3, m + 1: -2, m + 2: 5, 10**7: 7, 10**7 + m + 1: -1}
     start = time.perf_counter()
-    for q0 in (Fraction(-5, 2), Fraction(1, 3), 4):
-        assert stepped_binom_sum(q0, coeffs, m) == _literal_stepped_sum(q0, coeffs, m)
+    for p0, den in ((-5, 2), (1, 3), (4, 1)):
+        assert stepped_binom_numerator(p0, den, coeffs, m) == _literal_numerator(p0, den, coeffs, m)
     assert time.perf_counter() - start < 1.0
 
 
 def test_stepped_binom_sum_edge_cases():
-    assert stepped_binom_sum(Fraction(7, 2), {}, 3) == 0
-    assert stepped_binom_sum(5, {0: 1}, 2) == 10
-    assert stepped_binom_sum(Fraction(1, 3), {4: 2}, 0) == 2
-    assert stepped_binom_sum(2, {0: 0, 3: 1}, 2) == 10
+    assert stepped_binom_numerator(7, 2, {}, 3) == 0
+    assert stepped_binom_numerator(5, 1, {0: 1}, 2) == 20
+    assert stepped_binom_numerator(1, 3, {4: 2}, 0) == 2
+    assert stepped_binom_numerator(2, 1, {0: 0, 3: 1}, 2) == 20
     with pytest.raises(ValueError):
-        stepped_binom_sum(5, {0: 1}, -1)
+        stepped_binom_numerator(5, 1, {0: 1}, -1)
+
+
+@pytest.mark.parametrize(
+    "coeffs, m, steps_through_zero_divisor",
+    [
+        # unreduced: p0/den = -3, and the kernel must not reduce it
+        ({0: 1, 1: -2, 2: 1, 5: 4}, 3, False),
+        # a walk over consecutive shifts: the step from p = 2(m - 1)
+        # divides by p - (m - 1)*den = 0, so P is formed from scratch there
+        ({k: k - 4 for k in range(12)}, 4, True),
+        # gaps wider than m, each far side formed from scratch
+        ({0: 2, 4: -1, 5: 3, 40: 1}, 3, False),
+    ],
+)
+def test_stepped_binom_numerator_with_even_p0_over_two(coeffs, m, steps_through_zero_divisor):
+    p0 = -6
+    shifts = sorted(k for k, c in coeffs.items() if c)
+    # the points the kernel steps from: every shift inside a gap of at most m
+    stepped_from = {p0 + 2 * j for a, b in zip(shifts, shifts[1:]) if b - a <= m for j in range(a, b)}
+    assert (2 * (m - 1) in stepped_from) == steps_through_zero_divisor
+    assert stepped_binom_numerator(p0, 2, coeffs, m) == _literal_numerator(p0, 2, coeffs, m)
 
 
 def test_binom_reflection_identity_exhaustive():
