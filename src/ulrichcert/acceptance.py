@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .certify import (
     BRANCH_CHI_MISMATCH,
@@ -46,13 +46,7 @@ from .invariants import (
 from .symmetric import BasisExpr, from_basis, partitions_up_to, to_basis
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    title: str
-    passed: bool
-    details: str
-    elapsed: float
+CriterionResult = namedtuple("CriterionResult", "number title passed details elapsed")
 
 
 def _sample_contexts(seed: int, count: int, dims=(3, 4, 5)):

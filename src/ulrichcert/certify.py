@@ -14,7 +14,7 @@ the input alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial
 
 from .errors import InternalContradiction, OutOfTheoremScope
@@ -38,15 +38,10 @@ ATTEST_P4 = "X is P^4"
 ATTEST_AMBIENT = "bundle restricts from a higher-dimensional complete intersection"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "input branch witnesses hypotheses_attested conclusion")):
     """Outcome of one pipeline run, with exact re-checkable witnesses."""
 
-    input: dict
-    branch: str
-    witnesses: dict
-    hypotheses_attested: tuple
-    conclusion: str
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

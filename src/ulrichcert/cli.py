@@ -100,10 +100,12 @@ def _render_text(value, lines: list, indent: int, label: str | None = None) -> N
         elif all(not isinstance(item, (dict, list)) for item in value):
             lines.append(prefix + ", ".join(str(item) for item in value))
         else:
-            lines.append(f"{pad}{label}:")
+            if label is not None:
+                lines.append(f"{pad}{label}:")
+                indent += 1
             for item in value:
-                lines.append(f"{pad}  -")
-                _render_text(item, lines, indent + 2)
+                lines.append("  " * indent + "-")
+                _render_text(item, lines, indent + 1)
     else:
         lines.append(f"{prefix}{value}")
 

@@ -21,7 +21,7 @@ numerator over one denominator, made into one Fraction at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
@@ -33,30 +33,30 @@ from .symmetric import BasisExpr, from_basis, p_times_coeffs, partitions_of, tim
 from .symmetric import m1_times  # noqa: F401 - the benchmark tracer wraps euler.m1_times
 
 
-@dataclass(frozen=True)
-class ChiProfile:
+class ChiProfile(namedtuple("ChiProfile", "m degrees a r")):
     """Complete-intersection shape plus polarization and rank, in canonical
-    form: degrees sorted descending, rank r <= 3."""
+    form: degrees sorted descending, rank r <= 3.
 
-    m: int
-    degrees: tuple
-    a: int
-    r: int
+    The constructor sorts and checks; ``_make`` and ``_replace`` skip it, so
+    build a profile only through the constructor."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(sorted(self.degrees, reverse=True)))
-        if self.m < 0:
+    __slots__ = ()
+
+    def __new__(cls, m: int, degrees, a: int, r: int):
+        degrees = tuple(sorted(degrees, reverse=True))
+        if m < 0:
             raise OutOfTheoremScope("dimension m must be >= 0")
-        if not self.degrees:
+        if not degrees:
             raise OutOfTheoremScope("at least one degree is required")
-        if any(d < 1 for d in self.degrees):
-            raise OutOfTheoremScope(f"degrees must be >= 1: {self.degrees}")
-        if self.a < 2:
+        if any(d < 1 for d in degrees):
+            raise OutOfTheoremScope(f"degrees must be >= 1: {degrees}")
+        if a < 2:
             raise OutOfTheoremScope("polarization twist a must be >= 2")
-        if self.r < 1:
+        if r < 1:
             raise OutOfTheoremScope("rank r must be >= 1")
-        if self.r > 3:
+        if r > 3:
             raise OutOfTheoremScope("pipeline handles rank r <= 3 only")
+        return super().__new__(cls, m, degrees, a, r)
 
     @property
     def s(self) -> int:

@@ -8,15 +8,15 @@ anywhere; equality always means exact equality.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Mapping, Sequence, Union
 
 #: Arbitrary-precision rational scalar.  ``Fraction`` already guarantees the
 #: canonical form this package relies on: lowest terms, positive denominator.
 ExactScalar = Fraction
 
-ScalarLike = Union[int, Fraction]
+ScalarLike = int | Fraction
 
 
 def scalar_str(x: ScalarLike) -> str:

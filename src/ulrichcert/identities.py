@@ -33,10 +33,9 @@ Two construction notes surface in every relevant report:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .errors import VerificationFailure
 from .exactcore import SparsePoly, scalar_str
@@ -635,16 +634,14 @@ CLOSED_FORM_TABLES = _closed_form_tables()
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class VerificationReport:
-    """Outcome of one exact check: the comparisons that failed, each with its
-    exact nonzero residual or the error it raised.  The check passed when
-    there are none."""
+class VerificationReport(
+    namedtuple("VerificationReport", "check parameters residuals notes", defaults=((),))
+):
+    """Outcome of one exact check: the comparisons that failed, each as
+    (label, exact residual string) or the error it raised, and any notes.
+    The check passed when there are none."""
 
-    check: str
-    parameters: dict
-    residuals: list = field(default_factory=list)  # (label, exact residual string)
-    notes: list = field(default_factory=list)
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -664,16 +661,11 @@ class VerificationReport:
         }
 
 
-@dataclass
-class GapReport:
-    """Outcome of the gap-polynomial positivity sweep for one (s, a, b)."""
+class GapReport(namedtuple("GapReport", "s a b value_grid recursion_checked base_checked")):
+    """Outcome of the gap-polynomial positivity sweep for one (s, a, b);
+    value_grid maps each degree tuple to its gap value."""
 
-    s: int
-    a: int
-    b: int
-    value_grid: dict  # degree tuple -> gap value
-    recursion_checked: bool
-    base_checked: bool
+    __slots__ = ()
 
     @property
     def min_value(self) -> int:
@@ -709,7 +701,7 @@ def _label(partition: tuple) -> str:
 
 
 def _basis_compare(
-    check: str, parameters: dict, compared: dict, notes: Optional[list] = None
+    check: str, parameters: dict, compared: dict, notes: list | None = None
 ) -> VerificationReport:
     """Compare basis expressions against expected coefficients, reporting the
     exact residual of every basis element that differs and any unexpected

@@ -10,9 +10,8 @@ runs the same lines over polynomials in the power sums of the degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
 
 from .exactcore import binom, scalar_str
 from .euler import ChiProfile, chi_subvariety
@@ -117,21 +116,16 @@ def subvariety_degree_chern(ctx: ChiProfile) -> Fraction:
     return ctx.d * e
 
 
-@dataclass(frozen=True)
-class UlrichNumerics:
-    """Exact invariants of the subvariety attached to one input."""
+class UlrichNumerics(
+    namedtuple("UlrichNumerics", "u e degZ kX c2X kZ kZH kZ2 c2Z chiZ_noether chiZ_rr")
+):
+    """Exact invariants of the subvariety attached to one input.
 
-    u: Fraction
-    e: Fraction
-    degZ: Fraction
-    kX: Fraction
-    c2X: Fraction
-    kZ: Optional[Fraction]  # hyperplane coefficient of K_Z; rank 2 only
-    kZH: Fraction  # K_Z . H_Z
-    kZ2: Fraction  # K_Z^2
-    c2Z: Fraction
-    chiZ_noether: Fraction  # (K_Z^2 + c2(Z)) / 12
-    chiZ_rr: Fraction  # chi(O_Z) via the resolution route
+    kZ is the hyperplane coefficient of K_Z (rank 2 only, None for rank 3),
+    kZH is K_Z . H_Z, kZ2 is K_Z^2, chiZ_noether is (K_Z^2 + c2(Z)) / 12 and
+    chiZ_rr is chi(O_Z) by the resolution route."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

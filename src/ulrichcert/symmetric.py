@@ -16,12 +16,11 @@ m_lambda of weight <= 4 has one fixed power-sum form, valid for every s.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import DivisibilityError, SymmetryError
 from .exactcore import SparsePoly
@@ -38,7 +37,7 @@ def check_partition(partition: Sequence[int]) -> Partition:
     return partition
 
 
-def partitions_of(weight: int, max_parts: Optional[int] = None) -> list[Partition]:
+def partitions_of(weight: int, max_parts: int | None = None) -> list[Partition]:
     """All partitions of the given weight, largest-part-first order; with
     ``max_parts``, only those with at most that many parts."""
     if weight < 0:
@@ -122,25 +121,25 @@ def expand_m(partition: Sequence[int], s: int) -> SparsePoly:
     return SparsePoly(s, {exps: 1 for exps in _distinct_arrangements(partition, s)})
 
 
-@dataclass(frozen=True)
-class BasisExpr:
-    """A symmetric polynomial written in the monomial basis."""
+class BasisExpr(namedtuple("BasisExpr", "nvars coeffs")):
+    """A symmetric polynomial written in the monomial basis.
 
-    nvars: int
-    coeffs: Mapping[Partition, Fraction]
+    The constructor checks the partitions and drops zero coefficients;
+    ``_make`` and ``_replace`` skip it, so build an expression only through
+    the constructor."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, nvars: int, coeffs: Mapping[Partition, Fraction]):
         clean = {}
-        for partition, coeff in self.coeffs.items():
+        for partition, coeff in coeffs.items():
             partition = check_partition(partition)
-            if len(partition) > self.nvars:
-                raise ValueError(
-                    f"partition {partition} has more parts than variables ({self.nvars})"
-                )
+            if len(partition) > nvars:
+                raise ValueError(f"partition {partition} has more parts than variables ({nvars})")
             coeff = Fraction(coeff)
             if coeff != 0:
                 clean[partition] = coeff
-        object.__setattr__(self, "coeffs", clean)
+        return super().__new__(cls, nvars, clean)
 
     def get(self, partition: Sequence[int]) -> Fraction:
         return self.coeffs.get(tuple(partition), Fraction(0))

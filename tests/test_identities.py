@@ -255,10 +255,12 @@ def test_gap_positivity_grid_matches_pointwise_eval():
             assert report.value_grid[tup] == poly.eval(tup)
 
 
-# sha256 of the report bytes from the per-point sweep, which evaluated every grid point
+# sha256 of the report bytes from the per-point sweep, which evaluated every
+# grid point; the text form writes a grid entry (a list in a list) without a
+# label line
 FULL_GRIDS_DIGESTS = {
     "json": "275b05d8aea892f64f1780417a371f27070f00b2a26bb75cf997a75a4ecbcd48",
-    "text": "3192abdcae880130f3d483010fc29c22684973108e53d71108134fef2f5b38f0",
+    "text": "2cfba65770e8a62cf1ea877de5051a1b07b4c964d4e177ffb86a4a7d569e6b88",
 }
 
 
@@ -266,7 +268,9 @@ def test_verify_appendix_full_grids_golden_digest(capsys):
     for fmt, digest in FULL_GRIDS_DIGESTS.items():
         args = ["verify-appendix", "--a", "2..3", "--s", "4..5", "--d-max", "3", "--full-grids"]
         assert main(args + ["--format", fmt]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, fmt
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+        assert "None:" not in [line.strip() for line in out.splitlines()], fmt
 
 
 def test_gap_positivity_failure_carries_witness(monkeypatch):

@@ -183,7 +183,7 @@ def test_builders_match_scalar_chain_fields():
         assert n3.chiZ_noether == at_point(noether_chi_r3)
         assert n3.kZ is None
         for numbers in (n2, n3):
-            for name, value in vars(numbers).items():
+            for name, value in numbers._asdict().items():
                 if not (numbers is n3 and name == "kZ"):
                     assert type(value) is Fraction, (name, value)
 
