@@ -266,4 +266,4 @@ def subvariety_chi_basis(a: int, m: int, s: int, r: int, ell: int) -> BasisExpr:
         coeffs = p_times_coeffs(coeffs, s, 1)
         for partition, c in by_wpow.get(i2, {}).items():
             coeffs[partition] = coeffs.get(partition, 0) + c
-    return BasisExpr(s, {partition: Fraction(c, den) for partition, c in coeffs.items()})
+    return BasisExpr._trusted(s, {partition: Fraction(c, den) for partition, c in coeffs.items()})

@@ -4,13 +4,17 @@ Every quantity in this package is an exact rational number
 (``fractions.Fraction``, re-exported as :data:`ExactScalar`) or a sparse
 multivariate polynomial over such numbers.  No floating point is used
 anywhere; equality always means exact equality.
+A :class:`SparsePoly` holds int numerators over one denominator, so its
+arithmetic runs on ints and builds a ``Fraction`` only at ``terms`` and
+``eval``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
+from operator import add
 
 #: Arbitrary-precision rational scalar.  ``Fraction`` already guarantees the
 #: canonical form this package relies on: lowest terms, positive denominator.
@@ -95,23 +99,21 @@ Exponents = tuple  # exponent vector, one entry per variable
 class SparsePoly:
     """Sparse multivariate polynomial over exact rationals.
 
-    Terms are stored as a map from exponent vectors (tuples of non-negative
-    ints, one entry per variable) to nonzero ``Fraction`` coefficients.
-    Instances are immutable by convention: no method mutates ``self`` and
-    callers must never modify the term map.  That makes values safe to share
-    across threads and to cache.
+    ``num`` maps exponent vectors (tuples of non-negative ints, one entry
+    per variable) to nonzero int numerators over the one positive int
+    ``den``, with ``gcd(den, *num.values()) == 1``: a canonical form, so
+    equal polynomials have equal ``num`` and ``den``.  Instances are
+    immutable by convention: no method mutates ``self`` and callers must
+    never modify ``num``.  That makes values safe to share and to cache.
 
-    Products and evaluation run in integers: each operand's coefficients
-    are brought over one common denominator, the products are accumulated
-    as Python ints, and one ``Fraction`` is built per output term (product)
-    or per value (evaluation).
-
-    The ring operations build their results through the private
-    ``_trusted`` constructor, which skips the exponent checks of the public
-    one but still drops zero coefficients, so the term map stays canonical.
+    The ring operations, comparison, hashing and evaluation run on Python
+    ints.  Each result is built by the private ``_trusted`` constructor,
+    which skips the exponent checks of the public one, drops zero
+    numerators and reduces by one gcd.  ``terms`` is a derived
+    ``{exps: Fraction}`` view, built afresh on each access.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "num", "den")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, ScalarLike] | None = None):
         if nvars < 0:
@@ -130,30 +132,44 @@ class SparsePoly:
                     coeff = Fraction(coeff)
                 if coeff != 0:
                     clean[exps] = coeff
+        den = lcm(*(c.denominator for c in clean.values()))
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "num", {e: c.numerator * (den // c.denominator) for e, c in clean.items()})
+        object.__setattr__(self, "den", den)
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: Mapping[Exponents, Fraction]) -> "SparsePoly":
-        """A polynomial from a term map whose keys are valid exponent tuples
-        and whose values are ``Fraction``s; only zeros are dropped."""
+    def _trusted(cls, nvars: int, num: Mapping[Exponents, int], den: int) -> "SparsePoly":
+        """A polynomial from int numerators over ``den > 0``, keyed by valid
+        exponent tuples; zeros are dropped and one gcd reduces the rest."""
+        num = {e: c for e, c in num.items() if c}
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
         poly = object.__new__(cls)
         object.__setattr__(poly, "nvars", nvars)
-        object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(poly, "num", num)
+        object.__setattr__(poly, "den", den)
         return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly is immutable")
 
+    @property
+    def terms(self) -> dict[Exponents, Fraction]:
+        """The coefficients as ``{exps: Fraction}``, a fresh dict per access."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.num.items()}
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "SparsePoly":
-        return cls(nvars)
+        return cls._trusted(nvars, {}, 1)
 
     @classmethod
     def const(cls, nvars: int, value: ScalarLike) -> "SparsePoly":
-        return cls(nvars, {(0,) * nvars: value})
+        return cls._trusted(nvars, {(0,) * nvars: value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "SparsePoly":
@@ -167,14 +183,9 @@ class SparsePoly:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     # -- ring operations ---------------------------------------------------
-
-    def _integer_terms(self) -> tuple[int, list[tuple[Exponents, int]]]:
-        """(den, [(exps, numerator)]) with every coefficient numerator/den."""
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        return den, [(e, c.numerator * (den // c.denominator)) for e, c in self.terms.items()]
 
     def _require_same_vars(self, other: "SparsePoly") -> None:
         if self.nvars != other.nvars:
@@ -186,15 +197,17 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._require_same_vars(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, 0) + coeff
-        return SparsePoly._trusted(self.nvars, out)
+        den = lcm(self.den, other.den)
+        out = {e: c * (den // self.den) for e, c in self.num.items()}
+        scale = den // other.den
+        for exps, coeff in other.num.items():
+            out[exps] = out.get(exps, 0) + coeff * scale
+        return SparsePoly._trusted(self.nvars, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._trusted(self.nvars, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -208,27 +221,25 @@ class SparsePoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            return SparsePoly._trusted(self.nvars, {e: c * other for e, c in self.terms.items()})
+            num = {e: c * other.numerator for e, c in self.num.items()}
+            return SparsePoly._trusted(self.nvars, num, self.den * other.denominator)
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._require_same_vars(other)
-        den1, terms1 = self._integer_terms()
-        den2, terms2 = other._integer_terms()
         out: dict[Exponents, int] = {}
-        for e1, c1 in terms1:
+        terms2 = list(other.num.items())
+        for e1, c1 in self.num.items():
             for e2, c2 in terms2:
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        den = den1 * den2
-        return SparsePoly._trusted(self.nvars, {e: Fraction(c, den) for e, c in out.items()})
+        return SparsePoly._trusted(self.nvars, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return self * (Fraction(1) / Fraction(scalar))
+        return self * (1 / Fraction(scalar))
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -243,10 +254,12 @@ class SparsePoly:
             other = SparsePoly.const(self.nvars, other)
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        if not any(map(any, self.num)):  # a constant equals its scalar, so hashes as it
+            return hash(Fraction(sum(self.num.values()), self.den))
+        return hash((self.nvars, self.den, frozenset(self.num.items())))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -262,16 +275,15 @@ class SparsePoly:
         point = [Fraction(p) for p in point]
         q = lcm(*(p.denominator for p in point))
         nums = [p.numerator * (q // p.denominator) for p in point]
-        den, terms = self._integer_terms()
-        top = max((sum(e) for e, _ in terms), default=0)
+        top = max(map(sum, self.num), default=0)
         total = 0
-        for exps, value in terms:
+        for exps, value in self.num.items():
             value *= q ** (top - sum(exps))
             for base, e in zip(nums, exps):
                 if e:
                     value *= base**e
             total += value
-        return Fraction(total, den * q**top)
+        return Fraction(total, self.den * q**top)
 
     # -- canonical serialization ----------------------------------------------
 

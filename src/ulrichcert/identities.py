@@ -811,9 +811,9 @@ def check_gap_positivity(s_max: int, a_max: int, d_max: int) -> list:
     grid {1..d_max}^s are recorded for a in 1..a_max, demanding strict
     positivity for a >= 2 and non-negativity (zero exactly at all-ones) for
     a = 1.  Every value is :func:`gap_value` at the tuple's power sums p_2
-    and p_4, formed once per tuple, so it is symmetric in the degrees by
-    construction; the terms of :func:`gap_value` show v > 0 for every
-    tuple, and the grid cross-checks it.
+    and p_4, formed once per distinct (p_2, p_4), so it is symmetric in the
+    degrees by construction; the terms of :func:`gap_value` show v > 0 for
+    every tuple, and the grid cross-checks it in ``itertools.product`` order.
     """
     if s_max < 2 or a_max < 2 or d_max < 1:
         raise ValueError("need s_max >= 2, a_max >= 2, d_max >= 1")
@@ -821,7 +821,8 @@ def check_gap_positivity(s_max: int, a_max: int, d_max: int) -> list:
     for s in range(2, s_max + 1):
         ones = (1,) * s
         tuples = itertools.product(range(1, d_max + 1), repeat=s)
-        grid = [(tup, sum(d**2 for d in tup), sum(d**4 for d in tup)) for tup in tuples]
+        grid = [(tup, (sum(d**2 for d in tup), sum(d**4 for d in tup))) for tup in tuples]
+        pairs = {pair for _, pair in grid}
         for b in GAP_B.values():
             base_value = gap_at(ones, 1, b)
             base_ok = base_value == 0
@@ -840,10 +841,10 @@ def check_gap_positivity(s_max: int, a_max: int, d_max: int) -> list:
                             f"recursion failed at s={s}, a={a}, b={b}",
                             witness={"s": s, "a": a, "b": b},
                         )
+                gaps = {pair: gap_value(s, a, b, *pair) for pair in pairs}
                 values = {}
-                for tup, p2, p4 in grid:
-                    value = gap_value(s, a, b, p2, p4)
-                    values[tup] = value
+                for tup, pair in grid:
+                    value = values[tup] = gaps[pair]
                     if a >= 2 and value <= 0:
                         raise VerificationFailure(
                             f"gap({s},{a},{b}){tup} = {value} is not positive",

@@ -20,7 +20,8 @@ from collections import Counter, namedtuple
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
+from types import MappingProxyType
 
 from .errors import DivisibilityError, SymmetryError
 from .exactcore import SparsePoly
@@ -126,7 +127,10 @@ class BasisExpr(namedtuple("BasisExpr", "nvars coeffs")):
 
     The constructor checks the partitions and drops zero coefficients;
     ``_make`` and ``_replace`` skip it, so build an expression only through
-    the constructor."""
+    the constructor.  Only the producers whose partitions are valid by
+    construction skip the checks through ``_trusted``: :func:`p_times`,
+    :func:`times_all_vars`, :func:`specialize_ones_basis`,
+    :func:`power_sums_to_basis` and ``euler.subvariety_chi_basis``."""
 
     __slots__ = ()
 
@@ -140,6 +144,11 @@ class BasisExpr(namedtuple("BasisExpr", "nvars coeffs")):
             if coeff != 0:
                 clean[partition] = coeff
         return super().__new__(cls, nvars, clean)
+
+    @classmethod
+    def _trusted(cls, nvars: int, coeffs: Mapping[Partition, Fraction]) -> "BasisExpr":
+        """Fraction coefficients on valid partitions of <= nvars parts; zeros dropped."""
+        return cls._make((nvars, {p: c for p, c in coeffs.items() if c}))
 
     def get(self, partition: Sequence[int]) -> Fraction:
         return self.coeffs.get(tuple(partition), Fraction(0))
@@ -224,8 +233,9 @@ def specialize_ones_basis(expr: BasisExpr, k: int) -> BasisExpr:
     s = expr.nvars
     if not 1 <= k <= s:
         raise ValueError(f"k must be in [1, {s}], got {k}")
-    out: dict[Partition, Fraction] = {}
-    for partition, coeff in expr.coeffs.items():
+    den, nums = _over_one_denominator(expr.coeffs)
+    out: dict[Partition, int] = {}
+    for partition, coeff in nums.items():
         values = sorted(Counter(partition).items(), reverse=True)
         for kept in itertools.product(*(range(c + 1) for _, c in values)):
             head = tuple(v for (v, _), n in zip(values, kept) for _ in range(n))
@@ -233,21 +243,21 @@ def specialize_ones_basis(expr: BasisExpr, k: int) -> BasisExpr:
             weight = orbit_size(tail, s - k)
             if weight and len(head) <= k:
                 out[head] = out.get(head, 0) + coeff * weight
-    return BasisExpr(k, out)
+    return BasisExpr._trusted(k, {head: Fraction(c, den) for head, c in out.items() if c})
 
 
 def times_all_vars(expr: BasisExpr) -> BasisExpr:
     """Multiply by the product of all variables: every part is raised by 1
     and the partition is padded with parts 1 to exactly s parts."""
     s = expr.nvars
-    return BasisExpr(
+    return BasisExpr._trusted(
         s, {tuple(p + 1 for p in part) + (1,) * (s - len(part)): c for part, c in expr.coeffs.items()}
     )
 
 
 def p_times(expr: BasisExpr, k: int) -> BasisExpr:
     """Multiply by the power sum p_k = m_k directly in the basis."""
-    return BasisExpr(expr.nvars, p_times_coeffs(expr.coeffs, expr.nvars, k))
+    return BasisExpr._trusted(expr.nvars, p_times_coeffs(expr.coeffs, expr.nvars, k))
 
 
 def p_times_coeffs(coeffs: Mapping[Partition, object], s: int, k: int) -> dict:
@@ -282,23 +292,24 @@ POWER_SUM_VARS = 4
 
 
 @lru_cache(maxsize=None)
-def _power_sum_monomial(exps: tuple, s: int) -> BasisExpr:
-    """p_1^e_1 ... p_4^e_4 in s variables, in the monomial basis."""
-    expr = BasisExpr(s, {(): 1})
+def _power_sum_monomial(exps: tuple, s: int) -> Mapping[Partition, int]:
+    """p_1^e_1 ... p_4^e_4 in s variables: its int coefficients in the
+    monomial basis, read-only since the cache shares them."""
+    coeffs: Mapping[Partition, int] = {(): 1}
     for k, e in enumerate(exps, start=1):
         for _ in range(e):
-            expr = p_times(expr, k)
-    return expr
+            coeffs = p_times_coeffs(coeffs, s, k)
+    return MappingProxyType(coeffs)
 
 
 def power_sums_to_basis(poly: SparsePoly, s: int) -> BasisExpr:
     """The image in s variables of a polynomial in p_1, ..., p_4, written in
     the monomial basis."""
-    out: dict[Partition, Fraction] = {}
-    for exps, coeff in poly.terms.items():
-        for partition, c in _power_sum_monomial(exps, s).coeffs.items():
+    out: dict[Partition, int] = {}
+    for exps, coeff in poly.num.items():
+        for partition, c in _power_sum_monomial(exps, s).items():
             out[partition] = out.get(partition, 0) + coeff * c
-    return BasisExpr(s, out)
+    return BasisExpr._trusted(s, {p: Fraction(c, poly.den) for p, c in out.items() if c})
 
 
 @lru_cache(maxsize=None)
@@ -310,7 +321,7 @@ def _m_in_power_sums(partition: Partition) -> SparsePoly:
     if sum(partition) > POWER_SUM_VARS:
         raise ValueError(f"power-sum form is kept for weight <= {POWER_SUM_VARS}: {partition}")
     exps = tuple(partition.count(k) for k in range(1, POWER_SUM_VARS + 1))
-    expansion = _power_sum_monomial(exps, len(partition)).coeffs
+    expansion = _power_sum_monomial(exps, len(partition))
     out = SparsePoly(POWER_SUM_VARS, {exps: 1})
     for mu, c in expansion.items():
         if mu != partition:
@@ -323,5 +334,17 @@ def basis_to_power_sums(expr: BasisExpr) -> SparsePoly:
     ``expr`` (weight <= 4).  In fewer than four variables the p_k are
     algebraically dependent, so this is one preimage among several: decide
     zero on the basis form, never on the power-sum polynomial."""
-    terms = (c * _m_in_power_sums(part) for part, c in expr.coeffs.items())
-    return sum(terms, SparsePoly.zero(POWER_SUM_VARS))
+    den, nums = _over_one_denominator(expr.coeffs)
+    polys = [(c, _m_in_power_sums(part)) for part, c in nums.items()]
+    common = lcm(*(poly.den for _, poly in polys))
+    out: dict = {}
+    for c, poly in polys:
+        for exps, coeff in poly.num.items():
+            out[exps] = out.get(exps, 0) + c * (common // poly.den) * coeff
+    return SparsePoly._trusted(POWER_SUM_VARS, out, den * common)
+
+
+def _over_one_denominator(coeffs: Mapping[Partition, Fraction]) -> tuple[int, dict]:
+    """(den, {partition: int}) with every coefficient its int over den."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return den, {p: c.numerator * (den // c.denominator) for p, c in coeffs.items()}

@@ -1,6 +1,6 @@
 import time
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -246,28 +246,99 @@ def test_poly_mul_and_eval_match_literal_fraction_oracles(t1, t2, int_point, fra
             assert value == brute_poly_eval(poly.terms, point)
 
 
+def _assert_canonical(poly, name=""):
+    """Int numerators over a positive denominator, in lowest terms, no zeros."""
+    assert type(poly.den) is int and poly.den > 0, name
+    assert all(type(c) is int and c != 0 for c in poly.num.values()), name
+    assert gcd(poly.den, *poly.num.values()) == 1, name
+    assert all(type(c) is Fraction for c in poly.terms.values()), name
+    assert poly.terms == {e: Fraction(c, poly.den) for e, c in poly.num.items()}, name
+
+
 @settings(max_examples=200, deadline=None)
 @given(_frac_terms, _frac_terms, _fractions)
 def test_ring_operations_keep_term_maps_canonical(t1, t2, c):
     p, q = SparsePoly(3, t1), SparsePoly(3, t2)
+    origin = {(0, 0, 0): c}
     results = {
         "p + q": (p + q, brute_poly_add(t1, t2)),
         "p - q": (p - q, brute_poly_add(t1, brute_poly_scale(t2, -1))),
         "-p": (-p, brute_poly_scale(t1, -1)),
         "c*p": (c * p, brute_poly_scale(t1, c)),
+        "p*c": (p * c, brute_poly_scale(t1, c)),
         "p*q": (p * q, brute_poly_mul(t1, t2)),
+        "c + p": (c + p, brute_poly_add(origin, t1)),
+        "p - c": (p - c, brute_poly_add(t1, brute_poly_scale(origin, -1))),
+        "c - p": (c - p, brute_poly_add(origin, brute_poly_scale(t1, -1))),
+        "3 - p": (3 - p, brute_poly_add({(0, 0, 0): 3}, brute_poly_scale(t1, -1))),
+        "p**0": (p**0, {(0, 0, 0): Fraction(1)}),
+        "p**1": (p**1, brute_poly_scale(t1, 1)),
+        "p**3": (p**3, brute_poly_mul(t1, brute_poly_mul(t1, t1))),
         # every term of q outside p cancels here
         "(p + q) - q": ((p + q) - q, brute_poly_scale(t1, 1)),
     }
+    if c:
+        results["p/c"] = (p / c, brute_poly_scale(t1, 1 / c))
+        results["p/-7"] = (p / -7, brute_poly_scale(t1, Fraction(-1, 7)))
     for name, (result, oracle_terms) in results.items():
         public = SparsePoly(3, oracle_terms)
         assert result == public, name
         assert hash(result) == hash(public), name
-        assert all(type(v) is Fraction and v != 0 for v in result.terms.values()), name
+        assert result.terms == oracle_terms, name
+        _assert_canonical(result, name)
     difference = p - p
     assert difference == 0
     assert difference.is_zero() and not difference.terms
     assert hash(difference) == hash(SparsePoly(3, {}))
+
+
+_nonzero_fractions = _fractions.filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_frac_terms, _frac_terms, _nonzero_fractions)
+def test_equal_polynomials_from_different_routes_share_form_and_hash(t1, t2, c):
+    p, q = SparsePoly(3, t1), SparsePoly(3, t2)
+    _assert_canonical(p)
+    routes = {
+        "(p*q)/c vs p*(q/c)": ((p * q) / c, p * (q / c)),
+        "p + q - q vs p": (p + q - q, p),
+        "(c*p)/c vs p": ((c * p) / c, p),
+        "c*(p + q) vs c*p + c*q": (c * (p + q), c * p + c * q),
+        "(p + c) - c vs p": ((p + c) - c, p),
+        "p - p vs 0": (p - p, SparsePoly.zero(3)),
+        "p*p vs p**2": (p * p, p**2),
+    }
+    for name, (left, right) in routes.items():
+        _assert_canonical(left, name)
+        assert left == right, name
+        assert (left.num, left.den) == (right.num, right.den), name
+        assert hash(left) == hash(right), name
+
+
+def test_terms_is_a_read_only_view():
+    p = SparsePoly(2, {(1, 0): Fraction(1, 2), (0, 0): 3})
+    view = p.terms
+    view[(1, 0)] = Fraction(7)
+    view[(5, 5)] = Fraction(1)
+    del view[(0, 0)]
+    assert p == SparsePoly(2, {(1, 0): Fraction(1, 2), (0, 0): 3})
+    assert p.terms == {(1, 0): Fraction(1, 2), (0, 0): Fraction(3)}
+    assert (p.num, p.den) == ({(1, 0): 1, (0, 0): 6}, 2)
+
+
+def test_constant_polynomials_hash_as_their_scalar_value():
+    # a constant polynomial equals its scalar, so Python's hash contract
+    # needs the two hashes to agree
+    assert SparsePoly.const(2, 3) == 3 and SparsePoly.zero(2) == 0
+    assert len({SparsePoly.const(2, 3), 3}) == 1
+    assert len({SparsePoly.zero(2), 0}) == 1
+    for nvars in (0, 1, 4):
+        for value in (0, 1, -7, Fraction(1, 2), Fraction(-5, 3)):
+            poly = SparsePoly.const(nvars, value)
+            assert poly == value and hash(poly) == hash(value), (nvars, value)
+    x = SparsePoly.variable(2, 0)
+    assert hash((x + Fraction(3, 4)) - x) == hash(Fraction(3, 4))
 
 
 def test_cancelled_product_term_is_dropped():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulrichcert.errors import DivisibilityError, SymmetryError
+from ulrichcert.euler import subvariety_chi_basis
 from ulrichcert.exactcore import SparsePoly
 from ulrichcert.symmetric import (
     BasisExpr,
@@ -233,3 +234,26 @@ def test_power_sums_round_trip(s, coeffs):
     expr = BasisExpr(s, {p: c for p, c in coeffs.items() if len(p) <= s})
     assert power_sums_to_basis(basis_to_power_sums(expr), s) == expr
     assert from_basis(times_all_vars(expr)) == expand_m((1,) * s, s) * from_basis(expr)
+
+
+def test_trusted_producers_match_the_checked_constructor():
+    # each producer that skips the partition checks returns what the
+    # checking constructor builds from the same map: valid partitions of at
+    # most nvars parts, Fraction coefficients, no zeros
+    for a in (2, 3, 6):
+        for s in (1, 2, 4, 5):
+            for r, ell in ((2, 0), (3, 0), (3, 1), (2, -2)):
+                chi = subvariety_chi_basis(a, 4, s, r, ell)
+                produced = {
+                    "chi": chi,
+                    "p_times": p_times(chi, 2),
+                    "m1_times": m1_times(chi),
+                    "times_all_vars": times_all_vars(chi),
+                    "power_sums_to_basis": power_sums_to_basis(basis_to_power_sums(chi), s),
+                }
+                for k in range(1, s + 1):
+                    produced[f"specialize_ones_basis[{k}]"] = specialize_ones_basis(chi, k)
+                for name, expr in produced.items():
+                    label = (a, s, r, ell, name)
+                    assert expr == BasisExpr(expr.nvars, expr.coeffs), label
+                    assert all(type(c) is Fraction and c for c in expr.coeffs.values()), label
