@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from math import factorial
+from types import MappingProxyType
 
 from .errors import InternalContradiction, OutOfTheoremScope
 from .exactcore import scalar_str
@@ -38,16 +39,37 @@ ATTEST_P4 = "X is P^4"
 ATTEST_AMBIENT = "bundle restricts from a higher-dimensional complete intersection"
 
 
+def _frozen(mapping) -> MappingProxyType:
+    """A read-only copy of a mapping, nested dicts included."""
+    return MappingProxyType({k: _frozen(v) if isinstance(v, dict) else v for k, v in mapping.items()})
+
+
+def _plain(mapping: MappingProxyType) -> dict:
+    """A frozen mapping as plain dicts again, for JSON and repr."""
+    return {k: _plain(v) if isinstance(v, MappingProxyType) else v for k, v in mapping.items()}
+
+
 class Certificate(namedtuple("Certificate", "input branch witnesses hypotheses_attested conclusion")):
-    """Outcome of one pipeline run, with exact re-checkable witnesses."""
+    """Outcome of one pipeline run, with exact re-checkable witnesses.
+
+    The constructor freezes ``input`` and ``witnesses`` (a change raises
+    TypeError); ``_make`` and ``_replace`` skip it."""
 
     __slots__ = ()
 
+    def __new__(cls, input, branch, witnesses, hypotheses_attested, conclusion):
+        frozen = _frozen(input), branch, _frozen(witnesses)
+        return super().__new__(cls, *frozen, hypotheses_attested, conclusion)
+
+    def __repr__(self):
+        plain = self._replace(input=_plain(self.input), witnesses=_plain(self.witnesses))
+        return super(Certificate, plain).__repr__()
+
     def to_json(self) -> dict:
         return {
-            "input": dict(self.input),
+            "input": _plain(self.input),
             "branch": self.branch,
-            "witnesses": dict(self.witnesses),
+            "witnesses": _plain(self.witnesses),
             "hypotheses_attested": list(self.hypotheses_attested),
             "conclusion": self.conclusion,
         }
@@ -237,8 +259,8 @@ def certify_veronese(n: int, a: int, r: int) -> Certificate:
             conclusion=NONEXISTENT,
         )
 
-    inner = certify_complete_intersection(profile)
-    return Certificate(echo, inner.branch, inner.witnesses, inner.hypotheses_attested, inner.conclusion)
+    # the witnesses are frozen already; _replace keeps them as they are
+    return certify_complete_intersection(profile)._replace(input=_frozen(echo))
 
 
 def replay(cert: Certificate) -> Certificate:

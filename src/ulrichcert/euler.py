@@ -97,22 +97,31 @@ def koszul_coefficients(degrees: tuple) -> MappingProxyType:
     return MappingProxyType({shift: c for shift, c in coeffs.items() if c})
 
 
-def chi_ci(ell: ScalarLike, profile: ChiProfile) -> Fraction:
-    """chi of O_X(ell) by inclusion-exclusion over subsets of the degrees."""
+def _ci_numerator(p: int, q: int, profile: ChiProfile) -> int:
+    """q**n * n! * chi(O_X(p/q)) as an int, n = m + s, for any q > 0."""
     # binom(ell + n - shift, n) = (-1)^n binom(shift - ell - 1, n)
     n = profile.m + profile.s
-    p, q = ell.numerator, ell.denominator
-    top = stepped_binom_numerator(-p - q, q, koszul_coefficients(profile.degrees), n)
-    return Fraction((-1) ** n * top, q**n * factorial(n))
+    return (-1) ** n * stepped_binom_numerator(-p - q, q, koszul_coefficients(profile.degrees), n)
+
+
+def chi_ci(ell: ScalarLike, profile: ChiProfile) -> Fraction:
+    """chi of O_X(ell) by inclusion-exclusion over subsets of the degrees."""
+    n, q = profile.m + profile.s, ell.denominator
+    return Fraction(_ci_numerator(ell.numerator, q, profile), q**n * factorial(n))
+
+
+def _ulrich_numerator(p: int, q: int, profile: ChiProfile) -> int:
+    """q**m * m! * chi(E(p/q)) as an int, for any q > 0."""
+    top = profile.r * profile.d
+    for j in range(1, profile.m + 1):
+        top *= p + j * profile.a * q
+    return top
 
 
 def chi_ulrich(ell: ScalarLike, profile: ChiProfile) -> Fraction:
     """chi of the twisted Ulrich bundle: (r d / m!) (ell + a)...(ell + m a)."""
-    p, q = ell.numerator, ell.denominator
-    top = profile.r * profile.d
-    for j in range(1, profile.m + 1):
-        top *= p + j * profile.a * q
-    return Fraction(top, factorial(profile.m) * q**profile.m)
+    q = ell.denominator
+    return Fraction(_ulrich_numerator(ell.numerator, q, profile), factorial(profile.m) * q**profile.m)
 
 
 def chi_subvariety(ell: ScalarLike, profile: ChiProfile, u: ScalarLike) -> Fraction:
@@ -124,7 +133,8 @@ def chi_subvariety(ell: ScalarLike, profile: ChiProfile, u: ScalarLike) -> Fract
     den**n * n!, den the common denominator of ell and u.  It is
     cross-checked against route 2, the three-term
     chi(O_X(ell)) - chi(E(ell-u)) + (r-1) chi(O_X(ell-u)),
-    which route 1 never calls, so it exercises disjoint code paths.
+    summed from the int cores of chi_ci and chi_ulrich over the same
+    denominator; route 1 never calls them, so it exercises disjoint code.
     """
     m = profile.m
     n = m + profile.s
@@ -144,16 +154,15 @@ def chi_subvariety(ell: ScalarLike, profile: ChiProfile, u: ScalarLike) -> Fract
         + stepped_binom_numerator(-L - den, den, coeffs, n)
         + (r - 1) * stepped_binom_numerator(U - L - den, den, coeffs, n)
     )
-    total = Fraction(top, den**n * factorial(n))
 
     other = (
-        chi_ci(ell, profile)
-        - chi_ulrich(ell - u, profile)
-        + (r - 1) * chi_ci(ell - u, profile)
+        _ci_numerator(L, den, profile)
+        - _ulrich_numerator(L - U, den, profile) * den ** (n - m) * (factorial(n) // factorial(m))
+        + (r - 1) * _ci_numerator(L - U, den, profile)
     )
-    if other != total:
-        raise InternalContradiction(f"chi routes disagree at ell={ell}: {total} vs {other}")
-    return total
+    if other != top:
+        raise InternalContradiction(f"chi routes disagree at ell={ell}: numerators {top} vs {other}")
+    return Fraction(top, den**n * factorial(n))
 
 
 # ---------------------------------------------------------------------------

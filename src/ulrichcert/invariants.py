@@ -3,17 +3,21 @@
 Divisor and cycle classes are stored as rational multiples of the
 hyperplane class H, with H^m = d as the intersection normalizer.  The rank-2
 and rank-3 chain (:func:`noether_chain`) is written once over the degree
-data S, S', d: the evaluators here run it on one input's numbers, together
-with the structure-sheaf chi by the resolution route, and the identity layer
-runs the same lines over polynomials in the power sums of the degrees.
+data S, S', d, with integer constants only: the evaluators here run it on
+one input's numbers as ints over one denominator, together with the
+structure-sheaf chi by the resolution route, and build one Fraction per
+field; the identity layer runs the same lines over polynomials in the power
+sums of the degrees.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 
-from .exactcore import binom, scalar_str
+from .exactcore import scalar_str
+from .exactcore import binom  # noqa: F401 - the benchmark tracer counts invariants.binom
 from .euler import ChiProfile, chi_subvariety
 
 
@@ -23,8 +27,9 @@ def canonical_coeff(ctx: ChiProfile) -> Fraction:
 
 
 def c2_tangent_coeff(ctx: ChiProfile) -> Fraction:
-    """c2(X) = [binom(m+s+1, 2) + S(S - s - m - 1) - S'] H^2."""
-    return binom(ctx.m + ctx.s + 1, 2) + ctx.S * (ctx.S - ctx.s - ctx.m - 1) - ctx.Sprime
+    """c2(X) = [binom(m+s+1, 2) + S(S - s - m - 1) - S'] H^2, summed in ints."""
+    m, s, S = ctx.m, ctx.s, ctx.S
+    return Fraction((m + s + 1) * (m + s) // 2 + S * (S - s - m - 1) - ctx.Sprime)
 
 
 def c1_coeff(ctx: ChiProfile) -> Fraction:
@@ -35,7 +40,7 @@ def c1_coeff(ctx: ChiProfile) -> Fraction:
     """
     if ctx.r < 2:
         raise ValueError("c1 coefficient is defined for rank r >= 2")
-    return Fraction(ctx.r, 2) * ((ctx.m + 1) * (ctx.a - 1) + ctx.S - ctx.s)
+    return Fraction(ctx.r * ((ctx.m + 1) * (ctx.a - 1) + ctx.S - ctx.s), 2)
 
 
 def _bracket24(m: int, r: int, a: int, s: int, S, S2):
@@ -142,14 +147,23 @@ class UlrichNumerics(
         }
 
 
-def noether_chain(a: int, r: int, s: int, S, S2, d, chi0=None, chi1=None) -> tuple:
+def _over(x, k: int):
+    """x / k exactly: one Fraction for an int, a rescaled SparsePoly otherwise."""
+    return Fraction(x, k) if isinstance(x, int) else x / k
+
+
+def noether_chain(a: int, r: int, s: int, S, S2, d, chi0=None, chi1=None, den: int = 1) -> tuple:
     """The rank-r chain (r = 2 or 3) on a 4-dimensional complete intersection.
 
     S, S2 and d are the sum, the pairwise-product sum and the product of the
-    degrees; chi0 and chi1 are chi(O_Z) and chi(O_Z(1)), needed for rank 3
-    only.  Each may be an exact number or a SparsePoly: only +, -, *, ** and
-    Fraction scalars are applied to them, so the same lines give one input's
-    numbers and the identity layer's polynomials.
+    degrees; chi0/den and chi1/den are chi(O_Z) and chi(O_Z(1)), needed for
+    rank 3 only (den stays 1 for rank 2).  Each may be an int or a
+    SparsePoly: only +, -, * and int constants are applied to them.  Each
+    field is carried as a multiple of a fixed scale (24 for e and deg_H Z,
+    24 den for K_Z . H_Z, 96 den for K_Z^2, 576 den for c2(Z), 6912 den for
+    chi) and :func:`_over` divides once per returned field, so the same
+    lines give one input's numbers in integers and the identity layer's
+    polynomials.
 
     Rank 2: K_Z is a known multiple of the hyperplane section, so K_Z^2 and
     c2(Z) reduce to multiples of deg_H(Z).  Rank 3: K_Z . H_Z comes from
@@ -161,53 +175,52 @@ def noether_chain(a: int, r: int, s: int, S, S2, d, chi0=None, chi1=None) -> tup
     Returns (e, deg_H Z, kZ, K_Z . H_Z, K_Z^2, c2(Z), chi(O_Z)), where kZ is
     the hyperplane coefficient of K_Z for rank 2 and None for rank 3.
     """
-    e = Fraction(r, 24) * _bracket24(4, r, a, s, S, S2)
-    degz = d * e
+    e24 = r * _bracket24(4, r, a, s, S, S2)
+    deg24 = d * e24
     if r == 2:
         kz = 2 * S - 2 * s + 5 * (a - 2)
-        kzh = kz * degz
-        kz2 = kz**2 * degz
-        c2z = (
-            Fraction(1, 12)
-            * (
-                650
-                - 750 * a
-                + 220 * a**2
-                + 265 * s
-                - 150 * a * s
-                + 27 * s**2
-                - 270 * S
-                + 150 * a * S
-                - 54 * s * S
-                + 32 * S**2
-                - 10 * S2
-            )
-            * degz
-        )
+        kzh = kz * deg24
+        kz2 = 4 * kz * kzh
+        c2z = 2 * (
+            650
+            - 750 * a
+            + 220 * a**2
+            + 265 * s
+            - 150 * a * s
+            + 27 * s**2
+            - 270 * S
+            + 150 * a * S
+            - 54 * s * S
+            + 32 * S**2
+            - 10 * S2
+        ) * deg24
     else:
         kz = None
-        kzh = -2 * chi1 + 2 * chi0 + degz
+        kzh = 48 * (chi0 - chi1) + den * deg24
         t = S - s + 3 * a - 5
-        kz2 = 5 * t * kzh - Fraction(25, 4) * t**2 * degz
-        c2z = (
-            Fraction(1, 8)
-            * (
-                -1315
-                + 1800 * a
-                - 605 * a**2
-                - 523 * s
-                + 360 * a * s
-                - 52 * s**2
-                + 520 * S
-                - 360 * a * S
-                + 104 * s * S
-                - 49 * S**2
-                - 6 * S2
-            )
-            * degz
-            + (4 * S - 4 * s - 20 + 15 * a) * kzh
-        )
-    return e, degz, kz, kzh, kz2, c2z, Fraction(1, 12) * (kz2 + c2z)
+        kz2 = 5 * t * (4 * kzh - 5 * den * t * deg24)
+        c2z = 3 * den * (
+            -1315
+            + 1800 * a
+            - 605 * a**2
+            - 523 * s
+            + 360 * a * s
+            - 52 * s**2
+            + 520 * S
+            - 360 * a * S
+            + 104 * s * S
+            - 49 * S**2
+            - 6 * S2
+        ) * deg24 + 24 * (4 * S - 4 * s - 20 + 15 * a) * kzh
+    return (
+        _over(e24, 24),
+        _over(deg24, 24),
+        kz,
+        _over(kzh, 24 * den),
+        _over(kz2, 96 * den),
+        _over(c2z, 576 * den),
+        _over(6 * kz2 + c2z, 6912 * den),
+    )
 
 
 def rank2_numerics(ctx: ChiProfile) -> UlrichNumerics:
@@ -229,6 +242,8 @@ def rank3_numerics(ctx: ChiProfile) -> UlrichNumerics:
     u = c1_coeff(ctx)
     chi0 = chi_subvariety(0, ctx, u)
     chi1 = chi_subvariety(1, ctx, u)
-    e, degz, _, *rest = noether_chain(ctx.a, 3, ctx.s, ctx.S, ctx.Sprime, ctx.d, chi0, chi1)
+    den = lcm(chi0.denominator, chi1.denominator)
+    x0, x1 = (chi.numerator * (den // chi.denominator) for chi in (chi0, chi1))
+    e, degz, _, *rest = noether_chain(ctx.a, 3, ctx.s, ctx.S, ctx.Sprime, ctx.d, x0, x1, den)
     kx, c2x = canonical_coeff(ctx), c2_tangent_coeff(ctx)
     return UlrichNumerics(u, e, degz, kx, c2x, None, *rest, chi0)

@@ -11,6 +11,7 @@ from itertools import combinations
 from math import factorial
 
 from ulrichcert.exactcore import SparsePoly
+from ulrichcert.invariants import _bracket24
 
 
 def falling_binom(q, m):
@@ -147,3 +148,74 @@ def brute_chi_ulrich(ell, m, degrees, a, r):
     for j in range(1, m + 1):
         out *= Fraction(ell) + j * a
     return out
+
+
+def brute_noether_chain(a: int, r: int, s: int, S, S2, d, chi0=None, chi1=None) -> tuple:
+    """The rank-r chain (r = 2 or 3) on a 4-dimensional complete intersection,
+    written in Fraction products and sums: the reference for the integer
+    chain of ulrichcert.invariants.noether_chain.  It shares only the degree
+    bracket _bracket24 with it, which the printed specializations check.
+
+    S, S2 and d are the sum, the pairwise-product sum and the product of the
+    degrees; chi0 and chi1 are chi(O_Z) and chi(O_Z(1)), needed for rank 3
+    only.  Each may be an exact number or a SparsePoly: only +, -, *, ** and
+    Fraction scalars are applied to them, so the same lines give one input's
+    numbers and the identity layer's polynomials.
+
+    Rank 2: K_Z is a known multiple of the hyperplane section, so K_Z^2 and
+    c2(Z) reduce to multiples of deg_H(Z).  Rank 3: K_Z . H_Z comes from
+    Riemann-Roch on the surface using chi at twists 0 and 1; K_Z^2 from the
+    vanishing square [K_Z - (5/2)(S-s+3a-5) H_Z]^2 = 0; c2(Z) from the
+    Chern-class relation of the subvariety.  chi(O_Z) then follows from
+    Noether's formula.
+
+    Returns (e, deg_H Z, kZ, K_Z . H_Z, K_Z^2, c2(Z), chi(O_Z)), where kZ is
+    the hyperplane coefficient of K_Z for rank 2 and None for rank 3.
+    """
+    e = Fraction(r, 24) * _bracket24(4, r, a, s, S, S2)
+    degz = d * e
+    if r == 2:
+        kz = 2 * S - 2 * s + 5 * (a - 2)
+        kzh = kz * degz
+        kz2 = kz**2 * degz
+        c2z = (
+            Fraction(1, 12)
+            * (
+                650
+                - 750 * a
+                + 220 * a**2
+                + 265 * s
+                - 150 * a * s
+                + 27 * s**2
+                - 270 * S
+                + 150 * a * S
+                - 54 * s * S
+                + 32 * S**2
+                - 10 * S2
+            )
+            * degz
+        )
+    else:
+        kz = None
+        kzh = -2 * chi1 + 2 * chi0 + degz
+        t = S - s + 3 * a - 5
+        kz2 = 5 * t * kzh - Fraction(25, 4) * t**2 * degz
+        c2z = (
+            Fraction(1, 8)
+            * (
+                -1315
+                + 1800 * a
+                - 605 * a**2
+                - 523 * s
+                + 360 * a * s
+                - 52 * s**2
+                + 520 * S
+                - 360 * a * S
+                + 104 * s * S
+                - 49 * S**2
+                - 6 * S2
+            )
+            * degz
+            + (4 * S - 4 * s - 20 + 15 * a) * kzh
+        )
+    return e, degz, kz, kzh, kz2, c2z, Fraction(1, 12) * (kz2 + c2z)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import time
 
@@ -6,6 +7,7 @@ import pytest
 
 from ulrichcert.certify import (
     BRANCH_CHI_MISMATCH,
+    Certificate,
     BRANCH_DIVISIBILITY,
     BRANCH_INCONCLUSIVE,
     BRANCH_RANK1,
@@ -181,6 +183,49 @@ def test_certify_veronese_golden_digest():
     )
     digest = hashlib.sha256(blob.encode()).hexdigest()
     assert digest == "883dbf751794cbc4f526f4aa69b77bc8c44fbfc2a22f96593c8ff90ae4b37690"
+
+
+def test_certify_ci_golden_digest():
+    # 918 certificate-ci outputs: m in 4..6, every degree tuple of 1 to 3
+    # entries in 1..4 (mixed degrees, padding 1s, the excluded types), a in
+    # 2..4, r in 1..3; the digest was taken with the chi cross-check and the
+    # Noether chain still written in Fractions
+    blob = "\n".join(
+        json.dumps(certify_complete_intersection(ctx(m, degrees, a, r)).to_json(), sort_keys=True)
+        for m in range(4, 7)
+        for k in range(1, 4)
+        for degrees in itertools.combinations_with_replacement(range(4, 0, -1), k)
+        for a in range(2, 5)
+        for r in range(1, 4)
+    )
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    assert digest == "c8969e698582b1f122a2e020230b1c02e34dd29a44852fbcf8e1dd4adacbb8fb"
+
+
+def test_certificates_are_frozen():
+    cert = certify_veronese(10, 5, 3)
+    payload = cert.to_json()
+    for mapping, key in [(cert.input, "n"), (cert.witnesses, "delta_chi"), (cert.witnesses["numerics"], "chiZ_rr")]:
+        with pytest.raises(TypeError):
+            mapping[key] = "0"
+        with pytest.raises(TypeError):
+            del mapping[key]
+    with pytest.raises(TypeError):
+        certify_complete_intersection(ctx(4, (3, 2), 3, 2)).input["a"] = 4
+    # to_json gives plain dicts, fresh on each call, so changing one leaves
+    # the certificate as it was
+    assert type(payload["input"]) is dict and type(payload["witnesses"]) is dict
+    assert type(payload["witnesses"]["numerics"]) is dict
+    payload["witnesses"]["delta_chi"] = "0"
+    payload["witnesses"]["numerics"]["chiZ_rr"] = "0"
+    assert cert.to_json() != payload and replay_matches(cert)
+    # a certificate read back from JSON copies the dicts it is given
+    data = json.loads(json.dumps(cert.to_json()))
+    rebuilt = Certificate(**{**data, "hypotheses_attested": tuple(data["hypotheses_attested"])})
+    data["witnesses"]["numerics"]["chiZ_rr"] = "0"
+    assert rebuilt.to_json() == cert.to_json() and replay_matches(rebuilt)
+    with pytest.raises(TypeError):
+        rebuilt.witnesses["numerics"]["kZ2"] = "0"
 
 
 def test_certify_with_huge_degrees_in_bounded_time():

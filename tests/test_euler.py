@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -326,12 +327,29 @@ def test_chi_values_match_oracles_on_halves(m, degrees, a, r, i, j, halves):
     )
 
 
+#: The int core each public chi function wraps, and the core's denominator
+#: at ell = p/q on the profile.
+CORES = {
+    "chi_ci": ("_ci_numerator", lambda q, profile: q ** (profile.m + profile.s) * factorial(profile.m + profile.s)),
+    "chi_ulrich": ("_ulrich_numerator", lambda q, profile: q**profile.m * factorial(profile.m)),
+}
+
+
 @pytest.mark.parametrize("name", ["chi_ulrich", "chi_ci"])
 def test_cross_check_trips_on_a_faulty_route(monkeypatch, capsys, name):
-    # the closed display calls neither chi_ci nor chi_ulrich, so a fault in
-    # either one shows up as a disagreement of the two routes
-    faulty = getattr(euler, name)
-    monkeypatch.setattr(euler, name, lambda *args: faulty(*args) + 1)
+    # route 2 of chi_subvariety sums the int cores of chi_ci and chi_ulrich,
+    # which the closed display never calls, so a fault in either core shows
+    # up as a disagreement of the two routes
+    core_name, core_den = CORES[name]
+    core = getattr(euler, core_name)
+    profile = ChiProfile(4, (3, 2), 2, 3)
+    for ell in (Fraction(0), Fraction(-7, 2), Fraction(5, 3)):
+        value = getattr(euler, name)(ell, profile)
+        p, q = ell.numerator, ell.denominator
+        assert value == Fraction(core(p, q, profile), core_den(q, profile))
+        # an unreduced (p, q) gives the same value over its own denominator
+        assert value == Fraction(core(3 * p, 3 * q, profile), core_den(3 * q, profile))
+    monkeypatch.setattr(euler, core_name, lambda *args: core(*args) + 1)
     profile = ChiProfile(4, (3,), 2, 3)
     with pytest.raises(InternalContradiction):
         chi_subvariety(0, profile, c1_coeff(profile))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ulrichcert.euler import ChiProfile
+from ulrichcert.euler import ChiProfile, chi_subvariety
 from ulrichcert.exactcore import binom_int
 from ulrichcert.identities import (
     deg_poly_r3,
@@ -20,12 +20,14 @@ from ulrichcert.invariants import (
     c2_bundle_coeff,
     c2_tangent_coeff,
     canonical_coeff,
+    noether_chain,
     rank2_numerics,
     rank3_numerics,
     subvariety_degree,
     subvariety_degree_chern,
 )
 from ulrichcert.symmetric import from_basis
+from oracles import brute_noether_chain
 
 
 ctx = ChiProfile
@@ -186,6 +188,41 @@ def test_builders_match_scalar_chain_fields():
             for name, value in numbers._asdict().items():
                 if not (numbers is n3 and name == "kZ"):
                     assert type(value) is Fraction, (name, value)
+
+
+def test_integer_chain_matches_fraction_oracle():
+    # the scaled-int chain gives the Fraction-written reference chain's seven
+    # fields, at the real chi values, with u a half-integer on some rank-3
+    # inputs and with chi0, chi1 also over an unreduced denominator
+    rng = random.Random(47)
+    half_integer_u = 0
+    for _ in range(200):
+        a = rng.randint(2, 9)
+        degrees = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 8)))
+        for r in (2, 3):
+            c = ctx(4, degrees, a, r)
+            args = (a, r, c.s, c.S, c.Sprime, c.d)
+            if r == 2:
+                expected = brute_noether_chain(*args)
+                chain = noether_chain(*args)
+                numbers = rank2_numerics(c)
+                assert type(chain[2]) is int
+            else:
+                u = c1_coeff(c)
+                half_integer_u += u.denominator == 2
+                chi0, chi1 = (chi_subvariety(ell, c, u) for ell in (0, 1))
+                expected = brute_noether_chain(*args, chi0, chi1)
+                den = math.lcm(chi0.denominator, chi1.denominator)
+                x0, x1 = (chi.numerator * (den // chi.denominator) for chi in (chi0, chi1))
+                chain = noether_chain(*args, x0, x1, den)
+                assert noether_chain(*args, 7 * x0, 7 * x1, 7 * den) == expected
+                numbers = rank3_numerics(c)
+                assert chain[2] is None
+            assert chain == expected
+            assert all(type(value) is Fraction for value in chain[:2] + chain[3:])
+            fields = (numbers.e, numbers.degZ, numbers.kZ, numbers.kZH, numbers.kZ2, numbers.c2Z, numbers.chiZ_noether)
+            assert fields == expected
+    assert half_integer_u > 20
 
 
 def test_chain_gap_consequence():
