@@ -25,7 +25,6 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
-from types import MappingProxyType
 
 from .errors import InternalContradiction, OutOfTheoremScope
 from .exactcore import ScalarLike, SparsePoly, binom, falling, stepped_binom_numerator
@@ -83,18 +82,20 @@ def chi_proj(ell: ScalarLike, m: int) -> Fraction:
 
 
 @lru_cache(maxsize=16)
-def koszul_coefficients(degrees: tuple) -> MappingProxyType:
-    """The coefficients of prod_i (1 - x^{d_i}): a read-only map from each
-    subset degree sum to the number of subsets with that sum, signed by
-    (-1)^size.  Cached, because one certificate reads the same map from
-    every chi_ci and chi_subvariety call."""
+def koszul_coefficients(degrees: tuple) -> tuple:
+    """The coefficients of prod_i (1 - x^{d_i}) as (shift, coefficient)
+    pairs, nonzero ones only, in increasing shift order: the coefficient at a
+    subset degree sum is the number of subsets with that sum, signed by
+    (-1)^size, and the first pair is (0, 1).  Cached, because one
+    certificate reads the same pairs from every chi_ci and chi_subvariety
+    call."""
     coeffs = {0: 1}
     for d in degrees:
         out = dict(coeffs)
         for shift, c in coeffs.items():
             out[shift + d] = out.get(shift + d, 0) - c
         coeffs = out
-    return MappingProxyType({shift: c for shift, c in coeffs.items() if c})
+    return tuple(sorted((shift, c) for shift, c in coeffs.items() if c))
 
 
 def _ci_numerator(p: int, q: int, profile: ChiProfile) -> int:
@@ -148,7 +149,7 @@ def chi_subvariety(ell: ScalarLike, profile: ChiProfile, u: ScalarLike) -> Fract
         block *= U - L - j * a * den
     top = falling(L + n * den, den, n)
     top += (-1) ** (m + 1) * block * den ** (n - m) * (factorial(n) // factorial(m))
-    coeffs = {shift: c for shift, c in koszul_coefficients(profile.degrees).items() if shift}
+    coeffs = koszul_coefficients(profile.degrees)[1:]  # shift 0 is in the products above
     top += (-1) ** n * (
         (r - 1) * falling(U - L - den, den, n)
         + stepped_binom_numerator(-L - den, den, coeffs, n)
@@ -170,15 +171,19 @@ def chi_subvariety(ell: ScalarLike, profile: ChiProfile, u: ScalarLike) -> Fract
 # ---------------------------------------------------------------------------
 
 
-def _falling_binom_2var(order: int, const: Fraction, wcoeff: Fraction) -> tuple:
-    """Coefficients of binom(t + wcoeff*w + const, order) in Q[t, w], over
-    one integer denominator.
+def _falling_binom_2var(order: int, const: Fraction, wcoeff: Fraction, deficit: int) -> tuple:
+    """Coefficients of binom(t + wcoeff*w + const, order) in Q[t, w] with
+    t-power at least order - deficit, over one integer denominator.
 
     Returns (poly, scale): poly maps (t-power, w-power) to the nonzero int
     numerators of (xi)(xi - 1)...(xi - order + 1)/order! with
     xi = t + wcoeff*w + const, formed as the product of the integer factors
     D*xi - j*D with D the common denominator of const and wcoeff, and
-    scale = D**order * order!.
+    scale = D**order * order!.  A term's deficit, the number of factors
+    that gave it no t, only grows as factors are multiplied in, so a term
+    is dropped as soon as its deficit exceeds ``deficit``: it could only
+    feed coefficients of t-power below order - deficit, which the caller
+    never reads.  ``deficit = order`` keeps the whole product.
     """
     den = lcm(const.denominator, wcoeff.denominator)
     w_int = wcoeff.numerator * (den // wcoeff.denominator)
@@ -189,6 +194,8 @@ def _falling_binom_2var(order: int, const: Fraction, wcoeff: Fraction) -> tuple:
         out: dict = {}
         for (i1, i2), c in poly.items():
             out[i1 + 1, i2] = out.get((i1 + 1, i2), 0) + c * den
+            if j - i1 >= deficit:
+                continue
             if w_int:
                 out[i1, i2 + 1] = out.get((i1, i2 + 1), 0) + c * w_int
             if shift:
@@ -233,8 +240,9 @@ def subvariety_chi_basis(a: int, m: int, s: int, r: int, ell: int) -> BasisExpr:
     # every coefficient below is an int over this one denominator
     den = 2**order * factorial(order) * factorial(m)
 
-    plain, plain_scale = _falling_binom_2var(order, Fraction(-ell - 1), Fraction(0))
-    shifted, shifted_scale = _falling_binom_2var(order, Fraction(twice_u, 2) - ell - 1, Fraction(r, 2))
+    # rows.get(i1 - s) below reads only t-powers i1 >= s: deficit at most m
+    plain, plain_scale = _falling_binom_2var(order, Fraction(-ell - 1), Fraction(0), m)
+    shifted, shifted_scale = _falling_binom_2var(order, Fraction(twice_u, 2) - ell - 1, Fraction(r, 2), m)
     combined = {key: c * (den // plain_scale) for key, c in plain.items()}
     lift = (r - 1) * (den // shifted_scale)
     for key, c in shifted.items():

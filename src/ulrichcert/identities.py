@@ -715,8 +715,9 @@ def _basis_compare(
         for partition in BASIS:
             if len(partition) > s:
                 continue
-            diff = actual.get(partition) - Fraction(expected.get(partition, 0))
-            if diff:
+            want = expected.get(partition, 0)
+            if actual.coeffs.get(partition, 0) != want:
+                diff = actual.get(partition) - Fraction(want)
                 residuals.append((prefix + _label(partition), scalar_str(diff)))
         for partition in sorted(set(actual.coeffs) - set(BASIS)):
             residuals.append((prefix + _label(partition), scalar_str(actual.get(partition))))
@@ -831,11 +832,13 @@ def check_gap_positivity(s_max: int, a_max: int, d_max: int) -> list:
                     f"base case failed: gap({s},1,{b}) at all-ones is {base_value}",
                     witness={"s": s, "b": b, "value": base_value},
                 )
+            previous = gap_value(s, 1, b, _P2, _P4)
             for a in range(1, a_max + 1):
                 recursion_ok = True
                 if a >= 2:
-                    diff = gap_value(s, a, b, _P2, _P4) - gap_value(s, a - 1, b, _P2, _P4)
-                    recursion_ok = diff == _recursion_step(s, a, b, _P2)
+                    current = gap_value(s, a, b, _P2, _P4)
+                    recursion_ok = current - previous == _recursion_step(s, a, b, _P2)
+                    previous = current
                     if not recursion_ok:
                         raise VerificationFailure(
                             f"recursion failed at s={s}, a={a}, b={b}",

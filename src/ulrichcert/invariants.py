@@ -44,51 +44,14 @@ def c1_coeff(ctx: ChiProfile) -> Fraction:
 
 
 def _bracket24(m: int, r: int, a: int, s: int, S, S2):
-    """The shared degree bracket of the subvariety-degree and c2(E) formulas;
-    S and S2 may be ints or SparsePolys (see :func:`noether_chain`)."""
-    return (
-        -4
-        + 6 * a
-        - 2 * a**2
-        - 7 * m
-        + 12 * a * m
-        - 5 * a**2 * m
-        - 3 * m**2
-        + 6 * a * m**2
-        - 3 * a**2 * m**2
-        + 3 * r
-        - 6 * a * r
-        + 3 * a**2 * r
-        + 6 * m * r
-        - 12 * a * m * r
-        + 6 * a**2 * m * r
-        + 3 * m**2 * r
-        - 6 * a * m**2 * r
-        + 3 * a**2 * m**2 * r
-        - 7 * s
-        + 6 * a * s
-        - 6 * m * s
-        + 6 * a * m * s
-        + 6 * r * s
-        - 6 * a * r * s
-        + 6 * m * r * s
-        - 6 * a * m * r * s
-        - 3 * s**2
-        + 3 * r * s**2
-        + 6 * S
-        - 6 * a * S
-        + 6 * m * S
-        - 6 * a * m * S
-        - 6 * r * S
-        + 6 * a * r * S
-        - 6 * m * r * S
-        + 6 * a * m * r * S
-        + 6 * s * S
-        - 6 * r * s * S
-        - 2 * S**2
-        + 3 * r * S**2
-        - 2 * S2
-    )
+    """The shared degree bracket of the subvariety-degree and c2(E) formulas,
+    grouped by powers of S with int coefficients in (m, r, a, s): c0 is the
+    bracket at S = S2 = 0.  A SparsePoly S or S2 (see :func:`noether_chain`)
+    then takes one product and a few scalings and sums, not one per term of
+    the expanded bracket."""
+    A = (a - 1) * (m + 1)
+    c0 = 3 * (r - 1) * (A - s) ** 2 + (a**2 - 1) * (m + 1) - s
+    return c0 + (6 * (r - 1) * (A - s) + (3 * r - 2) * S) * S - 2 * S2
 
 
 def c2_bundle_coeff(ctx: ChiProfile) -> Fraction:
@@ -159,11 +122,13 @@ def noether_chain(a: int, r: int, s: int, S, S2, d, chi0=None, chi1=None, den: i
     degrees; chi0/den and chi1/den are chi(O_Z) and chi(O_Z(1)), needed for
     rank 3 only (den stays 1 for rank 2).  Each may be an int or a
     SparsePoly: only +, -, * and int constants are applied to them.  Each
-    field is carried as a multiple of a fixed scale (24 for e and deg_H Z,
-    24 den for K_Z . H_Z, 96 den for K_Z^2, 576 den for c2(Z), 6912 den for
-    chi) and :func:`_over` divides once per returned field, so the same
-    lines give one input's numbers in integers and the identity layer's
-    polynomials.
+    bracket is grouped by powers of S, c0 + (c1 + c2 S) S - k S2 with int
+    c0, c1, c2 in (a, r, s), so on polynomials it takes one product, not a
+    scaling and a sum per term of the expanded bracket.  Each field is
+    carried as a multiple of a fixed scale (24 for e and deg_H Z, 24 den for
+    K_Z . H_Z, 96 den for K_Z^2, 576 den for c2(Z), 6912 den for chi) and
+    :func:`_over` divides once per returned field, so the same lines give
+    one input's numbers in integers and the identity layer's polynomials.
 
     Rank 2: K_Z is a known multiple of the hyperplane section, so K_Z^2 and
     c2(Z) reduce to multiples of deg_H(Z).  Rank 3: K_Z . H_Z comes from
@@ -181,37 +146,16 @@ def noether_chain(a: int, r: int, s: int, S, S2, d, chi0=None, chi1=None, den: i
         kz = 2 * S - 2 * s + 5 * (a - 2)
         kzh = kz * deg24
         kz2 = 4 * kz * kzh
-        c2z = 2 * (
-            650
-            - 750 * a
-            + 220 * a**2
-            + 265 * s
-            - 150 * a * s
-            + 27 * s**2
-            - 270 * S
-            + 150 * a * S
-            - 54 * s * S
-            + 32 * S**2
-            - 10 * S2
-        ) * deg24
+        c0 = 650 - 750 * a + 220 * a**2 + 265 * s - 150 * a * s + 27 * s**2
+        c2z = 2 * (c0 + (150 * a - 54 * s - 270 + 32 * S) * S - 10 * S2) * deg24
     else:
         kz = None
         kzh = 48 * (chi0 - chi1) + den * deg24
         t = S - s + 3 * a - 5
         kz2 = 5 * t * (4 * kzh - 5 * den * t * deg24)
-        c2z = 3 * den * (
-            -1315
-            + 1800 * a
-            - 605 * a**2
-            - 523 * s
-            + 360 * a * s
-            - 52 * s**2
-            + 520 * S
-            - 360 * a * S
-            + 104 * s * S
-            - 49 * S**2
-            - 6 * S2
-        ) * deg24 + 24 * (4 * S - 4 * s - 20 + 15 * a) * kzh
+        c0 = -1315 + 1800 * a - 605 * a**2 - 523 * s + 360 * a * s - 52 * s**2
+        c2z = 3 * den * (c0 + (520 - 360 * a + 104 * s - 49 * S) * S - 6 * S2) * deg24
+        c2z += 24 * (4 * S - 4 * s - 20 + 15 * a) * kzh
     return (
         _over(e24, 24),
         _over(deg24, 24),

@@ -11,7 +11,6 @@ from itertools import combinations
 from math import factorial
 
 from ulrichcert.exactcore import SparsePoly
-from ulrichcert.invariants import _bracket24
 
 
 def falling_binom(q, m):
@@ -150,11 +149,97 @@ def brute_chi_ulrich(ell, m, degrees, a, r):
     return out
 
 
+def literal_bracket24(m: int, r: int, a: int, s: int, S, S2):
+    """The shared degree bracket of the subvariety-degree and c2(E) formulas,
+    one literal term per monomial: the reference for the grouped
+    ulrichcert.invariants._bracket24.  S and S2 may be numbers or
+    SparsePolys."""
+    return (
+        -4
+        + 6 * a
+        - 2 * a**2
+        - 7 * m
+        + 12 * a * m
+        - 5 * a**2 * m
+        - 3 * m**2
+        + 6 * a * m**2
+        - 3 * a**2 * m**2
+        + 3 * r
+        - 6 * a * r
+        + 3 * a**2 * r
+        + 6 * m * r
+        - 12 * a * m * r
+        + 6 * a**2 * m * r
+        + 3 * m**2 * r
+        - 6 * a * m**2 * r
+        + 3 * a**2 * m**2 * r
+        - 7 * s
+        + 6 * a * s
+        - 6 * m * s
+        + 6 * a * m * s
+        + 6 * r * s
+        - 6 * a * r * s
+        + 6 * m * r * s
+        - 6 * a * m * r * s
+        - 3 * s**2
+        + 3 * r * s**2
+        + 6 * S
+        - 6 * a * S
+        + 6 * m * S
+        - 6 * a * m * S
+        - 6 * r * S
+        + 6 * a * r * S
+        - 6 * m * r * S
+        + 6 * a * m * r * S
+        + 6 * s * S
+        - 6 * r * s * S
+        - 2 * S**2
+        + 3 * r * S**2
+        - 2 * S2
+    )
+
+
+def literal_c2z_bracket_r2(a: int, s: int, S, S2):
+    """The rank-2 c2(Z) bracket, c2(Z) = bracket * deg_H(Z) / 12, one
+    literal term per monomial."""
+    return (
+        650
+        - 750 * a
+        + 220 * a**2
+        + 265 * s
+        - 150 * a * s
+        + 27 * s**2
+        - 270 * S
+        + 150 * a * S
+        - 54 * s * S
+        + 32 * S**2
+        - 10 * S2
+    )
+
+
+def literal_c2z_bracket_r3(a: int, s: int, S, S2):
+    """The rank-3 c2(Z) bracket, the deg_H(Z) / 8 part of c2(Z), one literal
+    term per monomial."""
+    return (
+        -1315
+        + 1800 * a
+        - 605 * a**2
+        - 523 * s
+        + 360 * a * s
+        - 52 * s**2
+        + 520 * S
+        - 360 * a * S
+        + 104 * s * S
+        - 49 * S**2
+        - 6 * S2
+    )
+
+
 def brute_noether_chain(a: int, r: int, s: int, S, S2, d, chi0=None, chi1=None) -> tuple:
     """The rank-r chain (r = 2 or 3) on a 4-dimensional complete intersection,
     written in Fraction products and sums: the reference for the integer
-    chain of ulrichcert.invariants.noether_chain.  It shares only the degree
-    bracket _bracket24 with it, which the printed specializations check.
+    chain of ulrichcert.invariants.noether_chain, with the literal brackets
+    above in place of its grouped ones.
 
     S, S2 and d are the sum, the pairwise-product sum and the product of the
     degrees; chi0 and chi1 are chi(O_Z) and chi(O_Z(1)), needed for rank 3
@@ -172,50 +257,20 @@ def brute_noether_chain(a: int, r: int, s: int, S, S2, d, chi0=None, chi1=None) 
     Returns (e, deg_H Z, kZ, K_Z . H_Z, K_Z^2, c2(Z), chi(O_Z)), where kZ is
     the hyperplane coefficient of K_Z for rank 2 and None for rank 3.
     """
-    e = Fraction(r, 24) * _bracket24(4, r, a, s, S, S2)
+    e = Fraction(r, 24) * literal_bracket24(4, r, a, s, S, S2)
     degz = d * e
     if r == 2:
         kz = 2 * S - 2 * s + 5 * (a - 2)
         kzh = kz * degz
         kz2 = kz**2 * degz
-        c2z = (
-            Fraction(1, 12)
-            * (
-                650
-                - 750 * a
-                + 220 * a**2
-                + 265 * s
-                - 150 * a * s
-                + 27 * s**2
-                - 270 * S
-                + 150 * a * S
-                - 54 * s * S
-                + 32 * S**2
-                - 10 * S2
-            )
-            * degz
-        )
+        c2z = Fraction(1, 12) * literal_c2z_bracket_r2(a, s, S, S2) * degz
     else:
         kz = None
         kzh = -2 * chi1 + 2 * chi0 + degz
         t = S - s + 3 * a - 5
         kz2 = 5 * t * kzh - Fraction(25, 4) * t**2 * degz
         c2z = (
-            Fraction(1, 8)
-            * (
-                -1315
-                + 1800 * a
-                - 605 * a**2
-                - 523 * s
-                + 360 * a * s
-                - 52 * s**2
-                + 520 * S
-                - 360 * a * S
-                + 104 * s * S
-                - 49 * S**2
-                - 6 * S2
-            )
-            * degz
+            Fraction(1, 8) * literal_c2z_bracket_r3(a, s, S, S2) * degz
             + (4 * S - 4 * s - 20 + 15 * a) * kzh
         )
     return e, degz, kz, kzh, kz2, c2z, Fraction(1, 12) * (kz2 + c2z)

@@ -221,9 +221,28 @@ def test_falling_binom_2var_matches_brute_binom_poly():
         for wcoeff in (Fraction(0), Fraction(1), Fraction(3, 2)):
             for order in range(10):
                 expected = brute_binom_poly(t + wcoeff * w + const, order)
-                poly, scale = _falling_binom_2var(order, const, wcoeff)
+                # deficit = order keeps every term: the whole product
+                poly, scale = _falling_binom_2var(order, const, wcoeff, order)
                 assert all(isinstance(c, int) and c for c in poly.values())
                 assert {key: Fraction(c, scale) for key, c in poly.items()} == expected.terms
+
+
+def test_truncated_falling_binom_2var_keeps_every_coefficient_read():
+    # subvariety_chi_basis reads the t-powers >= s of the order-(m + s)
+    # product, the terms with at most m factors that gave no t; the product
+    # truncated at deficit m must hold exactly those terms of the full one
+    dropped = 0
+    for m in (1, 2, 4, 6):
+        for s in (1, 2, 5, 9, 12):
+            order = m + s
+            for const in (Fraction(-1), Fraction(3), Fraction(7, 2), Fraction(-9, 2)):
+                for wcoeff in (Fraction(0), Fraction(1), Fraction(3, 2)):
+                    full, scale = _falling_binom_2var(order, const, wcoeff, order)
+                    poly, truncated_scale = _falling_binom_2var(order, const, wcoeff, m)
+                    assert truncated_scale == scale
+                    assert poly == {key: c for key, c in full.items() if key[0] >= s}
+                    dropped += len(full) - len(poly)
+    assert dropped > 1000
 
 
 def test_chi_basis_golden_digest():
@@ -268,7 +287,9 @@ def test_koszul_coefficients_match_bitmask_enumeration():
         for mask in range(1 << s):
             shift = sum(degrees[i] for i in range(s) if mask >> i & 1)
             expected[shift] = expected.get(shift, 0) + (-1) ** bin(mask).count("1")
-        assert koszul_coefficients(degrees) == {k: c for k, c in expected.items() if c}
+        pairs = koszul_coefficients(degrees)
+        assert [k for k, _ in pairs] == sorted(k for k, _ in pairs)
+        assert dict(pairs) == {k: c for k, c in expected.items() if c}
 
 
 def test_koszul_coefficients_are_cached_read_only():
@@ -276,7 +297,7 @@ def test_koszul_coefficients_are_cached_read_only():
     assert koszul_coefficients((3, 2, 2)) is coeffs
     with pytest.raises(TypeError):
         coeffs[0] = 7
-    assert coeffs == {0: 1, 2: -2, 3: -1, 4: 1, 5: 2, 7: -1}
+    assert dict(coeffs) == {0: 1, 2: -2, 3: -1, 4: 1, 5: 2, 7: -1}
 
 
 def _oracle_cases():

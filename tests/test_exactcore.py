@@ -69,7 +69,9 @@ def _literal_numerator(p0, den, coeffs, m):
 )
 def test_stepped_binom_sum_matches_literal_binomials(num, den, m, coeffs):
     # (num, den) is passed as drawn, so unreduced pairs such as (4, 2) occur
-    assert stepped_binom_numerator(num, den, coeffs, m) == _literal_numerator(num, den, coeffs, m)
+    # the kernel walks the pairs as given, zero coefficients included
+    pairs = sorted(coeffs.items())
+    assert stepped_binom_numerator(num, den, pairs, m) == _literal_numerator(num, den, coeffs, m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 9])
@@ -82,7 +84,8 @@ def test_stepped_binom_sum_recomputes_where_the_divisor_is_zero(m):
     p0 = -3
     walk = [p0 + k for k in sorted(coeffs)]
     assert 0 in walk and m - 1 in walk[:-1] and walk[-1] > m - 1
-    assert stepped_binom_numerator(p0, 1, coeffs, m) == _literal_numerator(p0, 1, coeffs, m)
+    pairs = sorted(coeffs.items())
+    assert stepped_binom_numerator(p0, 1, pairs, m) == _literal_numerator(p0, 1, coeffs, m)
 
 
 @pytest.mark.parametrize("m", [0, 1, 4])
@@ -91,19 +94,20 @@ def test_stepped_binom_sum_jumps_gaps_wider_than_m(m):
     # scratch at the far side, so a gap of 10**7 costs one falling product,
     # not 10**7 steps (several seconds)
     coeffs = {0: 3, m + 1: -2, m + 2: 5, 10**7: 7, 10**7 + m + 1: -1}
+    pairs = sorted(coeffs.items())
     start = time.perf_counter()
     for p0, den in ((-5, 2), (1, 3), (4, 1)):
-        assert stepped_binom_numerator(p0, den, coeffs, m) == _literal_numerator(p0, den, coeffs, m)
+        assert stepped_binom_numerator(p0, den, pairs, m) == _literal_numerator(p0, den, coeffs, m)
     assert time.perf_counter() - start < 1.0
 
 
 def test_stepped_binom_sum_edge_cases():
-    assert stepped_binom_numerator(7, 2, {}, 3) == 0
-    assert stepped_binom_numerator(5, 1, {0: 1}, 2) == 20
-    assert stepped_binom_numerator(1, 3, {4: 2}, 0) == 2
-    assert stepped_binom_numerator(2, 1, {0: 0, 3: 1}, 2) == 20
+    assert stepped_binom_numerator(7, 2, [], 3) == 0
+    assert stepped_binom_numerator(5, 1, [(0, 1)], 2) == 20
+    assert stepped_binom_numerator(1, 3, [(4, 2)], 0) == 2
+    assert stepped_binom_numerator(2, 1, [(0, 0), (3, 1)], 2) == 20
     with pytest.raises(ValueError):
-        stepped_binom_numerator(5, 1, {0: 1}, -1)
+        stepped_binom_numerator(5, 1, [(0, 1)], -1)
 
 
 @pytest.mark.parametrize(
@@ -124,7 +128,8 @@ def test_stepped_binom_numerator_with_even_p0_over_two(coeffs, m, steps_through_
     # the points the kernel steps from: every shift inside a gap of at most m
     stepped_from = {p0 + 2 * j for a, b in zip(shifts, shifts[1:]) if b - a <= m for j in range(a, b)}
     assert (2 * (m - 1) in stepped_from) == steps_through_zero_divisor
-    assert stepped_binom_numerator(p0, 2, coeffs, m) == _literal_numerator(p0, 2, coeffs, m)
+    pairs = sorted(coeffs.items())
+    assert stepped_binom_numerator(p0, 2, pairs, m) == _literal_numerator(p0, 2, coeffs, m)
 
 
 def test_binom_reflection_identity_exhaustive():

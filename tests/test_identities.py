@@ -41,6 +41,19 @@ from ulrichcert.symmetric import (
 from oracles import brute_chi_poly
 
 
+def test_basis_compare_reports_exact_residuals_of_what_differs():
+    # equal coefficients give no residual; a wrong one, an expected one that
+    # is missing, and a partition outside BASIS each give their exact residual
+    actual = BasisExpr(3, {(3,): Fraction(7, 2), (2, 1): Fraction(5), (1,): -1, (5,): Fraction(2, 3)})
+    expected = {(3,): Fraction(7, 2), (2, 1): Fraction(4), (2,): Fraction(1, 3), (1,): Fraction(-1)}
+    report = identities._basis_compare("demo", {"a": 2}, {"x:": (actual, expected)}, ["note"])
+    assert report.residuals == [("x:m_21", "1"), ("x:m_2", "-1/3"), ("x:m_5", "2/3")]
+    assert (report.check, report.parameters, report.notes) == ("demo", {"a": 2}, ["note"])
+    assert not report.passed
+    same = {partition: actual.get(partition) for partition in BASIS}
+    assert identities._basis_compare("demo", {}, {"": (actual, same)}).residuals == [("m_5", "2/3")]
+
+
 def test_gap_poly_vanishes_at_ones_for_unit_twist():
     for s in range(2, 7):
         for b in (8, 9):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ulrichcert.euler import ChiProfile, chi_subvariety
-from ulrichcert.exactcore import binom_int
+from ulrichcert.exactcore import SparsePoly, binom_int
 from ulrichcert.identities import (
     deg_poly_r3,
     kh_poly_r3,
@@ -16,6 +16,7 @@ from ulrichcert.identities import (
     gap_poly,
 )
 from ulrichcert.invariants import (
+    _bracket24,
     c1_coeff,
     c2_bundle_coeff,
     c2_tangent_coeff,
@@ -26,8 +27,8 @@ from ulrichcert.invariants import (
     subvariety_degree,
     subvariety_degree_chern,
 )
-from ulrichcert.symmetric import from_basis
-from oracles import brute_noether_chain
+from ulrichcert.symmetric import POWER_SUM_VARS, from_basis
+from oracles import brute_noether_chain, literal_bracket24
 
 
 ctx = ChiProfile
@@ -223,6 +224,40 @@ def test_integer_chain_matches_fraction_oracle():
             fields = (numbers.e, numbers.degZ, numbers.kZ, numbers.kZH, numbers.kZ2, numbers.c2Z, numbers.chiZ_noether)
             assert fields == expected
     assert half_integer_u > 20
+
+
+def test_grouped_brackets_match_literal_brackets():
+    # _bracket24 and the chain's c2(Z) brackets, grouped by powers of S,
+    # against their literal term-by-term forms in the oracles (the chain's
+    # reference uses the literal c2(Z) brackets): on ints, with S and S2 from
+    # random degree tuples and random chi values, and as SparsePolys in the
+    # power sums, with chi0 and chi1 free
+    rng = random.Random(59)
+    p1, p2, p3, p4 = (SparsePoly.variable(POWER_SUM_VARS, k) for k in range(4))
+    for s in range(1, 13):
+        points = []
+        for _ in range(3):
+            degrees = tuple(rng.randint(1, 9) for _ in range(s))
+            S = sum(degrees)
+            chis = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(2)]
+            points.append((S, (S * S - sum(d * d for d in degrees)) // 2, math.prod(degrees), chis))
+        points.append((p1, (p1**2 - p2) / 2, 1, [p3, p4 - p1]))
+        for a in range(2, 10):
+            for S, S2, d, (chi0, chi1) in points:
+                for r in (2, 3):
+                    for m in range(3, 7):
+                        grouped = _bracket24(m, r, a, s, S, S2)
+                        assert grouped == literal_bracket24(m, r, a, s, S, S2), (m, r, a, s, S)
+                    if r == 2:
+                        assert noether_chain(a, r, s, S, S2, d) == brute_noether_chain(a, r, s, S, S2, d)
+                        continue
+                    expected = brute_noether_chain(a, r, s, S, S2, d, chi0, chi1)
+                    if isinstance(S, int):
+                        den = math.lcm(chi0.denominator, chi1.denominator)
+                        x0, x1 = (chi.numerator * (den // chi.denominator) for chi in (chi0, chi1))
+                        assert noether_chain(a, r, s, S, S2, d, x0, x1, den) == expected
+                    else:
+                        assert noether_chain(a, r, s, S, S2, d, chi0, chi1) == expected
 
 
 def test_chain_gap_consequence():
