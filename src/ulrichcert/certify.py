@@ -40,20 +40,27 @@ ATTEST_AMBIENT = "bundle restricts from a higher-dimensional complete intersecti
 
 
 def _frozen(mapping) -> MappingProxyType:
-    """A read-only copy of a mapping, nested dicts included."""
-    return MappingProxyType({k: _frozen(v) if isinstance(v, dict) else v for k, v in mapping.items()})
+    """A read-only copy of a mapping, nested dicts included, with its lists as
+    tuples (the lists of a certificate hold only numbers and strings)."""
+    return MappingProxyType({
+        k: _frozen(v) if isinstance(v, dict) else tuple(v) if isinstance(v, list) else v
+        for k, v in mapping.items()
+    })
 
 
 def _plain(mapping: MappingProxyType) -> dict:
-    """A frozen mapping as plain dicts again, for JSON and repr."""
-    return {k: _plain(v) if isinstance(v, MappingProxyType) else v for k, v in mapping.items()}
+    """A frozen mapping as plain dicts and lists again, for JSON and repr."""
+    return {
+        k: _plain(v) if isinstance(v, MappingProxyType) else list(v) if isinstance(v, tuple) else v
+        for k, v in mapping.items()
+    }
 
 
 class Certificate(namedtuple("Certificate", "input branch witnesses hypotheses_attested conclusion")):
     """Outcome of one pipeline run, with exact re-checkable witnesses.
 
-    The constructor freezes ``input`` and ``witnesses`` (a change raises
-    TypeError); ``_make`` and ``_replace`` skip it."""
+    The constructor freezes ``input`` and ``witnesses``, lists as tuples (a
+    change raises TypeError or AttributeError); ``_make`` and ``_replace`` skip it."""
 
     __slots__ = ()
 

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .acceptance import run_all
 from .certify import certify_complete_intersection, certify_veronese
@@ -66,9 +67,31 @@ def _check_output(path: str | None) -> None:
         raise OutOfTheoremScope(f"cannot write --output {path!r}")
 
 
+def _json(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)`` byte for byte, ``pad`` deep, without the
+    pure-Python encoder that ``indent`` selects: scalars go to the C encoder."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, (bool, float)):
+        return json.dumps(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        # a non-str key raises TypeError here, where json.dumps would coerce it
+        items, brackets = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()], "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = [_json(v, inner) for v in value], "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload) + "\n"
     lines: list = []
     _render_text(payload, lines, indent=0)
     return "\n".join(lines) + "\n"
@@ -234,8 +257,13 @@ def _add_output_flags(sub) -> None:
     sub.add_argument("--output", help="write the report to this path instead of stdout")
 
 
-@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+@lru_cache(maxsize=None)
+def _parsers() -> tuple:
+    """The top-level parser and its subcommands' parsers by name, built once."""
     parser = argparse.ArgumentParser(
         prog="ulrichcert",
         description="Exact non-existence certificates for low-rank Ulrich bundles "
@@ -279,13 +307,24 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_selftest)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """The top-level ``parse_args(argv)``, but a subcommand's own parser alone parses its arguments."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

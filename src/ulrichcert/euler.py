@@ -205,6 +205,13 @@ def _falling_binom_2var(order: int, const: Fraction, wcoeff: Fraction, deficit: 
 
 
 @lru_cache(maxsize=None)
+def _plain_falling(order: int, ell: int, deficit: int) -> tuple:
+    """:func:`subvariety_chi_basis`'s product free of a and r, its numerators as pairs."""
+    poly, scale = _falling_binom_2var(order, Fraction(-ell - 1), Fraction(0), deficit)
+    return tuple(poly.items()), scale
+
+
+@lru_cache(maxsize=None)
 def subvariety_chi_poly(a: int, m: int, s: int, r: int, ell: int) -> SparsePoly:
     """The polynomial in x_1, ..., x_s whose value at a degree tuple is
     chi(O_Z(ell)) for the subvariety attached to a rank-r Ulrich bundle:
@@ -241,9 +248,9 @@ def subvariety_chi_basis(a: int, m: int, s: int, r: int, ell: int) -> BasisExpr:
     den = 2**order * factorial(order) * factorial(m)
 
     # rows.get(i1 - s) below reads only t-powers i1 >= s: deficit at most m
-    plain, plain_scale = _falling_binom_2var(order, Fraction(-ell - 1), Fraction(0), m)
+    plain, plain_scale = _plain_falling(order, ell, m)
     shifted, shifted_scale = _falling_binom_2var(order, Fraction(twice_u, 2) - ell - 1, Fraction(r, 2), m)
-    combined = {key: c * (den // plain_scale) for key, c in plain.items()}
+    combined = {key: c * (den // plain_scale) for key, c in plain}
     lift = (r - 1) * (den // shifted_scale)
     for key, c in shifted.items():
         combined[key] = combined.get(key, 0) + lift * c

@@ -65,16 +65,16 @@ def test_screen_consistency_with_integrality():
 def test_line_bundle_certificates():
     cert = certify_line_bundle(ctx(4, (1,), 2, 1))
     assert cert.branch == BRANCH_RANK1
-    assert cert.witnesses["interval"] == [4, 1]
+    assert cert.witnesses["interval"] == (4, 1)
     assert cert.conclusion == NONEXISTENT
 
     cert = certify_line_bundle(ctx(4, (2, 2), 3, 1))
-    assert cert.witnesses["interval"] == [10, 2]
+    assert cert.witnesses["interval"] == (10, 2)
     assert cert.conclusion == NONEXISTENT
 
     # on the line the interval closes up and nothing is contradicted
     cert = certify_line_bundle(ctx(1, (1,), 2, 1))
-    assert cert.witnesses["interval"] == [1, 1]
+    assert cert.witnesses["interval"] == (1, 1)
     assert cert.conclusion == INCONCLUSIVE
 
 
@@ -158,14 +158,14 @@ def test_certify_veronese_examples():
 
     cert = certify_veronese(5, 2, 2)
     assert cert.branch == BRANCH_DIVISIBILITY
-    assert cert.witnesses["violated"] == ["2^3 | r"]
+    assert cert.witnesses["violated"] == ("2^3 | r",)
 
     cert = certify_veronese(6, 2, 1)
     assert cert.branch == BRANCH_DIVISIBILITY
 
     cert = certify_veronese(7, 2, 3)
     assert cert.branch == BRANCH_CHI_MISMATCH
-    assert cert.witnesses["reduced_degrees"] == [2, 2, 2, 1]
+    assert cert.witnesses["reduced_degrees"] == (2, 2, 2, 1)
 
     cert = certify_veronese(5, 3, 1)
     assert cert.branch == BRANCH_RANK1
@@ -212,6 +212,16 @@ def test_certificates_are_frozen():
             del mapping[key]
     with pytest.raises(TypeError):
         certify_complete_intersection(ctx(4, (3, 2), 3, 2)).input["a"] = 4
+    # the lists are frozen too, and still come out of to_json and repr as lists
+    listed = certify_veronese(7, 2, 3)
+    with pytest.raises(AttributeError):
+        listed.witnesses["reduced_degrees"].append(9)
+    with pytest.raises(TypeError):
+        listed.witnesses["reduced_degrees"][0] = 9
+    with pytest.raises(AttributeError):
+        certify_complete_intersection(ctx(4, (3, 2), 3, 2)).input["degrees"].append(1)
+    assert listed.to_json()["witnesses"]["reduced_degrees"] == [2, 2, 2, 1]
+    assert "'reduced_degrees': [2, 2, 2, 1]" in repr(listed)
     # to_json gives plain dicts, fresh on each call, so changing one leaves
     # the certificate as it was
     assert type(payload["input"]) is dict and type(payload["witnesses"]) is dict

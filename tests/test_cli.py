@@ -5,9 +5,11 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ulrichcert import cli, identities
@@ -79,6 +81,102 @@ def test_parser_is_built_once_and_reused(capsys):
             env=env, capture_output=True, text=True, check=True, timeout=60,
         )
         assert capsys.readouterr().out == fresh.stdout
+
+
+# valid argvs of all five subcommands, flags in several spellings
+ROUTED = [
+    ["certify", "--n", "5", "--a", "2", "--r", "2"],
+    ["certify", "--format=json", "--n=7", "--a", "3", "--r", "2", "--output", "c.json"],
+    ["certify", "--form", "json", "--n", "12", "--a", "7", "--r", "3"],
+    ["certify-ci", "--degrees", "3,2", "--a", "3", "--r", "3"],
+    ["certify-ci", "--degrees=2,2,1", "--a", "2", "--r", "2", "--m", "6", "--format", "json"],
+    ["chi", "--degrees", "3", "--a", "2", "--r", "3", "--ell", "0"],
+    ["chi", "--ell", "-1", "--degrees", "1,1,1,1", "--a", "2", "--r", "1", "--m", "0"],
+    ["verify-appendix"],
+    ["verify-appendix", "--a", "2..3", "--s", "4", "--d-max", "2", "--full-grids", "--format", "json"],
+    ["verify-appendix", "--d-max", "0"],
+    ["selftest"],
+    ["selftest", "--format", "json", "--output", "s.json"],
+]
+
+# argvs that argparse rejects or answers with help
+REJECTED = [
+    [],
+    ["--help"],
+    ["bogus"],
+    ["certify", "--bogus"],
+    ["certify", "--n", "5", "--a", "2", "--r", "2", "--bogus", "1"],
+    ["certify", "--n", "x", "--a", "2", "--r", "2"],
+    ["certify", "--n", "5", "--a", "2", "--r", "2", "--format", "xml"],
+    ["certify", "--help"],
+    ["certify", "--n", "5", "--a", "2", "--r", "2", "extra"],
+    ["certify-ci", "--a", "2", "--r", "2"],
+]
+
+
+def test_subcommand_route_parses_as_the_top_level_parser():
+    parser = cli._build_parser()
+    for argv in ROUTED:
+        assert cli._parse(argv) == parser.parse_args(argv), argv
+
+
+def test_rejected_argv_reads_as_through_the_top_level_parser(capsys):
+    parser = cli._build_parser()
+    for argv in REJECTED:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        expected = (exc.value.code or 0, *capsys.readouterr())
+        assert (main(argv), *capsys.readouterr()) == expected, argv
+    # leftover arguments are reported by the top-level parser, with its usage line
+    main(["certify", "--n", "5", "--a", "2", "--r", "2", "--bogus", "1"])
+    assert capsys.readouterr().err.startswith("usage: ulrichcert [-h]")
+    # argparse accepts --d-max 0 and the command rejects it
+    assert main(["verify-appendix", "--d-max", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: --d-max must be >= 1\n")
+
+
+_json_text = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u2603\U0001d11e') | st.characters())
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | _json_text,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_json_text, inner),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+@example({"t": [True, 1, False, 0, 1.0, None], "e": [[], {}, ()]})
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_rejects_other_types():
+    # json.dumps coerces a non-str key; no payload has one, and the writer refuses it
+    for value in ({1, 2}, Fraction(1, 2), b"x", {1: "a"}, {"a": [{None: "b"}]}, [object()]):
+        with pytest.raises(TypeError):
+            cli._json(value)
+
+
+def test_json_reports_are_json_dumps_indent_2(monkeypatch, capsys):
+    payloads = []
+
+    def recording(payload, fmt):
+        payloads.append(payload)
+        return render(payload, fmt)
+
+    render = cli._render
+    monkeypatch.setattr(cli, "_render", recording)
+    for argv in (
+        ["certify", "--n", "12", "--a", "7", "--r", "3"],
+        ["certify", "--n", "5", "--a", "3", "--r", "1"],
+        ["certify-ci", "--degrees", "3,2", "--a", "3", "--r", "3"],
+        ["certify-ci", "--degrees", "2,2", "--a", "3", "--r", "2"],
+        ["chi", "--degrees", "3", "--a", "2", "--r", "3", "--ell", "0"],
+        ["selftest"],
+        ["verify-appendix", "--a", "2", "--s", "4", "--d-max", "2", "--full-grids"],
+    ):
+        assert main([*argv, "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(payloads[-1], indent=2) + "\n", argv
 
 
 def test_certify_ci_text_and_json_values_agree(capsys):

@@ -52,7 +52,7 @@ VALUES = [
         dict(
             input={"n": 5},
             branch="es53-divisibility",
-            witnesses={"violated": ["2^3 | r"]},
+            witnesses={"violated": ("2^3 | r",)},
             hypotheses_attested=(),
             conclusion="NONEXISTENT",
         ),
