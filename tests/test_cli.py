@@ -158,13 +158,12 @@ def test_json_writer_rejects_other_types():
 
 
 def test_json_reports_are_json_dumps_indent_2(monkeypatch, capsys):
-    payloads = []
+    payloads, render = [], cli._render
 
     def recording(payload, fmt):
         payloads.append(payload)
         return render(payload, fmt)
 
-    render = cli._render
     monkeypatch.setattr(cli, "_render", recording)
     for argv in (
         ["certify", "--n", "12", "--a", "7", "--r", "3"],
