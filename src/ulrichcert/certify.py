@@ -145,13 +145,17 @@ def chi_integrality_check(n: int, a: int, r: int) -> bool:
 
 def certify_line_bundle(ctx: ChiProfile) -> Certificate:
     """Rank-1 certificate: the interval of admissible twists is empty."""
+    return _line_bundle(ctx, _ci_input(ctx))
+
+
+def _line_bundle(ctx: ChiProfile, echo: dict) -> Certificate:
     if ctx.r != 1:
         raise ValueError("line-bundle certificate needs r = 1")
     lower = ctx.m * (ctx.a - 1) + ctx.S - ctx.s
     upper = ctx.a - 1
     empty = lower > upper
     return Certificate(
-        input=_ci_input(ctx),
+        input=echo,
         branch=BRANCH_RANK1,
         witnesses={"interval": [lower, upper]},
         hypotheses_attested=(),
@@ -194,10 +198,16 @@ def _excluded_type(degrees: tuple) -> str | None:
 def certify_complete_intersection(ctx: ChiProfile) -> Certificate:
     """Decide non-existence of rank <= 3 Ulrich bundles for a Veronese
     embedding of a complete intersection of dimension >= 4."""
+    return _certify(ctx, _ci_input(ctx))
+
+
+def _certify(ctx: ChiProfile, echo: dict) -> Certificate:
+    """certify_complete_intersection with ``echo`` as the recorded input, so
+    that only the input a certificate keeps is built and frozen."""
     if ctx.r == 1:
         if ctx.m < 1:
             raise OutOfTheoremScope("need m >= 1")
-        return certify_line_bundle(ctx)
+        return _line_bundle(ctx, echo)
     if ctx.m < 4:
         raise OutOfTheoremScope("pipeline needs dimension m >= 4")
 
@@ -211,7 +221,7 @@ def certify_complete_intersection(ctx: ChiProfile) -> Certificate:
         excluded = _excluded_type(ctx.degrees)
         if excluded is not None:
             return Certificate(
-                input=_ci_input(ctx),
+                input=echo,
                 branch=BRANCH_INCONCLUSIVE,
                 witnesses={"excluded_type": excluded},
                 hypotheses_attested=(ATTEST_VERY_GENERAL,),
@@ -230,7 +240,7 @@ def certify_complete_intersection(ctx: ChiProfile) -> Certificate:
     if v <= 0:
         raise InternalContradiction(f"gap value {v} <= 0 at {reduced.degrees}")
     return Certificate(
-        input=_ci_input(ctx),
+        input=echo,
         branch=BRANCH_CHI_MISMATCH,
         witnesses={
             "delta_chi": scalar_str(delta_chi),
@@ -265,9 +275,7 @@ def certify_veronese(n: int, a: int, r: int) -> Certificate:
             hypotheses_attested=(),
             conclusion=NONEXISTENT,
         )
-
-    # the witnesses are frozen already; _replace keeps them as they are
-    return certify_complete_intersection(profile)._replace(input=_frozen(echo))
+    return _certify(profile, echo)
 
 
 def replay(cert: Certificate) -> Certificate:

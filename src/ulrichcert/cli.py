@@ -10,6 +10,10 @@ selftest          run the full acceptance suite
 
 Exit codes: 0 all checks passed / certificate produced; 2 the input was
 rejected (OutOfTheoremScope) before any computation; 1 anything else.
+
+One table gives each subcommand's flags and builds the argparse parsers.
+``_parse`` answers a plain ``<command> --flag value ...`` argv from the table
+and hands any other argv (help, errors, other spellings) to argparse.
 """
 
 from __future__ import annotations
@@ -252,70 +256,97 @@ def _cmd_verify_appendix(args) -> int:
     return 0 if not failed else 1
 
 
-def _add_output_flags(sub) -> None:
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--output", help="write the report to this path instead of stdout")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     return _parsers()[0]
 
 
 @lru_cache(maxsize=None)
 def _parsers() -> tuple:
-    """The top-level parser and its subcommands' parsers by name, built once."""
+    """The top-level parser, its subcommands' parsers by name, and each
+    subcommand's table route: (defaults, store flags, required flags), built
+    once from the table below.  A flag there is its ``add_argument`` keywords;
+    the ``store_true`` switch ``--full-grids`` is left to argparse."""
+    output = {
+        "--format": dict(choices=("text", "json"), default="text"),
+        "--output": dict(help="write the report to this path instead of stdout"),
+    }
+    needed = dict(type=int, required=True)
+    table = {
+        "verify-appendix": ("run the identity checkers over a grid", _cmd_verify_appendix, {
+            "--a": dict(default="2..6", help="twist range, e.g. 2..6"),
+            "--s": dict(default="4..7", help="codimension range, e.g. 4..7"),
+            "--d-max": dict(type=int, default=4, dest="d_max", help="degree grid bound for positivity"),
+            "--full-grids": dict(action="store_true", help="include every positivity grid value"),
+        }),
+        "certify": ("certify a Veronese input (n, a, r)", _cmd_certify,
+                    {"--n": needed, "--a": needed, "--r": needed}),
+        "certify-ci": ("certify a complete-intersection input", _cmd_certify_ci, {
+            "--degrees": dict(required=True, help="comma-separated degrees, e.g. 2,2"),
+            "--a": needed, "--r": needed, "--m": dict(type=int, default=4),
+        }),
+        "chi": ("print exact chi values at one twist", _cmd_chi, {
+            "--degrees": dict(required=True), "--a": needed, "--r": needed, "--ell": needed,
+            "--m": dict(type=int, default=4),
+        }),
+        "selftest": ("run the full acceptance suite", _cmd_selftest, {}),
+    }
     parser = argparse.ArgumentParser(
         prog="ulrichcert",
         description="Exact non-existence certificates for low-rank Ulrich bundles "
         "on Veronese embeddings of complete intersections.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    routes = {}
+    for command, (help_text, handler, flags) in table.items():
+        p = sub.add_parser(command, help=help_text)
+        defaults, store = {"command": command, "handler": handler}, {}
+        for name, spec in {**flags, **output}.items():
+            p.add_argument(name, **spec)
+            dest, kind = spec.get("dest", name[2:].replace("-", "_")), spec.get("type", str)
+            default = spec.get("default", False if "action" in spec else None)
+            # argparse passes a string default through the flag's type
+            defaults[dest] = kind(default) if isinstance(default, str) else default
+            if "action" not in spec:
+                store[name] = dest, kind, spec.get("choices")
+        p.set_defaults(handler=handler)
+        required = {name for name, spec in flags.items() if spec.get("required")}
+        routes[command] = defaults, store, required
+    return parser, sub.choices, routes
 
-    p = sub.add_parser("verify-appendix", help="run the identity checkers over a grid")
-    p.add_argument("--a", default="2..6", help="twist range, e.g. 2..6")
-    p.add_argument("--s", default="4..7", help="codimension range, e.g. 4..7")
-    p.add_argument("--d-max", type=int, default=4, dest="d_max", help="degree grid bound for positivity")
-    p.add_argument("--full-grids", action="store_true", help="include every positivity grid value")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_verify_appendix)
 
-    p = sub.add_parser("certify", help="certify a Veronese input (n, a, r)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_certify)
-
-    p = sub.add_parser("certify-ci", help="certify a complete-intersection input")
-    p.add_argument("--degrees", required=True, help="comma-separated degrees, e.g. 2,2")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, default=4)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_certify_ci)
-
-    p = sub.add_parser("chi", help="print exact chi values at one twist")
-    p.add_argument("--degrees", required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--m", type=int, default=4)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_chi)
-
-    p = sub.add_parser("selftest", help="run the full acceptance suite")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_selftest)
-
-    return parser, sub.choices
+def _from_table(pairs: list, defaults: dict, store: dict, required: set) -> argparse.Namespace | None:
+    """The Namespace of ``--flag value`` pairs, or None where argparse must decide."""
+    given = dict(zip(pairs[::2], pairs[1::2]))
+    if len(pairs) != 2 * len(given) or not required <= given.keys() <= store.keys():
+        return None
+    values = dict(defaults)
+    for name, text in given.items():
+        dest, kind, choices = store[name]
+        try:
+            values[dest] = value = kind(text)
+        except ValueError:
+            return None
+        if text[:1] == "-" or choices is not None and value not in choices:
+            return None
+    return argparse.Namespace(**values)
 
 
 def _parse(argv: list) -> argparse.Namespace:
-    """The top-level ``parse_args(argv)``, but a subcommand's own parser alone parses its arguments."""
-    parser, commands = _parsers()
+    """What the top-level ``parse_args(argv)`` returns.
+
+    The flag table answers an argv of the shape ``<command> (--flag value)*``
+    when each flag is an exact ``--name`` of a store flag of that command,
+    given once, each value does not start with ``-``, converts with its flag's
+    type and is among its choices, and every required flag is present.  Any
+    other argv goes to argparse: the subcommand's own parser parses its
+    arguments, and leftovers go to the top-level parser's error."""
+    parser, commands, routes = _parsers()
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
+    args = _from_table(argv[1:], *routes[argv[0]])
+    if args is not None:
+        return args
     args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")

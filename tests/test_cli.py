@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -133,6 +135,71 @@ def test_rejected_argv_reads_as_through_the_top_level_parser(capsys):
     # argparse accepts --d-max 0 and the command rejects it
     assert main(["verify-appendix", "--d-max", "0"]) == 2
     assert capsys.readouterr() == ("", "error: --d-max must be >= 1\n")
+
+
+def _outcome(parse, argv: list):
+    """The Namespace that ``parse(argv)`` returns, or the exit code, stdout and
+    stderr of the SystemExit it raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+_FLAGS = ("--a", "--s", "--d-max", "--full-grids", "--format", "--output", "--n", "--r", "--degrees", "--m", "--ell")
+_VALUES = st.sampled_from(("5", "12", "0", " 7", "+4", "1_0", "-3", "", "x", "json", "xml", "2..6", "3,2"))
+
+
+@st.composite
+def _argv_tokens(draw):
+    """One piece of an argv: a flag and its value (exact, in ``=`` form,
+    abbreviated or repeated), or a lone ``--``, ``-h``, flag or value."""
+    flag, value = draw(st.sampled_from(_FLAGS)), draw(_VALUES | st.integers(-2, 12).map(str) | st.just("-h"))
+    kind = draw(st.sampled_from(("exact", "exact", "exact", "equals", "abbreviated", "repeated", "lone")))
+    if kind == "equals":
+        return [f"{flag}={value}"]
+    if kind == "abbreviated":
+        return [flag[: draw(st.integers(3, len(flag) - 1))] if len(flag) > 3 else flag, value]
+    if kind == "repeated":
+        return [flag, value, flag, draw(_VALUES)]
+    if kind == "lone":
+        return [draw(st.sampled_from(("--", "-h", flag, value)))]
+    return [flag, value]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from(("verify-appendix", "certify", "certify-ci", "chi", "selftest", "-h", "bogus")),
+    st.lists(_argv_tokens(), max_size=7),
+)
+@example("certify", [["--n", "7"], ["--a", "3"], ["--r", "2"], ["--format", "json"]])
+@example("certify", [["--n", "7"], ["--n", "8"], ["--a", "3"], ["--r", "2"]])
+@example("chi", [["--degrees", "3"], ["--a", "2"], ["--r", "3"], ["--ell", "-1"]])
+@example("certify-ci", [["--degrees", ""], ["--a", "3"], ["--r", "2"], ["--m", " 7"]])
+@example("certify-ci", [["--degrees", "-3"], ["--a", "3"], ["--r", "2"]])
+@example("certify-ci", [["--degrees", "-h"], ["--a", "3"], ["--r", "2"]])
+@example("verify-appendix", [["--d-max", "+4"], ["--a", "2..6"], ["--output", "x"]])
+def test_parse_matches_parse_args(command, pieces):
+    argv = [command, *(token for piece in pieces for token in piece)]
+    assert _outcome(cli._parse, argv) == _outcome(cli._build_parser().parse_args, argv), argv
+
+
+def test_workload_argvs_are_answered_by_the_table(monkeypatch):
+    # every seed-0 benchmark argv takes the table route, which never calls argparse
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argvs = [argv for name in ("veronese", "ci-mixed", "appendix") for argv in workloads.operations(name, 0)]
+    expected = [cli._build_parser().parse_args(argv) for argv in argvs]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("argparse parsed a workload argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refused)
+    assert [cli._parse(argv) for argv in argvs] == expected
 
 
 _json_text = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u2603\U0001d11e') | st.characters())
