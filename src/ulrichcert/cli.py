@@ -13,7 +13,8 @@ rejected (OutOfTheoremScope) before any computation; 1 anything else.
 
 One table gives each subcommand's flags and builds the argparse parsers.
 ``_parse`` answers a plain ``<command> --flag value ...`` argv from the table
-and hands any other argv (help, errors, other spellings) to argparse.
+and hands any other argv (help, errors, other spellings) to the top-level
+argparse parser.
 """
 
 from __future__ import annotations
@@ -262,10 +263,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 @lru_cache(maxsize=None)
 def _parsers() -> tuple:
-    """The top-level parser, its subcommands' parsers by name, and each
-    subcommand's table route: (defaults, store flags, required flags), built
-    once from the table below.  A flag there is its ``add_argument`` keywords;
-    the ``store_true`` switch ``--full-grids`` is left to argparse."""
+    """The top-level parser and each subcommand's table route: (defaults,
+    store flags, required flags), built once from the table below.  A flag
+    there is its ``add_argument`` keywords; the ``store_true`` switch
+    ``--full-grids`` is left to argparse."""
     output = {
         "--format": dict(choices=("text", "json"), default="text"),
         "--output": dict(help="write the report to this path instead of stdout"),
@@ -311,7 +312,7 @@ def _parsers() -> tuple:
         p.set_defaults(handler=handler)
         required = {name for name, spec in flags.items() if spec.get("required")}
         routes[command] = defaults, store, required
-    return parser, sub.choices, routes
+    return parser, routes
 
 
 def _from_table(pairs: list, defaults: dict, store: dict, required: set) -> argparse.Namespace | None:
@@ -338,19 +339,11 @@ def _parse(argv: list) -> argparse.Namespace:
     when each flag is an exact ``--name`` of a store flag of that command,
     given once, each value does not start with ``-``, converts with its flag's
     type and is among its choices, and every required flag is present.  Any
-    other argv goes to argparse: the subcommand's own parser parses its
-    arguments, and leftovers go to the top-level parser's error."""
-    parser, commands, routes = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = _from_table(argv[1:], *routes[argv[0]])
-    if args is not None:
-        return args
-    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    other argv goes to the top-level ``parse_args``."""
+    parser, routes = _parsers()
+    route = routes.get(argv[0]) if argv else None
+    args = _from_table(argv[1:], *route) if route else None
+    return args if args is not None else parser.parse_args(argv)
 
 
 def main(argv=None) -> int:

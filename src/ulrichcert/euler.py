@@ -88,15 +88,12 @@ def koszul_coefficients(degrees: tuple) -> tuple:
     subset degree sum is the number of subsets with that sum, signed by
     (-1)^size, and the first pair is (0, 1).  Cached, because one
     certificate reads the same pairs from every chi_ci and chi_subvariety
-    call.  Each run of k equal degrees d is one factor (1 - x^d)^k, expanded
-    by stepped binomials, so s equal degrees cost O(s)."""
+    call."""
     coeffs = {0: 1}
-    for d in set(degrees):
-        k, out, c = degrees.count(d), dict(coeffs), 1
-        for i in range(1, k + 1):
-            c, step = -c * (k - i + 1) // i, i * d  # (-1)^i C(k, i) at x^(i d)
-            for shift, v in coeffs.items():
-                out[shift + step] = out.get(shift + step, 0) + c * v
+    for d in degrees:
+        out = dict(coeffs)
+        for shift, c in coeffs.items():
+            out[shift + d] = out.get(shift + d, 0) - c
         coeffs = out
     return tuple(sorted((shift, c) for shift, c in coeffs.items() if c))
 

@@ -281,7 +281,7 @@ def test_koszul_coefficients_match_bitmask_enumeration():
     rng = random.Random(19)
     tuples = [(3,) * 10, (1,) * 10, (5, 4, 1, 1), tuple(range(10, 0, -1))]
     tuples += [tuple(rng.randint(1, 7) for _ in range(rng.randint(1, 10))) for _ in range(20)]
-    # runs of equal degrees, each expanded by binomials
+    # runs of equal degrees
     tuples += [(2,) * 12, (9,) * 11, (1, 1, 4, 4, 4, 1, 4, 1, 1, 4, 4, 1), (3, 3, 2, 2, 2, 5, 5, 5, 5, 1, 3, 2)]
     tuples += [tuple(rng.choice((1, 2, 3, 6)) for _ in range(rng.randint(2, 12))) for _ in range(20)]
     for degrees in tuples:
