@@ -11,10 +11,10 @@ selftest          run the full acceptance suite
 Exit codes: 0 all checks passed / certificate produced; 2 the input was
 rejected (OutOfTheoremScope) before any computation; 1 anything else.
 
-One table gives each subcommand's flags and builds the argparse parsers.
-``_parse`` answers a plain ``<command> --flag value ...`` argv from the table
-and hands any other argv (help, errors, other spellings) to the top-level
-argparse parser.
+``_COMMANDS`` writes each subcommand's flags once, as ``add_argument`` keywords.
+``_parse`` answers a plain ``<command> --flag value ...`` argv from it directly;
+any other argv (help, errors, other spellings) goes to the top-level argparse
+parser, built from the same table the first time such an argv arrives.
 """
 
 from __future__ import annotations
@@ -257,93 +257,92 @@ def _cmd_verify_appendix(args) -> int:
     return 0 if not failed else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
+_OUTPUT_FLAGS = {
+    "--format": dict(choices=("text", "json"), default="text"),
+    "--output": dict(help="write the report to this path instead of stdout"),
+}
+_NEEDED = dict(type=int, required=True)
+
+#: Each subcommand's help, handler and flags; a flag is its ``add_argument``
+#: keywords.  ``_build_parser`` and ``_from_table`` both read this table.
+_COMMANDS = {
+    "verify-appendix": ("run the identity checkers over a grid", _cmd_verify_appendix, {
+        "--a": dict(default="2..6", help="twist range, e.g. 2..6"),
+        "--s": dict(default="4..7", help="codimension range, e.g. 4..7"),
+        "--d-max": dict(type=int, default=4, dest="d_max", help="degree grid bound for positivity"),
+        "--full-grids": dict(action="store_true", default=False, help="include every positivity grid value"),
+        **_OUTPUT_FLAGS,
+    }),
+    "certify": ("certify a Veronese input (n, a, r)", _cmd_certify, {
+        "--n": _NEEDED, "--a": _NEEDED, "--r": _NEEDED, **_OUTPUT_FLAGS,
+    }),
+    "certify-ci": ("certify a complete-intersection input", _cmd_certify_ci, {
+        "--degrees": dict(required=True, help="comma-separated degrees, e.g. 2,2"),
+        "--a": _NEEDED, "--r": _NEEDED, "--m": dict(type=int, default=4), **_OUTPUT_FLAGS,
+    }),
+    "chi": ("print exact chi values at one twist", _cmd_chi, {
+        "--degrees": dict(required=True), "--a": _NEEDED, "--r": _NEEDED, "--ell": _NEEDED,
+        "--m": dict(type=int, default=4), **_OUTPUT_FLAGS,
+    }),
+    "selftest": ("run the full acceptance suite", _cmd_selftest, _OUTPUT_FLAGS),
+}
 
 
 @lru_cache(maxsize=None)
-def _parsers() -> tuple:
-    """The top-level parser and each subcommand's table route: (defaults,
-    store flags, required flags), built once from the table below.  A flag
-    there is its ``add_argument`` keywords; the ``store_true`` switch
-    ``--full-grids`` is left to argparse."""
-    output = {
-        "--format": dict(choices=("text", "json"), default="text"),
-        "--output": dict(help="write the report to this path instead of stdout"),
-    }
-    needed = dict(type=int, required=True)
-    table = {
-        "verify-appendix": ("run the identity checkers over a grid", _cmd_verify_appendix, {
-            "--a": dict(default="2..6", help="twist range, e.g. 2..6"),
-            "--s": dict(default="4..7", help="codimension range, e.g. 4..7"),
-            "--d-max": dict(type=int, default=4, dest="d_max", help="degree grid bound for positivity"),
-            "--full-grids": dict(action="store_true", help="include every positivity grid value"),
-        }),
-        "certify": ("certify a Veronese input (n, a, r)", _cmd_certify,
-                    {"--n": needed, "--a": needed, "--r": needed}),
-        "certify-ci": ("certify a complete-intersection input", _cmd_certify_ci, {
-            "--degrees": dict(required=True, help="comma-separated degrees, e.g. 2,2"),
-            "--a": needed, "--r": needed, "--m": dict(type=int, default=4),
-        }),
-        "chi": ("print exact chi values at one twist", _cmd_chi, {
-            "--degrees": dict(required=True), "--a": needed, "--r": needed, "--ell": needed,
-            "--m": dict(type=int, default=4),
-        }),
-        "selftest": ("run the full acceptance suite", _cmd_selftest, {}),
-    }
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level argparse parser, built once from ``_COMMANDS`` for an argv the table does not answer."""
     parser = argparse.ArgumentParser(
         prog="ulrichcert",
         description="Exact non-existence certificates for low-rank Ulrich bundles "
         "on Veronese embeddings of complete intersections.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    routes = {}
-    for command, (help_text, handler, flags) in table.items():
+    for command, (help_text, handler, flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        defaults, store = {"command": command, "handler": handler}, {}
-        for name, spec in {**flags, **output}.items():
+        for name, spec in flags.items():
             p.add_argument(name, **spec)
-            dest, kind = spec.get("dest", name[2:].replace("-", "_")), spec.get("type", str)
-            default = spec.get("default", False if "action" in spec else None)
-            # argparse passes a string default through the flag's type
-            defaults[dest] = kind(default) if isinstance(default, str) else default
-            if "action" not in spec:
-                store[name] = dest, kind, spec.get("choices")
         p.set_defaults(handler=handler)
-        required = {name for name, spec in flags.items() if spec.get("required")}
-        routes[command] = defaults, store, required
-    return parser, routes
+    return parser
 
 
-def _from_table(pairs: list, defaults: dict, store: dict, required: set) -> argparse.Namespace | None:
-    """The Namespace of ``--flag value`` pairs, or None where argparse must decide."""
-    given = dict(zip(pairs[::2], pairs[1::2]))
-    if len(pairs) != 2 * len(given) or not required <= given.keys() <= store.keys():
+def _from_table(argv: list) -> argparse.Namespace | None:
+    """The Namespace of ``<command> (--flag value)*``, or None where argparse must decide."""
+    if not argv or argv[0] not in _COMMANDS:
         return None
-    values = dict(defaults)
-    for name, text in given.items():
-        dest, kind, choices = store[name]
+    _, handler, flags = _COMMANDS[argv[0]]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(argv) != 1 + 2 * len(given) or not given.keys() <= flags.keys():
+        return None
+    values = {"command": argv[0], "handler": handler}
+    for name, spec in flags.items():
+        dest, kind = spec.get("dest", name[2:].replace("-", "_")), spec.get("type", str)
+        text = given.get(name)
+        if text is None:
+            if spec.get("required"):
+                return None
+            # argparse passes a string default through the flag's type
+            default = spec.get("default")
+            values[dest] = kind(default) if isinstance(default, str) else default
+            continue
+        if "action" in spec or text[:1] == "-":
+            return None
         try:
             values[dest] = value = kind(text)
         except ValueError:
             return None
-        if text[:1] == "-" or choices is not None and value not in choices:
+        if "choices" in spec and value not in spec["choices"]:
             return None
     return argparse.Namespace(**values)
 
 
 def _parse(argv: list) -> argparse.Namespace:
-    """What the top-level ``parse_args(argv)`` returns.
-
-    The flag table answers an argv of the shape ``<command> (--flag value)*``
-    when each flag is an exact ``--name`` of a store flag of that command,
-    given once, each value does not start with ``-``, converts with its flag's
-    type and is among its choices, and every required flag is present.  Any
-    other argv goes to the top-level ``parse_args``."""
-    parser, routes = _parsers()
-    route = routes.get(argv[0]) if argv else None
-    args = _from_table(argv[1:], *route) if route else None
-    return args if args is not None else parser.parse_args(argv)
+    """What the top-level ``parse_args(argv)`` returns: ``_from_table``'s Namespace
+    for an argv of the shape ``<command> (--flag value)*`` in which each flag is
+    an exact ``--name`` of a store flag of that command, given once, each value
+    does not start with ``-``, converts with its flag's type and is among its
+    choices, and every required flag is present; else the argparse parser's."""
+    args = _from_table(argv)
+    return args if args is not None else _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

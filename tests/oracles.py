@@ -5,11 +5,13 @@ enumeration, no orbit counting, no shared code with the fast paths it
 checks.
 """
 
+import argparse
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
+from ulrichcert import cli
 from ulrichcert.exactcore import SparsePoly
 
 
@@ -274,3 +276,60 @@ def brute_noether_chain(a: int, r: int, s: int, S, S2, d, chi0=None, chi1=None) 
             + (4 * S - 4 * s - 20 + 15 * a) * kzh
         )
     return e, degz, kz, kzh, kz2, c2z, Fraction(1, 12) * (kz2 + c2z)
+
+
+def _add_output_flags(sub):
+    sub.add_argument("--format", choices=("text", "json"), default="text")
+    sub.add_argument("--output", help="write the report to this path instead of stdout")
+
+
+@lru_cache(maxsize=None)
+def literal_parser():
+    """The CLI's argparse parser written out call by call, as it was before
+    its flags moved into a table: the reference for the help, usage and error
+    bytes of the parser that ``cli`` builds from its table.  The handlers are
+    ``cli``'s."""
+    parser = argparse.ArgumentParser(
+        prog="ulrichcert",
+        description="Exact non-existence certificates for low-rank Ulrich bundles "
+        "on Veronese embeddings of complete intersections.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("verify-appendix", help="run the identity checkers over a grid")
+    p.add_argument("--a", default="2..6", help="twist range, e.g. 2..6")
+    p.add_argument("--s", default="4..7", help="codimension range, e.g. 4..7")
+    p.add_argument("--d-max", type=int, default=4, dest="d_max", help="degree grid bound for positivity")
+    p.add_argument("--full-grids", action="store_true", help="include every positivity grid value")
+    _add_output_flags(p)
+    p.set_defaults(handler=cli._cmd_verify_appendix)
+
+    p = sub.add_parser("certify", help="certify a Veronese input (n, a, r)")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--r", type=int, required=True)
+    _add_output_flags(p)
+    p.set_defaults(handler=cli._cmd_certify)
+
+    p = sub.add_parser("certify-ci", help="certify a complete-intersection input")
+    p.add_argument("--degrees", required=True, help="comma-separated degrees, e.g. 2,2")
+    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--m", type=int, default=4)
+    _add_output_flags(p)
+    p.set_defaults(handler=cli._cmd_certify_ci)
+
+    p = sub.add_parser("chi", help="print exact chi values at one twist")
+    p.add_argument("--degrees", required=True)
+    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--m", type=int, default=4)
+    _add_output_flags(p)
+    p.set_defaults(handler=cli._cmd_chi)
+
+    p = sub.add_parser("selftest", help="run the full acceptance suite")
+    _add_output_flags(p)
+    p.set_defaults(handler=cli._cmd_selftest)
+
+    return parser

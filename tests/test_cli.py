@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import literal_parser
 
 from ulrichcert import cli, identities
 from ulrichcert.certify import NONEXISTENT, Certificate, replay_matches
@@ -137,6 +138,16 @@ def test_rejected_argv_reads_as_through_the_top_level_parser(capsys):
     assert capsys.readouterr() == ("", "error: --d-max must be >= 1\n")
 
 
+def test_parser_bytes_match_the_literal_parser():
+    # help, usage and error text as the parser written out call by call prints it
+    subcommands = ("verify-appendix", "certify", "certify-ci", "chi", "selftest")
+    argvs = [["--help"], *([command, "--help"] for command in subcommands), [], ["bogus"], *REJECTED]
+    for argv in argvs:
+        expected = _outcome(literal_parser().parse_args, argv)
+        assert isinstance(expected, tuple) and "usage: ulrichcert" in expected[1] + expected[2], argv
+        assert _outcome(cli._build_parser().parse_args, argv) == expected, argv
+
+
 def _outcome(parse, argv: list):
     """The Namespace that ``parse(argv)`` returns, or the exit code, stdout and
     stderr of the SystemExit it raises."""
@@ -181,9 +192,12 @@ def _argv_tokens(draw):
 @example("certify-ci", [["--degrees", "-3"], ["--a", "3"], ["--r", "2"]])
 @example("certify-ci", [["--degrees", "-h"], ["--a", "3"], ["--r", "2"]])
 @example("verify-appendix", [["--d-max", "+4"], ["--a", "2..6"], ["--output", "x"]])
+@example("verify-appendix", [["--full-grids", "x"], ["--s", "4"]])
 def test_parse_matches_parse_args(command, pieces):
     argv = [command, *(token for piece in pieces for token in piece)]
-    assert _outcome(cli._parse, argv) == _outcome(cli._build_parser().parse_args, argv), argv
+    outcome = _outcome(cli._parse, argv)
+    assert outcome == _outcome(cli._build_parser().parse_args, argv), argv
+    assert outcome == _outcome(literal_parser().parse_args, argv), argv
 
 
 def test_workload_argvs_are_answered_by_the_table(monkeypatch):
@@ -194,10 +208,12 @@ def test_workload_argvs_are_answered_by_the_table(monkeypatch):
     spec.loader.exec_module(workloads)
     argvs = [argv for name in ("veronese", "ci-mixed", "appendix") for argv in workloads.operations(name, 0)]
     expected = [cli._build_parser().parse_args(argv) for argv in argvs]
+    cli._build_parser.cache_clear()
 
     def refused(*args, **kwargs):
-        raise AssertionError("argparse parsed a workload argv")
+        raise AssertionError("argparse built a parser or parsed a workload argv")
 
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refused)
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refused)
     assert [cli._parse(argv) for argv in argvs] == expected
 
