@@ -16,7 +16,8 @@ prod_i (1 - x^{d_i}) rather than over the 2^s subsets: at most S + 1 terms,
 s + 1 when the degrees are equal, so the cost is polynomial in s.  Each sum
 walks its shifts in order and steps one integer falling product from shift
 to shift (exactcore.stepped_binom_numerator).  Each chi value is one integer
-numerator over one denominator, made into one Fraction at the end.
+numerator over one denominator, made into one Fraction at the end; chi_subvariety
+checks it against chi(O_X) by Hirzebruch-Riemann-Roch in power sums (:mod:`.hrr`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from functools import lru_cache
 from math import factorial, lcm, prod
 
 from .errors import InternalContradiction, OutOfTheoremScope
-from .exactcore import ScalarLike, SparsePoly, binom, falling, stepped_binom_numerator
+from .exactcore import ScalarLike, SparsePoly, binom, stepped_binom_numerator
+from .hrr import chi_numerators, todd_table
 from .symmetric import BasisExpr, from_basis, p_times_coeffs, partitions_of, times_all_vars
 from .symmetric import m1_times  # noqa: F401 - the benchmark tracer wraps euler.m1_times
 
@@ -130,40 +132,34 @@ def chi_subvariety(ell: ScalarLike, profile: ChiProfile, u: ScalarLike) -> Fract
 
     u is the hyperplane coefficient of the bundle's determinant, supplied by
     the invariants layer (it can be a non-integer rational when r is odd).
-    Route 1, the closed display, sums its terms as integers over
-    den**n * n!, den the common denominator of ell and u.  It is
-    cross-checked against route 2, the three-term
-    chi(O_X(ell)) - chi(E(ell-u)) + (r-1) chi(O_X(ell-u)),
-    summed from the int cores of chi_ci and chi_ulrich over the same
-    denominator; route 1 never calls them, so it exercises disjoint code.
+    The value is route 2, the three-term chi(O_X(ell)) - chi(E(ell-u)) +
+    (r-1) chi(O_X(ell-u)) summed from the int cores of chi_ci and chi_ulrich
+    over den**n * n!, den the common denominator of ell and u.  Route 1 takes
+    chi(O_X) at ell and ell - u by Hirzebruch-Riemann-Roch in power sums
+    (:mod:`.hrr`) and sums no Koszul term; the two must agree cross-multiplied.
     """
     m = profile.m
     n = m + profile.s
-    r, a = profile.r, profile.a
+    r, d = profile.r, profile.d
     den = lcm(ell.denominator, u.denominator)
     L = ell.numerator * (den // ell.denominator)
     U = u.numerator * (den // u.denominator)
 
-    block = r * profile.d
+    F = todd_table(m)[0]  # route 1 is F * m! * den**m * chi(O_Z(ell))
+    at_ell, at_shift = chi_numerators(m, profile.degrees, (L, L - U), den)
+    block = r * d
     for j in range(1, m + 1):
-        block *= U - L - j * a * den
-    top = falling(L + n * den, den, n)
-    top += (-1) ** (m + 1) * block * den ** (n - m) * (factorial(n) // factorial(m))
-    coeffs = koszul_coefficients(profile.degrees)[1:]  # shift 0 is in the products above
-    top += (-1) ** n * (
-        (r - 1) * falling(U - L - den, den, n)
-        + stepped_binom_numerator(-L - den, den, coeffs, n)
-        + (r - 1) * stepped_binom_numerator(U - L - den, den, coeffs, n)
-    )
+        block *= L - U + j * profile.a * den
+    top = d * factorial(m) * (at_ell + (r - 1) * at_shift) - F * block
 
     other = (
         _ci_numerator(L, den, profile)
         - _ulrich_numerator(L - U, den, profile) * den ** (n - m) * (factorial(n) // factorial(m))
         + (r - 1) * _ci_numerator(L - U, den, profile)
     )
-    if other != top:
+    if other * F != top * den ** (n - m) * (factorial(n) // factorial(m)):
         raise InternalContradiction(f"chi routes disagree at ell={ell}: numerators {top} vs {other}")
-    return Fraction(top, den**n * factorial(n))
+    return Fraction(other, den**n * factorial(n))
 
 
 # ---------------------------------------------------------------------------

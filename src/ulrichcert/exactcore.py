@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, log10
 from operator import add
 
 #: Arbitrary-precision rational scalar.  ``Fraction`` already guarantees the
@@ -23,17 +23,43 @@ ExactScalar = Fraction
 ScalarLike = int | Fraction
 
 
+_CHUNK = 600  # digits per str() or int() call: under 640, the least limit sys.set_int_max_str_digits takes
+
+
+def _int_str(x: int) -> str:
+    """str(x) at any size: split at a power of 10, the low half zero-padded."""
+    if x.bit_length() <= 3 * _CHUNK:
+        return str(x)
+    if x < 0:
+        return "-" + _int_str(-x)
+    width = int(x.bit_length() * log10(2)) // 2
+    high, low = divmod(x, 10**width)
+    return _int_str(high) + _int_str(low).zfill(width)
+
+
+def _parse_int(text: str) -> int:
+    """int(text) at any size, for ASCII digits with an optional leading "-"."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer literal of {len(text)} characters")
+    value = 0
+    for i in range(0, len(digits), _CHUNK):
+        value = value * 10 ** len(digits[i : i + _CHUNK]) + int(digits[i : i + _CHUNK])
+    return -value if len(digits) < len(text) else value
+
+
 def scalar_str(x: ScalarLike) -> str:
-    """Render a rational as ``"p/q"``, or ``"p"`` when the denominator is 1."""
+    """Render a rational as ``"p/q"``, or ``"p"`` when the denominator is 1, at any size."""
     x = x if isinstance(x, Fraction) else Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _int_str(x.numerator)
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
 
 
 def parse_scalar(text: str) -> Fraction:
-    """Inverse of :func:`scalar_str`."""
-    return Fraction(text)
+    """Inverse of :func:`scalar_str`, at any size."""
+    num, slash, den = text.partition("/")
+    return Fraction(_parse_int(num), _parse_int(den) if slash else 1)
 
 
 def binom(q: ScalarLike, m: int) -> Fraction:

@@ -133,7 +133,7 @@ def test_chi_subvariety_routes_agree_on_random_samples():
         ell = rng.randint(-4, 4)
         ctx = ChiProfile(m, degrees, a, r)
         u = c1_coeff(ctx)
-        # chi_subvariety cross-asserts the closed display against the
+        # chi_subvariety cross-asserts its HRR route against the Koszul
         # three-term route and raises on any disagreement
         chi_subvariety(ell, ctx, u)
 
@@ -359,21 +359,33 @@ CORES = {
 }
 
 
-@pytest.mark.parametrize("name", ["chi_ulrich", "chi_ci"])
+@pytest.mark.parametrize("name", ["chi_ulrich", "chi_ci", "chi_numerators"])
 def test_cross_check_trips_on_a_faulty_route(monkeypatch, capsys, name):
     # route 2 of chi_subvariety sums the int cores of chi_ci and chi_ulrich,
-    # which the closed display never calls, so a fault in either core shows
-    # up as a disagreement of the two routes
-    core_name, core_den = CORES[name]
-    core = getattr(euler, core_name)
+    # and route 1 takes chi(O_X) from the HRR evaluator, which calls no
+    # Koszul code, so a fault in any of the three shows up as a disagreement
+    # of the two routes
     profile = ChiProfile(4, (3, 2), 2, 3)
-    for ell in (Fraction(0), Fraction(-7, 2), Fraction(5, 3)):
-        value = getattr(euler, name)(ell, profile)
-        p, q = ell.numerator, ell.denominator
-        assert value == Fraction(core(p, q, profile), core_den(q, profile))
-        # an unreduced (p, q) gives the same value over its own denominator
-        assert value == Fraction(core(3 * p, 3 * q, profile), core_den(3 * q, profile))
-    monkeypatch.setattr(euler, core_name, lambda *args: core(*args) + 1)
+    if name == "chi_numerators":
+        core = euler.chi_numerators
+        scale = euler.todd_table(4)[0]
+        for ell in (Fraction(0), Fraction(-7, 2), Fraction(5, 3)):
+            p, q = ell.numerator, ell.denominator
+            (value,) = core(4, profile.degrees, (p,), q)
+            assert chi_ci(ell, profile) == Fraction(profile.d * value, scale * q**4)
+            (value,) = core(4, profile.degrees, (3 * p,), 3 * q)
+            assert chi_ci(ell, profile) == Fraction(profile.d * value, scale * (3 * q) ** 4)
+        monkeypatch.setattr(euler, name, lambda *args: tuple(v + 1 for v in core(*args)))
+    else:
+        core_name, core_den = CORES[name]
+        core = getattr(euler, core_name)
+        for ell in (Fraction(0), Fraction(-7, 2), Fraction(5, 3)):
+            value = getattr(euler, name)(ell, profile)
+            p, q = ell.numerator, ell.denominator
+            assert value == Fraction(core(p, q, profile), core_den(q, profile))
+            # an unreduced (p, q) gives the same value over its own denominator
+            assert value == Fraction(core(3 * p, 3 * q, profile), core_den(3 * q, profile))
+        monkeypatch.setattr(euler, core_name, lambda *args: core(*args) + 1)
     profile = ChiProfile(4, (3,), 2, 3)
     with pytest.raises(InternalContradiction):
         chi_subvariety(0, profile, c1_coeff(profile))

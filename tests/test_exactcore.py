@@ -1,3 +1,4 @@
+import sys
 import time
 from fractions import Fraction
 from math import factorial, gcd
@@ -148,6 +149,39 @@ def test_scalar_serialization():
     assert scalar_str(Fraction(-3)) == "-3"
     assert parse_scalar("5/16") == Fraction(5, 16)
     assert parse_scalar("-3") == Fraction(-3)
+
+
+def test_scalar_serialization_past_the_str_digit_limit():
+    # str(int) and int(str) stop at 4300 digits by default (and at as few as
+    # 640 when lowered); witnesses at large n and a pass that size
+    big = 10**5000 + 12345
+    text = scalar_str(big)
+    assert text == "1" + "0" * 4995 + "12345"
+    assert parse_scalar(text) == big
+    assert parse_scalar(scalar_str(-big)) == -big
+    sevens = Fraction(7 * (10**4400 - 1) // 9, 3)
+    assert scalar_str(sevens) == "7" * 4400 + "/3"
+    assert parse_scalar(scalar_str(-sevens)) == -sevens
+    wide = Fraction(3**10000 + 1, 2**20000 + 1)
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    saved = limit() if limit else None
+    try:
+        if limit:
+            sys.set_int_max_str_digits(640)
+        assert parse_scalar(scalar_str(wide)) == wide
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(saved)
+    for bad in ("1" * 700 + "x", "--" + "1" * 700, "1" * 350 + "-" + "1" * 350, "1" * 700 + "/"):
+        with pytest.raises(ValueError):
+            parse_scalar(bad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=20000), st.integers(), st.integers(min_value=1, max_value=10**9))
+def test_scalar_round_trip_at_any_size(bits, low, den):
+    x = Fraction((1 << bits) + low, den)
+    assert parse_scalar(scalar_str(x)) == x
 
 
 def _x(s, i):
