@@ -4,20 +4,18 @@ Everything here is bookkeeping for a rank-r Ulrich bundle on an
 m-dimensional complete intersection X in P^{m+s} of degrees (d_1, ..., d_s),
 polarized by O_X(a), together with its associated codimension-2 subvariety:
 
-* chi of line bundles on projective space and on X (Koszul inclusion-
-  exclusion over subsets of the defining degrees),
+* chi of line bundles on projective space and on X,
 * chi of twists of the Ulrich bundle itself,
 * chi of twists of the structure sheaf of the subvariety, both as an exact
   number and as a polynomial in indeterminate degrees x_1, ..., x_s.
 
-A Koszul term depends on its subset only through the degree sum and the
-parity of the size, so the exact sums run over the coefficients of
-prod_i (1 - x^{d_i}) rather than over the 2^s subsets: at most S + 1 terms,
-s + 1 when the degrees are equal, so the cost is polynomial in s.  Each sum
-walks its shifts in order and steps one integer falling product from shift
-to shift (exactcore.stepped_binom_numerator).  Each chi value is one integer
-numerator over one denominator, made into one Fraction at the end; chi_subvariety
-checks it against chi(O_X) by Hirzebruch-Riemann-Roch in power sums (:mod:`.hrr`).
+chi(O_X(t)) is taken by Hirzebruch-Riemann-Roch in the power sums of the
+degrees (:mod:`.hrr`): O(s m) int work per profile over a table cached per
+m, and no sum over the subsets of the degrees.  Each chi value is one
+integer numerator over one denominator, made into one Fraction at the end.
+chi(O_Z) from here is one route of the certificate's chi mismatch; the
+Noether formula in :mod:`.invariants` is the other, and the certificate
+checks their gap against d * v exactly.
 """
 
 from __future__ import annotations
@@ -27,8 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
 
-from .errors import InternalContradiction, OutOfTheoremScope
-from .exactcore import ScalarLike, SparsePoly, binom, stepped_binom_numerator
+from .errors import OutOfTheoremScope
+from .exactcore import ScalarLike, SparsePoly, binom
 from .hrr import chi_numerators, todd_table
 from .symmetric import BasisExpr, from_basis, p_times_coeffs, partitions_of, times_all_vars
 from .symmetric import m1_times  # noqa: F401 - the benchmark tracer wraps euler.m1_times
@@ -83,34 +81,11 @@ def chi_proj(ell: ScalarLike, m: int) -> Fraction:
     return binom(Fraction(ell) + m, m)
 
 
-@lru_cache(maxsize=16)
-def koszul_coefficients(degrees: tuple) -> tuple:
-    """The coefficients of prod_i (1 - x^{d_i}) as (shift, coefficient)
-    pairs, nonzero ones only, in increasing shift order: the coefficient at a
-    subset degree sum is the number of subsets with that sum, signed by
-    (-1)^size, and the first pair is (0, 1).  Cached, because one
-    certificate reads the same pairs from every chi_ci and chi_subvariety
-    call."""
-    coeffs = {0: 1}
-    for d in degrees:
-        out = dict(coeffs)
-        for shift, c in coeffs.items():
-            out[shift + d] = out.get(shift + d, 0) - c
-        coeffs = out
-    return tuple(sorted((shift, c) for shift, c in coeffs.items() if c))
-
-
-def _ci_numerator(p: int, q: int, profile: ChiProfile) -> int:
-    """q**n * n! * chi(O_X(p/q)) as an int, n = m + s, for any q > 0."""
-    # binom(ell + n - shift, n) = (-1)^n binom(shift - ell - 1, n)
-    n = profile.m + profile.s
-    return (-1) ** n * stepped_binom_numerator(-p - q, q, koszul_coefficients(profile.degrees), n)
-
-
 def chi_ci(ell: ScalarLike, profile: ChiProfile) -> Fraction:
-    """chi of O_X(ell) by inclusion-exclusion over subsets of the degrees."""
-    n, q = profile.m + profile.s, ell.denominator
-    return Fraction(_ci_numerator(ell.numerator, q, profile), q**n * factorial(n))
+    """chi of O_X(ell) by Hirzebruch-Riemann-Roch in power sums (:mod:`.hrr`)."""
+    q = ell.denominator
+    (value,) = chi_numerators(profile.m, profile.degrees, (ell.numerator,), q)
+    return Fraction(profile.d * value, todd_table(profile.m)[0] * q**profile.m)
 
 
 def _ulrich_numerator(p: int, q: int, profile: ChiProfile) -> int:
@@ -132,34 +107,19 @@ def chi_subvariety(ell: ScalarLike, profile: ChiProfile, u: ScalarLike) -> Fract
 
     u is the hyperplane coefficient of the bundle's determinant, supplied by
     the invariants layer (it can be a non-integer rational when r is odd).
-    The value is route 2, the three-term chi(O_X(ell)) - chi(E(ell-u)) +
-    (r-1) chi(O_X(ell-u)) summed from the int cores of chi_ci and chi_ulrich
-    over den**n * n!, den the common denominator of ell and u.  Route 1 takes
-    chi(O_X) at ell and ell - u by Hirzebruch-Riemann-Roch in power sums
-    (:mod:`.hrr`) and sums no Koszul term; the two must agree cross-multiplied.
+    The value is the three-term chi(O_X(ell)) - chi(E(ell-u)) +
+    (r-1) chi(O_X(ell-u)), with chi(O_X) at ell and ell - u by
+    Hirzebruch-Riemann-Roch in power sums (:mod:`.hrr`), as one int
+    numerator over F * m! * den**m, den the common denominator of ell and u.
     """
     m = profile.m
-    n = m + profile.s
-    r, d = profile.r, profile.d
     den = lcm(ell.denominator, u.denominator)
     L = ell.numerator * (den // ell.denominator)
     U = u.numerator * (den // u.denominator)
-
-    F = todd_table(m)[0]  # route 1 is F * m! * den**m * chi(O_Z(ell))
+    F = todd_table(m)[0]
     at_ell, at_shift = chi_numerators(m, profile.degrees, (L, L - U), den)
-    block = r * d
-    for j in range(1, m + 1):
-        block *= L - U + j * profile.a * den
-    top = d * factorial(m) * (at_ell + (r - 1) * at_shift) - F * block
-
-    other = (
-        _ci_numerator(L, den, profile)
-        - _ulrich_numerator(L - U, den, profile) * den ** (n - m) * (factorial(n) // factorial(m))
-        + (r - 1) * _ci_numerator(L - U, den, profile)
-    )
-    if other * F != top * den ** (n - m) * (factorial(n) // factorial(m)):
-        raise InternalContradiction(f"chi routes disagree at ell={ell}: numerators {top} vs {other}")
-    return Fraction(other, den**n * factorial(n))
+    top = profile.d * factorial(m) * (at_ell + (profile.r - 1) * at_shift)
+    return Fraction(top - F * _ulrich_numerator(L - U, den, profile), F * factorial(m) * den**m)
 
 
 # ---------------------------------------------------------------------------

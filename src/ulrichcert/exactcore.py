@@ -83,30 +83,6 @@ def falling(p: int, den: int, m: int) -> int:
     return out
 
 
-def stepped_binom_numerator(p0: int, den: int, pairs: Sequence, m: int) -> int:
-    """den**m * m! * sum_k c_k * binom(p0/den + k, m) over the (k, c_k)
-    ``pairs``, given in increasing integer shift k, as an int.
-
-    (p0, den) need not be in lowest terms (den > 0), so callers can add
-    several sums over one denominator.  The shifts are visited in the
-    order given, carrying the falling product P(p) of :func:`falling`.
-    A gap of at most m shifts is crossed one shift at a time, P(p + den) =
-    P(p)*(p + den)/(p - (m-1)*den); a wider gap, or a zero divisor, forms P
-    from scratch, so no shift costs more than one :func:`falling`.
-    """
-    total, at, prod = 0, None, 1
-    for k, c in pairs:
-        if at is None or k - at > m:
-            prod = falling(p0 + k * den, den, m)
-        else:
-            for p in range(p0 + at * den, p0 + k * den, den):
-                lost = p - (m - 1) * den
-                prod = prod * (p + den) // lost if lost else falling(p + den, den, m)
-        total += c * prod
-        at = k
-    return total
-
-
 def binom_int(q: int, m: int) -> int:
     """Generalized binomial restricted to integer arguments.
 

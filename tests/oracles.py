@@ -12,7 +12,7 @@ from itertools import combinations
 from math import factorial
 
 from ulrichcert import cli
-from ulrichcert.exactcore import SparsePoly
+from ulrichcert.exactcore import SparsePoly, falling
 
 
 def falling_binom(q, m):
@@ -138,6 +138,80 @@ def brute_chi_subvariety(ell, m, degrees, a, r, u):
                 falling_binom(shift - ell - 1, n) + (r - 1) * falling_binom(shift + u - ell - 1, n)
             )
     return total
+
+
+def stepped_binom_numerator(p0: int, den: int, pairs, m: int) -> int:
+    """den**m * m! * sum_k c_k * binom(p0/den + k, m) over the (k, c_k)
+    ``pairs``, given in increasing integer shift k, as an int.
+
+    (p0, den) need not be in lowest terms (den > 0), so callers can add
+    several sums over one denominator.  The shifts are visited in the
+    order given, carrying the falling product P(p) of ``exactcore.falling``.
+    A gap of at most m shifts is crossed one shift at a time, P(p + den) =
+    P(p)*(p + den)/(p - (m-1)*den); a wider gap, or a zero divisor, forms P
+    from scratch, so no shift costs more than one ``falling``.
+    """
+    total, at, prod = 0, None, 1
+    for k, c in pairs:
+        if at is None or k - at > m:
+            prod = falling(p0 + k * den, den, m)
+        else:
+            for p in range(p0 + at * den, p0 + k * den, den):
+                lost = p - (m - 1) * den
+                prod = prod * (p + den) // lost if lost else falling(p + den, den, m)
+        total += c * prod
+        at = k
+    return total
+
+
+@lru_cache(maxsize=16)
+def koszul_coefficients(degrees: tuple) -> tuple:
+    """The coefficients of prod_i (1 - x^{d_i}) as (shift, coefficient)
+    pairs, nonzero ones only, in increasing shift order: the coefficient at a
+    subset degree sum is the number of subsets with that sum, signed by
+    (-1)^size, and the first pair is (0, 1).  Cached and read-only, so
+    every sum over one degree tuple shares the pairs."""
+    coeffs = {0: 1}
+    for d in degrees:
+        out = dict(coeffs)
+        for shift, c in coeffs.items():
+            out[shift + d] = out.get(shift + d, 0) - c
+        coeffs = out
+    return tuple(sorted((shift, c) for shift, c in coeffs.items() if c))
+
+
+def _ci_numerator(p: int, q: int, profile) -> int:
+    """q**n * n! * chi(O_X(p/q)) as an int, n = m + s, for any q > 0, by
+    Koszul inclusion-exclusion over the coefficients of prod_i (1 - x^{d_i})."""
+    # binom(ell + n - shift, n) = (-1)^n binom(shift - ell - 1, n)
+    n = profile.m + profile.s
+    return (-1) ** n * stepped_binom_numerator(-p - q, q, koszul_coefficients(profile.degrees), n)
+
+
+def koszul_chi_ci(ell, profile) -> Fraction:
+    """chi(O_X(ell)) from the stepped Koszul sum."""
+    ell = Fraction(ell)
+    n, q = profile.m + profile.s, ell.denominator
+    return Fraction(_ci_numerator(ell.numerator, q, profile), q**n * factorial(n))
+
+
+def koszul_chi_subvariety(ell, profile, u) -> Fraction:
+    """chi(O_Z(ell)) as the three-term chi(O_X(ell)) - chi(E(ell-u)) +
+    (r-1) chi(O_X(ell-u)), chi(O_X) from the stepped Koszul sums, as one
+    int numerator over den**n * n!, den the common denominator of ell and u."""
+    ell, u = Fraction(ell), Fraction(u)
+    m, n = profile.m, profile.m + profile.s
+    den = ell.denominator * u.denominator
+    L, U = ell.numerator * u.denominator, u.numerator * ell.denominator
+    block = profile.r * profile.d  # den**m * m! * chi(E(ell - u))
+    for j in range(1, m + 1):
+        block *= L - U + j * profile.a * den
+    top = (
+        _ci_numerator(L, den, profile)
+        - block * den ** (n - m) * (factorial(n) // factorial(m))
+        + (profile.r - 1) * _ci_numerator(L - U, den, profile)
+    )
+    return Fraction(top, den**n * factorial(n))
 
 
 def brute_chi_ulrich(ell, m, degrees, a, r):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulrichcert import cli, euler
+from ulrichcert.certify import certify_complete_intersection
 from ulrichcert.errors import InternalContradiction
 from ulrichcert.euler import (
     ChiProfile,
@@ -17,7 +18,6 @@ from ulrichcert.euler import (
     chi_proj,
     chi_subvariety,
     chi_ulrich,
-    koszul_coefficients,
     subvariety_chi_basis,
     subvariety_chi_poly,
 )
@@ -25,11 +25,15 @@ from ulrichcert.exactcore import SparsePoly, binom_int
 from ulrichcert.invariants import c1_coeff
 from ulrichcert.symmetric import divide_all_vars, specialize_ones, to_basis
 from oracles import (
+    _ci_numerator,
     brute_binom_poly,
     brute_chi_ci,
     brute_chi_poly,
     brute_chi_subvariety,
     brute_chi_ulrich,
+    koszul_chi_ci,
+    koszul_chi_subvariety,
+    koszul_coefficients,
 )
 
 
@@ -133,9 +137,8 @@ def test_chi_subvariety_routes_agree_on_random_samples():
         ell = rng.randint(-4, 4)
         ctx = ChiProfile(m, degrees, a, r)
         u = c1_coeff(ctx)
-        # chi_subvariety cross-asserts its HRR route against the Koszul
-        # three-term route and raises on any disagreement
-        chi_subvariety(ell, ctx, u)
+        # the HRR value against the stepped Koszul three-term of the oracles
+        assert chi_subvariety(ell, ctx, u) == koszul_chi_subvariety(ell, ctx, u)
 
 
 def test_chi_subvariety_half_integer_u():
@@ -147,7 +150,7 @@ def test_chi_subvariety_half_integer_u():
     ctx2 = ChiProfile(4, (3,), 2, 3)
     u2 = c1_coeff(ctx2)
     assert u2.denominator == 2
-    chi_subvariety(0, ctx2, u2)
+    assert chi_subvariety(0, ctx2, u2) == koszul_chi_subvariety(0, ctx2, u2)
 
 
 def test_chi_subvariety_half_integer_u_many_degrees():
@@ -351,43 +354,52 @@ def test_chi_values_match_oracles_on_halves(m, degrees, a, r, i, j, halves):
     )
 
 
-#: The int core each public chi function wraps, and the core's denominator
-#: at ell = p/q on the profile.
-CORES = {
-    "chi_ci": ("_ci_numerator", lambda q, profile: q ** (profile.m + profile.s) * factorial(profile.m + profile.s)),
-    "chi_ulrich": ("_ulrich_numerator", lambda q, profile: q**profile.m * factorial(profile.m)),
-}
+def test_chi_values_match_stepped_koszul_sums_at_large_s():
+    # the n = 800 Veronese profiles, s = 796: the HRR values against the
+    # oracles' stepped Koszul sums.  u is integral at a = 9 for r = 2 and 3;
+    # a = 8, r = 3 adds a half-integer u
+    for a, r, u_den in ((9, 2, 1), (9, 3, 1), (8, 3, 2)):
+        profile = ChiProfile(4, (a,) * 796, a, r)
+        u = c1_coeff(profile)
+        assert u.denominator == u_den
+        for ell in (Fraction(0), Fraction(1), Fraction(-7, 2)):
+            assert chi_ci(ell, profile) == koszul_chi_ci(ell, profile)
+            assert chi_subvariety(ell, profile, u) == koszul_chi_subvariety(ell, profile, u)
 
 
-@pytest.mark.parametrize("name", ["chi_ulrich", "chi_ci", "chi_numerators"])
+#: The int core each parameter faults: the HRR numerators of chi(O_X), and
+#: the bundle's core that chi_ulrich wraps.
+CORES = {"chi_numerators": "chi_numerators", "chi_ulrich": "_ulrich_numerator"}
+
+
+@pytest.mark.parametrize("name", ["chi_numerators", "chi_ulrich"])
 def test_cross_check_trips_on_a_faulty_route(monkeypatch, capsys, name):
-    # route 2 of chi_subvariety sums the int cores of chi_ci and chi_ulrich,
-    # and route 1 takes chi(O_X) from the HRR evaluator, which calls no
-    # Koszul code, so a fault in any of the three shows up as a disagreement
-    # of the two routes
+    # chi_subvariety sums the HRR numerators of chi(O_X) and the bundle's
+    # int core, and the certificate checks delta_chi * factor == d * v
+    # against the Noether route, so a fault in either core breaks that
+    # identity, at rank 2 and at rank 3
     profile = ChiProfile(4, (3, 2), 2, 3)
-    if name == "chi_numerators":
-        core = euler.chi_numerators
-        scale = euler.todd_table(4)[0]
-        for ell in (Fraction(0), Fraction(-7, 2), Fraction(5, 3)):
-            p, q = ell.numerator, ell.denominator
-            (value,) = core(4, profile.degrees, (p,), q)
-            assert chi_ci(ell, profile) == Fraction(profile.d * value, scale * q**4)
-            (value,) = core(4, profile.degrees, (3 * p,), 3 * q)
-            assert chi_ci(ell, profile) == Fraction(profile.d * value, scale * (3 * q) ** 4)
-        monkeypatch.setattr(euler, name, lambda *args: tuple(v + 1 for v in core(*args)))
+    scale = euler.todd_table(4)[0]
+    for ell in (Fraction(0), Fraction(-7, 2), Fraction(5, 3)):
+        p, q = ell.numerator, ell.denominator
+        value = chi_ci(ell, profile)
+        # an unreduced (p, q) gives the same value over its own denominator
+        for k in (1, 3):
+            (hrr,) = euler.chi_numerators(4, profile.degrees, (k * p,), k * q)
+            assert value == Fraction(profile.d * hrr, scale * (k * q) ** 4)
+            assert value == Fraction(_ci_numerator(k * p, k * q, profile), (k * q) ** 6 * factorial(6))
+            assert chi_ulrich(ell, profile) == Fraction(
+                euler._ulrich_numerator(k * p, k * q, profile), (k * q) ** 4 * factorial(4)
+            )
+    core_name = CORES[name]
+    core = getattr(euler, core_name)
+    if core_name == "chi_numerators":
+        monkeypatch.setattr(euler, core_name, lambda *args: tuple(v + 1 for v in core(*args)))
     else:
-        core_name, core_den = CORES[name]
-        core = getattr(euler, core_name)
-        for ell in (Fraction(0), Fraction(-7, 2), Fraction(5, 3)):
-            value = getattr(euler, name)(ell, profile)
-            p, q = ell.numerator, ell.denominator
-            assert value == Fraction(core(p, q, profile), core_den(q, profile))
-            # an unreduced (p, q) gives the same value over its own denominator
-            assert value == Fraction(core(3 * p, 3 * q, profile), core_den(3 * q, profile))
         monkeypatch.setattr(euler, core_name, lambda *args: core(*args) + 1)
-    profile = ChiProfile(4, (3,), 2, 3)
-    with pytest.raises(InternalContradiction):
-        chi_subvariety(0, profile, c1_coeff(profile))
-    assert cli.main(["certify", "--n", "10", "--a", "5", "--r", "3"]) == 1
-    assert "chi routes disagree" in capsys.readouterr().err
+    for r in (2, 3):
+        with pytest.raises(InternalContradiction, match="is not d\\*v"):
+            certify_complete_intersection(ChiProfile(4, (3,), 2, r))
+        assert cli.main(["certify", "--n", "10", "--a", "5", "--r", str(r)]) == 1
+        err = capsys.readouterr().err
+        assert "chi gap" in err and "is not d*v" in err

@@ -13,7 +13,6 @@ from ulrichcert.exactcore import (
     binom_int,
     parse_scalar,
     scalar_str,
-    stepped_binom_numerator,
 )
 from oracles import (
     brute_binom_poly,
@@ -22,6 +21,7 @@ from oracles import (
     brute_poly_mul,
     brute_poly_scale,
     falling_binom,
+    stepped_binom_numerator,
 )
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from ulrichcert.euler import ChiProfile, chi_ci
 from ulrichcert.hrr import chi_numerators, todd_table
-from oracles import brute_chi_ci
+from oracles import brute_chi_ci, koszul_chi_ci
 
 
 def hrr_chi(ell: Fraction, m: int, degrees: tuple) -> Fraction:
@@ -47,6 +47,8 @@ def test_hrr_matches_koszul_and_subset_sums(m, degrees, num, den):
     ell = Fraction(num, den)
     degrees = tuple(degrees)
     value = hrr_chi(ell, m, degrees)
-    assert value == chi_ci(ell, ChiProfile(m, degrees, 2, 2))
+    profile = ChiProfile(m, degrees, 2, 2)
+    assert value == chi_ci(ell, profile)
+    assert value == koszul_chi_ci(ell, profile)
     if len(degrees) <= 4:
         assert value == brute_chi_ci(ell, m, degrees)
