@@ -214,7 +214,7 @@ def _certify(ctx: ChiProfile, echo: dict) -> Certificate:
     hypotheses: list = []
     if ctx.m >= 5:
         hypotheses.append(ATTEST_AMBIENT)
-    elif ctx.d == 1:
+    elif ctx.degrees[0] == 1:  # the largest degree, so d = 1
         hypotheses.append(ATTEST_P4)
     else:
         hypotheses.extend([ATTEST_VERY_GENERAL, ATTEST_TYPE_EXCLUSION])
@@ -233,10 +233,9 @@ def _certify(ctx: ChiProfile, echo: dict) -> Certificate:
     delta_chi = numerics.chiZ_noether - numerics.chiZ_rr
     factor = GAP_FACTOR[ctx.r]
     v = gap_at(reduced.degrees, ctx.a, GAP_B[ctx.r])
-    if delta_chi * factor != reduced.d * v:
-        raise InternalContradiction(
-            f"chi gap {delta_chi} times {factor} is not d*v = {reduced.d}*{v}"
-        )
+    d = reduced.d
+    if delta_chi * factor != d * v:
+        raise InternalContradiction(f"chi gap {delta_chi} times {factor} is not d*v = {d}*{v}")
     if v <= 0:
         raise InternalContradiction(f"gap value {v} <= 0 at {reduced.degrees}")
     return Certificate(

@@ -180,7 +180,7 @@ class SparsePoly:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
         exps = [0] * nvars
         exps[index] = 1
-        return cls(nvars, {tuple(exps): 1})
+        return cls._trusted(nvars, {tuple(exps): 1}, 1)
 
     # -- basic queries -----------------------------------------------------
 
@@ -194,15 +194,17 @@ class SparsePoly:
             raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SparsePoly.const(self.nvars, other)
-        if not isinstance(other, SparsePoly):
+        if isinstance(other, (int, Fraction)):  # a scalar joins the constant term
+            other_num, other_den = {(0,) * self.nvars: other.numerator}, other.denominator
+        elif isinstance(other, SparsePoly):
+            self._require_same_vars(other)
+            other_num, other_den = other.num, other.den
+        else:
             return NotImplemented
-        self._require_same_vars(other)
-        den = lcm(self.den, other.den)
+        den = lcm(self.den, other_den)
         out = {e: c * (den // self.den) for e, c in self.num.items()}
-        scale = den // other.den
-        for exps, coeff in other.num.items():
+        scale = den // other_den
+        for exps, coeff in other_num.items():
             out[exps] = out.get(exps, 0) + coeff * scale
         return SparsePoly._trusted(self.nvars, out, den)
 
@@ -212,9 +214,7 @@ class SparsePoly:
         return SparsePoly._trusted(self.nvars, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SparsePoly.const(self.nvars, other)
-        if not isinstance(other, SparsePoly):
+        if not isinstance(other, (int, Fraction, SparsePoly)):
             return NotImplemented
         return self + (-other)
 

@@ -1,10 +1,11 @@
 """chi(O_X(t)) on a complete intersection by Hirzebruch-Riemann-Roch in power sums.
 
-X of dimension m in P^N cut out by degrees d_i, d = prod d_i, p_k = sum d_i^k, A_k = N+1-p_k:
+X of dimension m in P^N cut out by s degrees d_i, d = prod d_i, p_k = sum d_i^k, A_k = N+1-p_k:
 chi(O_X(t))/d = [h^m] exp(T h + sum_{k even >= 2} -B_k A_k h^k/(k k!)), T = t + A_1/2.  The
 exponential's coefficients follow their recurrence as ints G_i, each over the least scale that
 makes every weight an int, and F chi/d = sum_i mult_i G_i tau^(m-2i), tau = 2T; for m = 4,
-5760 chi/d = 15 tau^4 - 30 A_2 tau^2 + 5 A_2^2 + 2 A_4."""
+5760 chi/d = 15 tau^4 - 30 A_2 tau^2 + 5 A_2^2 + 2 A_4.  The same lines take the power sums and
+t as ints, for one profile, or as polynomials in indeterminate power sums, for the identity layer."""
 
 from __future__ import annotations
 
@@ -29,19 +30,32 @@ def todd_table(m: int) -> tuple:
     return F, tuple(F // size for size in sizes), tuple(weights)
 
 
-def chi_numerators(m: int, degrees: tuple, nums: tuple, q: int) -> tuple:
-    """F q^m chi(O_X(p/q)) / d as an int for each p in ``nums``, q > 0, F = todd_table(m)[0]."""
+def power_sums(m: int, degrees: tuple) -> dict:
+    """{k: p_k} for k = 1 and every even k <= m: the power sums of the
+    degrees that :func:`chi_numerators` reads in dimension m."""
+    sums = {k: sum(e**k for e in degrees) for k in range(2, m + 1, 2)}
+    sums[1] = sum(degrees)
+    return sums
+
+
+def chi_numerators(m: int, s: int, sums, nums: tuple, q: int) -> tuple:
+    """F q^m chi(O_X(p/q)) / d for each p in ``nums``, q > 0, F = todd_table(m)[0],
+    X cut out by s degrees whose power sums p_k are ``sums[k]`` (see :func:`power_sums`).
+
+    The p and p_k may be ints or SparsePolys: only +, -, * and int
+    constants are applied to them, as in ``invariants.noether_chain``."""
     _, mult, weights = todd_table(m)
-    top = m + len(degrees) + 1
-    powers = {k: top - sum(e**k for e in degrees) for k in range(2, m + 1, 2)}
+    top = m + s + 1
     G, coeffs = [1], [mult[0]]  # coeffs[i] = mult_i G_i q^(2i)
     for i, row in enumerate(weights, 1):
-        G.append(sum(w * powers[k] * G[i - k // 2] for k, w in row))
-        coeffs.append(mult[i] * G[i] * q ** (2 * i))
+        G.append(sum((top - sums[k]) * (w * G[i - k // 2]) for k, w in row))
+        coeffs.append(G[i] * (mult[i] * q ** (2 * i)))
+    shift = (top - sums[1]) * q
     out = []
     for p in nums:
-        tau, acc = 2 * p + (top - sum(degrees)) * q, 0
-        for c in coeffs:  # Horner in tau^2
-            acc = acc * tau * tau + c
+        tau = 2 * p + shift
+        tau2, acc = tau * tau, coeffs[0]
+        for c in coeffs[1:]:  # Horner in tau^2
+            acc = acc * tau2 + c
         out.append(acc * tau if m % 2 else acc)
     return tuple(out)

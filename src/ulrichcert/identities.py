@@ -39,12 +39,11 @@ from functools import lru_cache
 
 from .errors import VerificationFailure
 from .exactcore import SparsePoly, scalar_str
-from .euler import subvariety_chi_basis
+from .euler import subvariety_chi_basis, subvariety_chi_power_sums
 from .invariants import noether_chain
 from .symmetric import (
     POWER_SUM_VARS,
     BasisExpr,
-    basis_to_power_sums,
     expand_m,
     from_basis,
     power_sums_to_basis,
@@ -95,11 +94,10 @@ _P1, _P2, _P4 = (SparsePoly.variable(POWER_SUM_VARS, k - 1) for k in (1, 2, 4))
 def _chain(a: int, r: int, s: int) -> tuple:
     """The invariants chain over power sums of the degrees, divided by d:
     (e, deg Z, kZ, K_Z . H_Z, K_Z^2, c2(Z), Noether chi), indexed below.
-    Rank 3 reads chi/d at twists 0 and 1 from the chi polynomial's basis
-    form."""
+    Rank 3 reads chi/d at twists 0 and 1 in the same power sums."""
     chis = ()
     if r == 3:
-        chis = [basis_to_power_sums(subvariety_chi_basis(a, 4, s, 3, ell)) for ell in (0, 1)]
+        chis = [subvariety_chi_power_sums(a, 4, s, 3, ell) for ell in (0, 1)]
     return noether_chain(a, r, s, _P1, (_P1**2 - _P2) / 2, 1, *chis)
 
 
@@ -755,7 +753,7 @@ def check_closed_forms(a: int, s: int) -> VerificationReport:
     """Compare each derived polynomial against its closed-form basis table."""
     compared = {}
     for name, (builder, prefactor, rows) in CLOSED_FORM_TABLES.items():
-        expected = {partition: prefactor * Fraction(fn(a, s)) for partition, fn in rows.items()}
+        expected = {partition: prefactor * fn(a, s) for partition, fn in rows.items()}
         compared[name + ":"] = (builder(a, s), expected)
     return _basis_compare(
         "closed-forms", {"a": a, "s": s}, compared, [KSQ_NOTE, NOETHER_R2_NOTE]
@@ -772,7 +770,7 @@ def check_gap_identities(a: int, s: int) -> VerificationReport:
     residuals = []
     for label, r in (("rank2", 2), ("rank3", 3)):
         gap = gap_value(s, a, GAP_B[r], _P2, _P4)
-        chi = basis_to_power_sums(subvariety_chi_basis(a, 4, s, r, 0))
+        chi = subvariety_chi_power_sums(a, 4, s, r, 0)
         diff = power_sums_to_basis(_chain(a, r, s)[6] - chi - gap / GAP_FACTOR[r], s)
         for partition, coeff in times_all_vars(diff).sorted_items():
             residuals.append((f"{label}:{_label(partition)}", scalar_str(coeff)))

@@ -8,9 +8,10 @@ partition with more parts than variables is zero, and a partition whose
 parts all equal 1 with exactly s parts expands to the product of all
 variables.
 
-The power sums p_k = m_k bridge the basis to the ring Q[p_1, ..., p_4]:
-p_k is multiplied in directly in the basis (:func:`p_times`), and every
-m_lambda of weight <= 4 has one fixed power-sum form, valid for every s.
+The power sums p_k = m_k bridge the basis to the ring Q[p_1, ..., p_n]:
+p_k is multiplied in directly in the basis (:func:`p_times`), so a
+polynomial in the power sums has one image in s variables for every s
+(:func:`power_sums_to_basis`).
 """
 
 from __future__ import annotations
@@ -129,8 +130,8 @@ class BasisExpr(namedtuple("BasisExpr", "nvars coeffs")):
     ``_make`` and ``_replace`` skip it, so build an expression only through
     the constructor.  Only the producers whose partitions are valid by
     construction skip the checks through ``_trusted``: :func:`p_times`,
-    :func:`times_all_vars`, :func:`specialize_ones_basis`,
-    :func:`power_sums_to_basis` and ``euler.subvariety_chi_basis``."""
+    :func:`times_all_vars`, :func:`specialize_ones_basis` and
+    :func:`power_sums_to_basis`."""
 
     __slots__ = ()
 
@@ -293,7 +294,7 @@ POWER_SUM_VARS = 4
 
 @lru_cache(maxsize=None)
 def _power_sum_monomial(exps: tuple, s: int) -> Mapping[Partition, int]:
-    """p_1^e_1 ... p_4^e_4 in s variables: its int coefficients in the
+    """p_1^e_1 ... p_n^e_n in s variables: its int coefficients in the
     monomial basis, read-only since the cache shares them."""
     coeffs: Mapping[Partition, int] = {(): 1}
     for k, e in enumerate(exps, start=1):
@@ -303,45 +304,13 @@ def _power_sum_monomial(exps: tuple, s: int) -> Mapping[Partition, int]:
 
 
 def power_sums_to_basis(poly: SparsePoly, s: int) -> BasisExpr:
-    """The image in s variables of a polynomial in p_1, ..., p_4, written in
-    the monomial basis."""
+    """The image in s variables of a polynomial in p_1, ..., p_n (variable
+    k - 1 standing for p_k), written in the monomial basis."""
     out: dict[Partition, int] = {}
     for exps, coeff in poly.num.items():
         for partition, c in _power_sum_monomial(exps, s).items():
             out[partition] = out.get(partition, 0) + coeff * c
     return BasisExpr._trusted(s, {p: Fraction(c, poly.den) for p, c in out.items() if c})
-
-
-@lru_cache(maxsize=None)
-def _m_in_power_sums(partition: Partition) -> SparsePoly:
-    """m_lambda as a polynomial in p_1, ..., p_4, for weight <= 4: p_lambda
-    is a multiple of m_lambda plus m_mu over the mu that merge parts of
-    lambda (fewer parts, coefficients free of s), so solving p_lambda in
-    len(lambda) variables for m_lambda inverts the table by part count."""
-    if sum(partition) > POWER_SUM_VARS:
-        raise ValueError(f"power-sum form is kept for weight <= {POWER_SUM_VARS}: {partition}")
-    exps = tuple(partition.count(k) for k in range(1, POWER_SUM_VARS + 1))
-    expansion = _power_sum_monomial(exps, len(partition))
-    out = SparsePoly(POWER_SUM_VARS, {exps: 1})
-    for mu, c in expansion.items():
-        if mu != partition:
-            out = out - c * _m_in_power_sums(mu)
-    return out / expansion[partition]
-
-
-def basis_to_power_sums(expr: BasisExpr) -> SparsePoly:
-    """A polynomial in p_1, ..., p_4 whose image in expr.nvars variables is
-    ``expr`` (weight <= 4).  In fewer than four variables the p_k are
-    algebraically dependent, so this is one preimage among several: decide
-    zero on the basis form, never on the power-sum polynomial."""
-    den, nums = _over_one_denominator(expr.coeffs)
-    polys = [(c, _m_in_power_sums(part)) for part, c in nums.items()]
-    common = lcm(*(poly.den for _, poly in polys))
-    out: dict = {}
-    for c, poly in polys:
-        for exps, coeff in poly.num.items():
-            out[exps] = out.get(exps, 0) + c * (common // poly.den) * coeff
-    return SparsePoly._trusted(POWER_SUM_VARS, out, den * common)
 
 
 def _over_one_denominator(coeffs: Mapping[Partition, Fraction]) -> tuple[int, dict]:

@@ -1,18 +1,23 @@
 """Independent brute-force oracles used by the tests.
 
-Everything here is deliberately naive: literal products, literal subset
-enumeration, no orbit counting, no shared code with the fast paths it
-checks.
+The brute-force oracles are deliberately naive: literal products, literal
+subset enumeration, no orbit counting, no shared code with the fast paths
+they check.  The Koszul references (the stepped sums and
+:func:`koszul_chi_basis`) are a second algorithm for chi rather than a
+naive one: they share no chi code with the package's Hirzebruch-Riemann-Roch
+route, and :func:`koszul_chi_basis` only borrows the basis helpers
+``partitions_of`` and ``p_times_coeffs``.
 """
 
 import argparse
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm, prod
 
 from ulrichcert import cli
 from ulrichcert.exactcore import SparsePoly, falling
+from ulrichcert.symmetric import BasisExpr, p_times_coeffs, partitions_of
 
 
 def falling_binom(q, m):
@@ -212,6 +217,119 @@ def koszul_chi_subvariety(ell, profile, u) -> Fraction:
         + (profile.r - 1) * _ci_numerator(L - U, den, profile)
     )
     return Fraction(top, den**n * factorial(n))
+
+
+def _falling_binom_2var(order: int, const: Fraction, wcoeff: Fraction, deficit: int) -> tuple:
+    """Coefficients of binom(t + wcoeff*w + const, order) in Q[t, w] with
+    t-power at least order - deficit, over one integer denominator.
+
+    Returns (poly, scale): poly maps (t-power, w-power) to the nonzero int
+    numerators of (xi)(xi - 1)...(xi - order + 1)/order! with
+    xi = t + wcoeff*w + const, formed as the product of the integer factors
+    D*xi - j*D with D the common denominator of const and wcoeff, and
+    scale = D**order * order!.  A term's deficit, the number of factors
+    that gave it no t, only grows as factors are multiplied in, so a term
+    is dropped as soon as its deficit exceeds ``deficit``: it could only
+    feed coefficients of t-power below order - deficit, which the caller
+    never reads.  ``deficit = order`` keeps the whole product.
+    """
+    den = lcm(const.denominator, wcoeff.denominator)
+    w_int = wcoeff.numerator * (den // wcoeff.denominator)
+    c_int = const.numerator * (den // const.denominator)
+    poly = {(0, 0): 1}
+    for j in range(order):
+        shift = c_int - j * den
+        out: dict = {}
+        for (i1, i2), c in poly.items():
+            out[i1 + 1, i2] = out.get((i1 + 1, i2), 0) + c * den
+            if j - i1 >= deficit:
+                continue
+            if w_int:
+                out[i1, i2 + 1] = out.get((i1, i2 + 1), 0) + c * w_int
+            if shift:
+                out[i1, i2] = out.get((i1, i2), 0) + c * shift
+        poly = out
+    return {key: c for key, c in poly.items() if c}, den**order * factorial(order)
+
+
+@lru_cache(maxsize=None)
+def _plain_falling(order: int, ell: int, deficit: int) -> tuple:
+    """:func:`koszul_chi_basis`'s product free of a and r, its numerators as pairs."""
+    poly, scale = _falling_binom_2var(order, Fraction(-ell - 1), Fraction(0), deficit)
+    return tuple(poly.items()), scale
+
+
+def koszul_chi_basis(a: int, m: int, s: int, r: int, ell: int) -> BasisExpr:
+    """``euler.subvariety_chi_basis`` by Koszul orbit counting: the chi
+    polynomial divided by x_1 ... x_s, in the monomial basis.
+
+    The subset sums over the degrees are collapsed by orbit counting: the
+    sum of g(x_{i_1} + ... + x_{i_k}) over all k-subsets is assembled from
+    the multinomial expansion of each power of the subset sum.  A monomial
+    whose support has l variables lies in C(s - l, k - l) of the k-subsets,
+    and the alternating sum over k of those counts is (-1)^s when l = s and
+    0 otherwise.  So only the partitions with exactly s parts survive, each
+    with weight (-1)^m times its multinomial coefficient, and this
+    cancellation is why the polynomial is divisible by x_1 ... x_s.  Powers
+    of the full variable sum w = x_1 + ... + x_s are multiplied into the
+    quotient afterwards, directly in the monomial basis, as ints over one
+    common denominator.  The result is identical to the literal per-subset
+    expansion (:func:`brute_chi_poly`) but runs in time polynomial in
+    m + s.
+    """
+    if s < 1 or m < 1:
+        raise ValueError("need m >= 1 and s >= 1")
+    if r < 2:
+        raise ValueError("the chi polynomial is defined for rank r >= 2")
+    order = m + s
+    twice_u = r * ((m + 1) * (a - 1) - s)
+    # every coefficient below is an int over this one denominator
+    den = 2**order * factorial(order) * factorial(m)
+
+    # rows.get(i1 - s) below reads only t-powers i1 >= s: deficit at most m
+    plain, plain_scale = _plain_falling(order, ell, m)
+    shifted, shifted_scale = _falling_binom_2var(order, Fraction(twice_u, 2) - ell - 1, Fraction(r, 2), m)
+    combined = {key: c * (den // plain_scale) for key, c in plain}
+    lift = (r - 1) * (den // shifted_scale)
+    for key, c in shifted.items():
+        combined[key] = combined.get(key, 0) + lift * c
+
+    # the s-part partitions of each weight, with 1 taken from each part,
+    # and their multinomial coefficients
+    rows = {
+        w: [(p, factorial(w + s) // prod(factorial(q + 1) for q in p)) for p in partitions_of(w, s)]
+        for w in range(m + 1)
+    }
+    acc: dict = {}
+    sign = (-1) ** m
+    for (i1, i2), c in combined.items():
+        for partition, mult in rows.get(i1 - s, ()):
+            key = (partition, i2)
+            acc[key] = acc.get(key, 0) + sign * c * mult
+
+    # the bundle-chi block: a pure product of all variables times a
+    # polynomial in w, each factor doubled
+    wpoly = {0: (-1) ** (m + 1) * r * (den // (2**m * factorial(m)))}
+    for j in range(1, m + 1):
+        shift = twice_u - 2 * (ell + j * a)
+        out: dict = {}
+        for i2, c in wpoly.items():
+            out[i2 + 1] = out.get(i2 + 1, 0) + c * r
+            out[i2] = out.get(i2, 0) + c * shift
+        wpoly = out
+    for i2, c in wpoly.items():
+        acc[(), i2] = acc.get(((), i2), 0) + c
+
+    # fold in the powers of w, highest first (Horner in m1-multiplication)
+    by_wpow: dict = {}
+    for (partition, i2), c in acc.items():
+        by_wpow.setdefault(i2, {})[partition] = c
+    coeffs: dict = {}
+    for i2 in range(max(by_wpow), -1, -1):
+        coeffs = p_times_coeffs(coeffs, s, 1)
+        for partition, c in by_wpow.get(i2, {}).items():
+            coeffs[partition] = coeffs.get(partition, 0) + c
+    return BasisExpr(s, {partition: Fraction(c, den) for partition, c in coeffs.items()})
 
 
 def brute_chi_ulrich(ell, m, degrees, a, r):

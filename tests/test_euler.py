@@ -13,7 +13,6 @@ from ulrichcert.certify import certify_complete_intersection
 from ulrichcert.errors import InternalContradiction
 from ulrichcert.euler import (
     ChiProfile,
-    _falling_binom_2var,
     chi_ci,
     chi_proj,
     chi_subvariety,
@@ -22,15 +21,18 @@ from ulrichcert.euler import (
     subvariety_chi_poly,
 )
 from ulrichcert.exactcore import SparsePoly, binom_int
+from ulrichcert.identities import check_coefficient_table
 from ulrichcert.invariants import c1_coeff
 from ulrichcert.symmetric import divide_all_vars, specialize_ones, to_basis
 from oracles import (
     _ci_numerator,
+    _falling_binom_2var,
     brute_binom_poly,
     brute_chi_ci,
     brute_chi_poly,
     brute_chi_subvariety,
     brute_chi_ulrich,
+    koszul_chi_basis,
     koszul_chi_ci,
     koszul_chi_subvariety,
     koszul_coefficients,
@@ -231,7 +233,7 @@ def test_falling_binom_2var_matches_brute_binom_poly():
 
 
 def test_truncated_falling_binom_2var_keeps_every_coefficient_read():
-    # subvariety_chi_basis reads the t-powers >= s of the order-(m + s)
+    # koszul_chi_basis reads the t-powers >= s of the order-(m + s)
     # product, the terms with at most m factors that gave no t; the product
     # truncated at deficit m must hold exactly those terms of the full one
     dropped = 0
@@ -246,6 +248,17 @@ def test_truncated_falling_binom_2var_keeps_every_coefficient_read():
                     assert poly == {key: c for key, c in full.items() if key[0] >= s}
                     dropped += len(full) - len(poly)
     assert dropped > 1000
+
+
+def test_chi_basis_matches_koszul_orbit_counting():
+    # the HRR basis form against the Koszul orbit-counting oracle, on the
+    # full small grid and at the corners up to m = 8 and s = 30
+    pairs = ((2, 0), (3, 0), (3, 1), (2, 1), (3, -2))
+    cases = [(a, m, s, r, ell) for a in range(2, 5) for m in range(1, 6) for s in range(1, 8) for r, ell in pairs]
+    cases += [(3, m, s, r, ell) for m in (6, 7, 8) for s in (1, 3, 9, 30) for r, ell in pairs]
+    cases += [(2, m, s, 3, 1) for m in (1, 4, 5) for s in (10, 20, 30)]
+    for case in cases:
+        assert subvariety_chi_basis(*case) == koszul_chi_basis(*case), case
 
 
 def test_chi_basis_golden_digest():
@@ -367,39 +380,52 @@ def test_chi_values_match_stepped_koszul_sums_at_large_s():
             assert chi_subvariety(ell, profile, u) == koszul_chi_subvariety(ell, profile, u)
 
 
-#: The int core each parameter faults: the HRR numerators of chi(O_X), and
+#: The core each parameter faults: the HRR numerators of chi(O_X), and
 #: the bundle's core that chi_ulrich wraps.
 CORES = {"chi_numerators": "chi_numerators", "chi_ulrich": "_ulrich_numerator"}
 
 
+def _clear_chi_caches():
+    for builder in (euler.subvariety_chi_power_sums, euler.subvariety_chi_basis, euler.subvariety_chi_poly):
+        builder.cache_clear()
+
+
 @pytest.mark.parametrize("name", ["chi_numerators", "chi_ulrich"])
 def test_cross_check_trips_on_a_faulty_route(monkeypatch, capsys, name):
-    # chi_subvariety sums the HRR numerators of chi(O_X) and the bundle's
-    # int core, and the certificate checks delta_chi * factor == d * v
-    # against the Noether route, so a fault in either core breaks that
-    # identity, at rank 2 and at rank 3
+    # chi_subvariety and the chi polynomial share the HRR numerators of
+    # chi(O_X) and the bundle's core.  The certificate checks
+    # delta_chi * factor == d * v against the Noether route, and the
+    # identity layer checks the chi polynomial against its frozen table, so
+    # a fault in either core fails the certificate at rank 2 and at rank 3
+    # and the rank-3 table; the chi caches are cleared around the fault
     profile = ChiProfile(4, (3, 2), 2, 3)
     scale = euler.todd_table(4)[0]
+    sums = euler.power_sums(4, profile.degrees)
     for ell in (Fraction(0), Fraction(-7, 2), Fraction(5, 3)):
         p, q = ell.numerator, ell.denominator
         value = chi_ci(ell, profile)
         # an unreduced (p, q) gives the same value over its own denominator
         for k in (1, 3):
-            (hrr,) = euler.chi_numerators(4, profile.degrees, (k * p,), k * q)
+            (hrr,) = euler.chi_numerators(4, profile.s, sums, (k * p,), k * q)
             assert value == Fraction(profile.d * hrr, scale * (k * q) ** 4)
             assert value == Fraction(_ci_numerator(k * p, k * q, profile), (k * q) ** 6 * factorial(6))
-            assert chi_ulrich(ell, profile) == Fraction(
-                euler._ulrich_numerator(k * p, k * q, profile), (k * q) ** 4 * factorial(4)
-            )
+            bundle = euler._ulrich_numerator(k * p, k * q, 4, profile.a, profile.r, profile.d)
+            assert chi_ulrich(ell, profile) == Fraction(bundle, (k * q) ** 4 * factorial(4))
     core_name = CORES[name]
     core = getattr(euler, core_name)
     if core_name == "chi_numerators":
         monkeypatch.setattr(euler, core_name, lambda *args: tuple(v + 1 for v in core(*args)))
     else:
         monkeypatch.setattr(euler, core_name, lambda *args: core(*args) + 1)
-    for r in (2, 3):
-        with pytest.raises(InternalContradiction, match="is not d\\*v"):
-            certify_complete_intersection(ChiProfile(4, (3,), 2, r))
-        assert cli.main(["certify", "--n", "10", "--a", "5", "--r", str(r)]) == 1
-        err = capsys.readouterr().err
-        assert "chi gap" in err and "is not d*v" in err
+    _clear_chi_caches()
+    try:
+        report = check_coefficient_table(2, 5, "r3l1")
+        assert report.status == "fail" and report.residuals
+        for r in (2, 3):
+            with pytest.raises(InternalContradiction, match="is not d\\*v"):
+                certify_complete_intersection(ChiProfile(4, (3,), 2, r))
+            assert cli.main(["certify", "--n", "10", "--a", "5", "--r", str(r)]) == 1
+            err = capsys.readouterr().err
+            assert "chi gap" in err and "is not d*v" in err
+    finally:
+        _clear_chi_caches()

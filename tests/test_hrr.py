@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulrichcert.euler import ChiProfile, chi_ci
-from ulrichcert.hrr import chi_numerators, todd_table
+from ulrichcert.hrr import chi_numerators, power_sums, todd_table
 from oracles import brute_chi_ci, koszul_chi_ci
 
 
 def hrr_chi(ell: Fraction, m: int, degrees: tuple) -> Fraction:
     """chi(O_X(ell)) from the HRR numerator."""
-    (value,) = chi_numerators(m, degrees, (ell.numerator,), ell.denominator)
+    sums = power_sums(m, degrees)
+    (value,) = chi_numerators(m, len(degrees), sums, (ell.numerator,), ell.denominator)
     return Fraction(prod(degrees) * value, todd_table(m)[0] * ell.denominator**m)
 
 
@@ -25,7 +26,8 @@ def test_todd_table_for_dimension_4():
         for p, q in ((0, 1), (-7, 2), (5, 3), (11, 1)):
             tau = Fraction(2 * p, q) + N1 - sum(degrees)
             expected = 15 * tau**4 - 30 * A2 * tau**2 + 5 * A2**2 + 2 * A4
-            assert chi_numerators(4, degrees, (p,), q) == (expected * q**4,)
+            sums = power_sums(4, degrees)
+            assert chi_numerators(4, len(degrees), sums, (p,), q) == (expected * q**4,)
 
 
 def test_todd_table_low_dimensions():

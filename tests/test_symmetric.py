@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulrichcert.errors import DivisibilityError, SymmetryError
-from ulrichcert.euler import subvariety_chi_basis
+from ulrichcert.euler import subvariety_chi_basis, subvariety_chi_power_sums
 from ulrichcert.exactcore import SparsePoly
 from ulrichcert.symmetric import (
     BasisExpr,
-    basis_to_power_sums,
     divide_all_vars,
     expand_m,
     from_basis,
@@ -195,22 +194,6 @@ def _power_sum_monomial(partition) -> SparsePoly:
     return SparsePoly(4, {tuple(partition.count(k) for k in range(1, 5)): 1})
 
 
-def test_power_sum_form_of_every_monomial_basis_element():
-    for s in range(1, 9):
-        for partition in partitions_up_to(4):
-            if len(partition) <= s:
-                m = BasisExpr(s, {partition: 1})
-                assert power_sums_to_basis(basis_to_power_sums(m), s) == m, (s, partition)
-            else:
-                # the same power-sum form vanishes in fewer variables than parts
-                lifted = basis_to_power_sums(BasisExpr(len(partition), {partition: 1}))
-                assert not lifted.is_zero()
-                assert power_sums_to_basis(lifted, s) == BasisExpr(s, {}), (s, partition)
-    for partition in [(5,), (3, 2)]:
-        with pytest.raises(ValueError):
-            basis_to_power_sums(BasisExpr(2, {partition: 1}))
-
-
 def test_power_sum_monomials_match_expanded_products():
     # p_lambda in s variables against the product of expanded power sums
     for s in range(1, 9):
@@ -232,7 +215,6 @@ def test_power_sum_monomials_match_expanded_products():
 )
 def test_power_sums_round_trip(s, coeffs):
     expr = BasisExpr(s, {p: c for p, c in coeffs.items() if len(p) <= s})
-    assert power_sums_to_basis(basis_to_power_sums(expr), s) == expr
     assert from_basis(times_all_vars(expr)) == expand_m((1,) * s, s) * from_basis(expr)
 
 
@@ -249,7 +231,7 @@ def test_trusted_producers_match_the_checked_constructor():
                     "p_times": p_times(chi, 2),
                     "m1_times": m1_times(chi),
                     "times_all_vars": times_all_vars(chi),
-                    "power_sums_to_basis": power_sums_to_basis(basis_to_power_sums(chi), s),
+                    "power_sums_to_basis": power_sums_to_basis(subvariety_chi_power_sums(a, 4, s, r, ell), s),
                 }
                 for k in range(1, s + 1):
                     produced[f"specialize_ones_basis[{k}]"] = specialize_ones_basis(chi, k)
