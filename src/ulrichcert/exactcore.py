@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from math import factorial, gcd, lcm, log10
+from math import factorial, gcd, lcm, log10, prod
 from operator import add
 
 #: Arbitrary-precision rational scalar.  ``Fraction`` already guarantees the
@@ -57,9 +57,12 @@ def scalar_str(x: ScalarLike) -> str:
 
 
 def parse_scalar(text: str) -> Fraction:
-    """Inverse of :func:`scalar_str`, at any size."""
+    """Inverse of :func:`scalar_str`, at any size; a written denominator is positive."""
     num, slash, den = text.partition("/")
-    return Fraction(_parse_int(num), _parse_int(den) if slash else 1)
+    denominator = _parse_int(den) if slash else 1
+    if denominator <= 0:
+        raise ValueError(f"non-positive denominator in a scalar literal of {len(text)} characters")
+    return Fraction(_parse_int(num), denominator)
 
 
 def binom(q: ScalarLike, m: int) -> Fraction:
@@ -108,11 +111,11 @@ class SparsePoly:
     immutable by convention: no method mutates ``self`` and callers must
     never modify ``num``.  That makes values safe to share and to cache.
 
-    The ring operations, comparison, hashing and evaluation run on Python
-    ints.  Each result is built by the private ``_trusted`` constructor,
-    which skips the exponent checks of the public one, drops zero
-    numerators and reduces by one gcd.  ``terms`` is a derived
-    ``{exps: Fraction}`` view, built afresh on each access.
+    The ring operations, comparison and hashing run on Python ints.  Each
+    result is built by the private ``_trusted`` constructor, which skips
+    the exponent checks of the public one, drops zero numerators and
+    reduces by one gcd.  ``terms`` is a derived ``{exps: Fraction}`` view,
+    built afresh on each access.
     """
 
     __slots__ = ("nvars", "num", "den")
@@ -266,26 +269,11 @@ class SparsePoly:
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, point: Sequence[ScalarLike]) -> Fraction:
-        """Exact value at the given point (one scalar per variable).
-
-        With the point written as (p_1, ..., p_n) / q and the degree bounded
-        by D, every term is scaled by q**D, so the sum is formed in integers
-        and divided once.
-        """
+        """Exact value at the given point (one int or ``Fraction`` per variable):
+        each numerator times the product of its powers, summed, over ``den``."""
         if len(point) != self.nvars:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
-        point = [Fraction(p) for p in point]
-        q = lcm(*(p.denominator for p in point))
-        nums = [p.numerator * (q // p.denominator) for p in point]
-        top = max(map(sum, self.num), default=0)
-        total = 0
-        for exps, value in self.num.items():
-            value *= q ** (top - sum(exps))
-            for base, e in zip(nums, exps):
-                if e:
-                    value *= base**e
-            total += value
-        return Fraction(total, self.den * q**top)
+        return Fraction(sum(c * prod(map(pow, point, exps)) for exps, c in self.num.items()), self.den)
 
     # -- canonical serialization ----------------------------------------------
 

@@ -181,15 +181,15 @@ GAP_B = {2: 8, 3: 9}
 
 def _coeffs_r2l0(a: int, s: int) -> list:
     return [
-        Fraction(66),
-        Fraction(225),
-        Fraction(320),
-        Fraction(600),
-        Fraction(1125),
-        Fraction(75 * (-15 + 11 * a - 3 * s)),
-        Fraction(150 * (-20 + 15 * a - 4 * s)),
-        Fraction(225 * (-25 + 19 * a - 5 * s)),
-        Fraction(10 * (740 - 1125 * a + 420 * a**2 + 298 * s - 225 * a * s + 30 * s**2)),
+        66,
+        225,
+        320,
+        600,
+        1125,
+        75 * (-15 + 11 * a - 3 * s),
+        150 * (-20 + 15 * a - 4 * s),
+        225 * (-25 + 19 * a - 5 * s),
+        10 * (740 - 1125 * a + 420 * a**2 + 298 * s - 225 * a * s + 30 * s**2),
         Fraction(75, 2) * (370 - 570 * a + 214 * a**2 + 149 * s - 114 * a * s + 15 * s**2),
         Fraction(75, 2)
         * (
@@ -227,89 +227,81 @@ def _coeffs_r2l0(a: int, s: int) -> list:
 
 def _coeffs_r3l0(a: int, s: int) -> list:
     return [
-        Fraction(1683),
-        Fraction(6060),
-        Fraction(8770),
-        Fraction(16860),
-        Fraction(32400),
-        Fraction(-30300 + 24600 * a - 6060 * s),
-        Fraction(-84300 + 69000 * a - 16860 * s),
-        Fraction(-162000 + 133200 * a - 32400 * s),
-        Fraction(209050 - 345000 * a + 140850 * a**2 + 83960 * s - 69000 * a * s + 8430 * s**2),
-        Fraction(401700 - 666000 * a + 272700 * a**2 + 161340 * s - 133200 * a * s + 16200 * s**2),
-        Fraction(
-            -658500
-            + 1653000 * a
-            - 1363500 * a**2
-            + 369000 * a**3
-            - 398400 * s
-            + 663600 * a * s
-            - 272700 * a**2 * s
-            - 80340 * s**2
-            + 66600 * a * s**2
-            - 5400 * s**3
-        ),
-        Fraction(
-            802635
-            - 2715000 * a
-            + 3386250 * a**2
-            - 1845000 * a**3
-            + 371115 * a**4
-            + 650302 * s
-            - 1641000 * a * s
-            + 1359000 * a**2 * s
-            - 369000 * a**3 * s
-            + 197555 * s**2
-            - 330600 * a * s**2
-            + 136350 * a**2 * s**2
-            + 26670 * s**3
-            - 22200 * a * s**3
-            + 1350 * s**4
-        ),
+        1683,
+        6060,
+        8770,
+        16860,
+        32400,
+        -30300 + 24600 * a - 6060 * s,
+        -84300 + 69000 * a - 16860 * s,
+        -162000 + 133200 * a - 32400 * s,
+        209050 - 345000 * a + 140850 * a**2 + 83960 * s - 69000 * a * s + 8430 * s**2,
+        401700 - 666000 * a + 272700 * a**2 + 161340 * s - 133200 * a * s + 16200 * s**2,
+        -658500
+        + 1653000 * a
+        - 1363500 * a**2
+        + 369000 * a**3
+        - 398400 * s
+        + 663600 * a * s
+        - 272700 * a**2 * s
+        - 80340 * s**2
+        + 66600 * a * s**2
+        - 5400 * s**3,
+        802635
+        - 2715000 * a
+        + 3386250 * a**2
+        - 1845000 * a**3
+        + 371115 * a**4
+        + 650302 * s
+        - 1641000 * a * s
+        + 1359000 * a**2 * s
+        - 369000 * a**3 * s
+        + 197555 * s**2
+        - 330600 * a * s**2
+        + 136350 * a**2 * s**2
+        + 26670 * s**3
+        - 22200 * a * s**3
+        + 1350 * s**4,
     ]
 
 
 def _coeffs_r3l1(a: int, s: int) -> list:
     return [
-        Fraction(1683),
-        Fraction(6060),
-        Fraction(8770),
-        Fraction(16860),
-        Fraction(32400),
-        Fraction(-32580 + 24600 * a - 6060 * s),
-        Fraction(-90420 + 69000 * a - 16860 * s),
-        Fraction(-173520 + 133200 * a - 32400 * s),
-        Fraction(240490 - 371400 * a + 140850 * a**2 + 90080 * s - 69000 * a * s + 8430 * s**2),
-        Fraction(460740 - 716400 * a + 272700 * a**2 + 172860 * s - 133200 * a * s + 16200 * s**2),
-        Fraction(
-            -807900
-            + 1912200 * a
-            - 1473300 * a**2
-            + 369000 * a**3
-            - 457080 * s
-            + 714000 * a * s
-            - 272700 * a**2 * s
-            - 86100 * s**2
-            + 66600 * a * s**2
-            - 5400 * s**3
-        ),
-        Fraction(
-            1051035
-            - 3375000 * a
-            + 3953850 * a**2
-            - 2001000 * a**3
-            + 371115 * a**4
-            + 797782 * s
-            - 1899000 * a * s
-            + 1468800 * a**2 * s
-            - 369000 * a**3 * s
-            + 226715 * s**2
-            - 355800 * a * s**2
-            + 136350 * a**2 * s**2
-            + 28590 * s**3
-            - 22200 * a * s**3
-            + 1350 * s**4
-        ),
+        1683,
+        6060,
+        8770,
+        16860,
+        32400,
+        -32580 + 24600 * a - 6060 * s,
+        -90420 + 69000 * a - 16860 * s,
+        -173520 + 133200 * a - 32400 * s,
+        240490 - 371400 * a + 140850 * a**2 + 90080 * s - 69000 * a * s + 8430 * s**2,
+        460740 - 716400 * a + 272700 * a**2 + 172860 * s - 133200 * a * s + 16200 * s**2,
+        -807900
+        + 1912200 * a
+        - 1473300 * a**2
+        + 369000 * a**3
+        - 457080 * s
+        + 714000 * a * s
+        - 272700 * a**2 * s
+        - 86100 * s**2
+        + 66600 * a * s**2
+        - 5400 * s**3,
+        1051035
+        - 3375000 * a
+        + 3953850 * a**2
+        - 2001000 * a**3
+        + 371115 * a**4
+        + 797782 * s
+        - 1899000 * a * s
+        + 1468800 * a**2 * s
+        - 369000 * a**3 * s
+        + 226715 * s**2
+        - 355800 * a * s**2
+        + 136350 * a**2 * s**2
+        + 28590 * s**3
+        - 22200 * a * s**3
+        + 1350 * s**4,
     ]
 
 
@@ -323,52 +315,52 @@ COEFF_TABLES: dict = {
 
 def _s4_r2l0(a: int) -> list:
     return [
-        Fraction(66),
-        Fraction(225),
-        Fraction(320),
-        Fraction(600),
-        Fraction(1125),
-        Fraction(825 * a - 2025),
-        Fraction(2250 * a - 5400),
-        Fraction(4275 * a - 10125),
-        Fraction(4200 * a**2 - 20250 * a + 24120),
-        Fraction(8025 * a**2 - 38475 * a + 45225),
-        Fraction(9750 * a**3 - 72225 * a**2 + 172125 * a - 133650),
-        Fraction(8655 * a**4 - 87750 * a**3 + 323325 * a**2 - 510300 * a + 293931),
+        66,
+        225,
+        320,
+        600,
+        1125,
+        825 * a - 2025,
+        2250 * a - 5400,
+        4275 * a - 10125,
+        4200 * a**2 - 20250 * a + 24120,
+        8025 * a**2 - 38475 * a + 45225,
+        9750 * a**3 - 72225 * a**2 + 172125 * a - 133650,
+        8655 * a**4 - 87750 * a**3 + 323325 * a**2 - 510300 * a + 293931,
     ]
 
 
 def _s4_r3l0(a: int) -> list:
     return [
-        Fraction(1683),
-        Fraction(6060),
-        Fraction(8770),
-        Fraction(16860),
-        Fraction(32400),
-        Fraction(-54540 + 24600 * a),
-        Fraction(-151740 + 69000 * a),
-        Fraction(-291600 + 133200 * a),
-        Fraction(679770 - 621000 * a + 140850 * a**2),
-        Fraction(1306260 - 1198800 * a + 272700 * a**2),
-        Fraction(-3883140 + 5373000 * a - 2454300 * a**2 + 369000 * a**3),
-        Fraction(8617203 - 15989400 * a + 11003850 * a**2 - 3321000 * a**3 + 371115 * a**4),
+        1683,
+        6060,
+        8770,
+        16860,
+        32400,
+        -54540 + 24600 * a,
+        -151740 + 69000 * a,
+        -291600 + 133200 * a,
+        679770 - 621000 * a + 140850 * a**2,
+        1306260 - 1198800 * a + 272700 * a**2,
+        -3883140 + 5373000 * a - 2454300 * a**2 + 369000 * a**3,
+        8617203 - 15989400 * a + 11003850 * a**2 - 3321000 * a**3 + 371115 * a**4,
     ]
 
 
 def _s4_r3l1(a: int) -> list:
     return [
-        Fraction(1683),
-        Fraction(6060),
-        Fraction(8770),
-        Fraction(16860),
-        Fraction(32400),
-        Fraction(-56820 + 24600 * a),
-        Fraction(-157860 + 69000 * a),
-        Fraction(-303120 + 133200 * a),
-        Fraction(735690 - 647400 * a + 140850 * a**2),
-        Fraction(1411380 - 1249200 * a + 272700 * a**2),
-        Fraction(-4359420 + 5833800 * a - 2564100 * a**2 + 369000 * a**3),
-        Fraction(10044963 - 18084600 * a + 12010650 * a**2 - 3477000 * a**3 + 371115 * a**4),
+        1683,
+        6060,
+        8770,
+        16860,
+        32400,
+        -56820 + 24600 * a,
+        -157860 + 69000 * a,
+        -303120 + 133200 * a,
+        735690 - 647400 * a + 140850 * a**2,
+        1411380 - 1249200 * a + 272700 * a**2,
+        -4359420 + 5833800 * a - 2564100 * a**2 + 369000 * a**3,
+        10044963 - 18084600 * a + 12010650 * a**2 - 3477000 * a**3 + 371115 * a**4,
     ]
 
 
@@ -661,7 +653,8 @@ class VerificationReport(
 
 class GapReport(namedtuple("GapReport", "s a b value_grid recursion_checked base_checked")):
     """Outcome of the gap-polynomial positivity sweep for one (s, a, b);
-    value_grid maps each degree tuple to its gap value."""
+    value_grid maps each degree tuple to its gap value.  Both flags are
+    true: a check that fails raises instead."""
 
     __slots__ = ()
 
@@ -731,7 +724,8 @@ def check_coefficient_table(a: int, s: int, variant: str) -> VerificationReport:
         raise ValueError("coefficient tables are stated for s >= 4")
     r, ell, denom, table = COEFF_TABLES[variant]
     reduced = subvariety_chi_basis(a, 4, s, r, ell)
-    expected = {partition: coeff / denom for partition, coeff in zip(BASIS, table(a, s))}
+    scale = Fraction(1, denom)  # an int row over an int denom would be a float
+    expected = {partition: coeff * scale for partition, coeff in zip(BASIS, table(a, s))}
     return _basis_compare(
         f"coefficient-table[{variant}]", {"a": a, "s": s}, {"": (reduced, expected)}
     )
@@ -744,7 +738,8 @@ def check_s4_tables(a: int) -> VerificationReport:
     for variant, table in S4_TABLES.items():
         r, ell, denom, _ = COEFF_TABLES[variant]
         reduced = subvariety_chi_basis(a, 4, 4, r, ell)
-        expected = {partition: coeff / denom for partition, coeff in zip(BASIS, table(a))}
+        scale = Fraction(1, denom)
+        expected = {partition: coeff * scale for partition, coeff in zip(BASIS, table(a))}
         compared[variant + ":"] = (reduced, expected)
     return _basis_compare("s4-displays", {"a": a}, compared)
 
@@ -810,9 +805,9 @@ def check_gap_positivity(s_max: int, a_max: int, d_max: int) -> list:
     grid {1..d_max}^s are recorded for a in 1..a_max, demanding strict
     positivity for a >= 2 and non-negativity (zero exactly at all-ones) for
     a = 1.  Every value is :func:`gap_value` at the tuple's power sums p_2
-    and p_4, formed once per distinct (p_2, p_4), so it is symmetric in the
-    degrees by construction; the terms of :func:`gap_value` show v > 0 for
-    every tuple, and the grid cross-checks it in ``itertools.product`` order.
+    and p_4, so it is symmetric in the degrees by construction; each distinct
+    (p_2, p_4) is checked once, at its first tuple in ``itertools.product``
+    order.  The terms of :func:`gap_value` show v > 0 for every tuple.
     """
     if s_max < 2 or a_max < 2 or d_max < 1:
         raise ValueError("need s_max >= 2, a_max >= 2, d_max >= 1")
@@ -821,41 +816,39 @@ def check_gap_positivity(s_max: int, a_max: int, d_max: int) -> list:
         ones = (1,) * s
         tuples = itertools.product(range(1, d_max + 1), repeat=s)
         grid = [(tup, (sum(d**2 for d in tup), sum(d**4 for d in tup))) for tup in tuples]
-        pairs = {pair for _, pair in grid}
+        first = {}  # each (p_2, p_4) -> its first tuple
+        for tup, pair in grid:
+            first.setdefault(pair, tup)
         for b in GAP_B.values():
             base_value = gap_at(ones, 1, b)
-            base_ok = base_value == 0
-            if not base_ok:
+            if base_value != 0:
                 raise VerificationFailure(
                     f"base case failed: gap({s},1,{b}) at all-ones is {base_value}",
                     witness={"s": s, "b": b, "value": base_value},
                 )
             previous = gap_value(s, 1, b, _P2, _P4)
             for a in range(1, a_max + 1):
-                recursion_ok = True
                 if a >= 2:
                     current = gap_value(s, a, b, _P2, _P4)
-                    recursion_ok = current - previous == _recursion_step(s, a, b, _P2)
-                    previous = current
-                    if not recursion_ok:
+                    if current - previous != _recursion_step(s, a, b, _P2):
                         raise VerificationFailure(
                             f"recursion failed at s={s}, a={a}, b={b}",
                             witness={"s": s, "a": a, "b": b},
                         )
-                gaps = {pair: gap_value(s, a, b, *pair) for pair in pairs}
-                values = {}
-                for tup, pair in grid:
-                    value = values[tup] = gaps[pair]
+                    previous = current
+                gaps = {pair: gap_value(s, a, b, *pair) for pair in first}
+                for pair, tup in first.items():
+                    value = gaps[pair]
                     if a >= 2 and value <= 0:
                         raise VerificationFailure(
                             f"gap({s},{a},{b}){tup} = {value} is not positive",
                             witness={"s": s, "a": a, "b": b, "tuple": tup, "value": value},
                         )
-                    if a == 1:
-                        if value < 0 or (value == 0) != (tup == ones):
-                            raise VerificationFailure(
-                                f"gap({s},1,{b}){tup} = {value} violates the base bound",
-                                witness={"s": s, "a": 1, "b": b, "tuple": tup, "value": value},
-                            )
-                reports.append(GapReport(s, a, b, values, recursion_ok, base_ok))
+                    if a == 1 and (value < 0 or (value == 0) != (tup == ones)):
+                        raise VerificationFailure(
+                            f"gap({s},1,{b}){tup} = {value} violates the base bound",
+                            witness={"s": s, "a": 1, "b": b, "tuple": tup, "value": value},
+                        )
+                values = {tup: gaps[pair] for tup, pair in grid}
+                reports.append(GapReport(s, a, b, values, True, True))
     return reports

@@ -218,10 +218,15 @@ def test_workload_argvs_are_answered_by_the_table(monkeypatch):
     assert [cli._parse(argv) for argv in argvs] == expected
 
 
-_json_text = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u2603\U0001d11e') | st.characters())
+_json_chars = st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u2603\U0001d11e')
+_json_text = st.text(_json_chars | st.characters())
+# keys from the escape and non-ASCII alphabet alone, and at most four items
+# per container, so few draws are retried for distinct keys or max_leaves
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | _json_text,
-    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_json_text, inner),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(_json_chars), inner, max_size=4),
     max_leaves=30,
 )
 

@@ -149,6 +149,11 @@ def test_scalar_serialization():
     assert scalar_str(Fraction(-3)) == "-3"
     assert parse_scalar("5/16") == Fraction(5, 16)
     assert parse_scalar("-3") == Fraction(-3)
+    assert parse_scalar("-1/2") == Fraction(-1, 2)
+    # scalar_str writes no zero or signed denominator: each is a malformed literal
+    for bad in ("1/0", "1/-2", "-1/-2", "1/-0", "3/00", "1/+2"):
+        with pytest.raises(ValueError):
+            parse_scalar(bad)
 
 
 def test_scalar_serialization_past_the_str_digit_limit():

@@ -8,11 +8,13 @@ import pytest
 from ulrichcert import identities
 from ulrichcert.cli import main
 from ulrichcert.errors import VerificationFailure
+from ulrichcert.exactcore import SparsePoly
 from ulrichcert.euler import subvariety_chi_basis, subvariety_chi_poly
 from ulrichcert.identities import (
     BASIS,
     CLOSED_FORM_TABLES,
     COEFF_TABLES,
+    S4_TABLES,
     check_closed_forms,
     check_coefficient_table,
     check_gap_identities,
@@ -291,6 +293,60 @@ def test_gap_positivity_failure_carries_witness(monkeypatch):
     with pytest.raises(VerificationFailure) as info:
         check_gap_positivity(s_max=2, a_max=2, d_max=2)
     assert info.value.witness is not None
+    # message and witness as the per-tuple sweep reported them
+    assert str(info.value) == "gap(2,1,-1000)(1, 2) = -15030 violates the base bound"
+    assert info.value.witness == {"s": 2, "a": 1, "b": -1000, "tuple": (1, 2), "value": -15030}
+
+
+def _gap_value_changed_at(monkeypatch, a: int, pair: tuple, change):
+    """gap_value with its numeric value at one (a, p_2, p_4) changed; the
+    power-sum polynomials of the recursion check are left alone.  The
+    witnesses the tests expect were recorded from the per-tuple sweep, which
+    met the tuples in itertools.product order."""
+    gap = identities.gap_value
+
+    def changed(s, a_, b, p2, p4):
+        value = gap(s, a_, b, p2, p4)
+        return change(value) if (a_, p2, p4) == (a, *pair) and isinstance(p2, int) else value
+
+    monkeypatch.setattr(identities, "gap_value", changed)
+
+
+def test_gap_positivity_failure_names_the_first_tuple_of_its_pair(monkeypatch):
+    # (1, 2, 3) is the first of the six tuples with p_2 = 14, p_4 = 98
+    _gap_value_changed_at(monkeypatch, 3, (14, 98), lambda value: -value)
+    with pytest.raises(VerificationFailure) as info:
+        check_gap_positivity(s_max=3, a_max=3, d_max=3)
+    assert str(info.value) == "gap(3,3,8)(1, 2, 3) = -14490 is not positive"
+    assert info.value.witness == {"s": 3, "a": 3, "b": 8, "tuple": (1, 2, 3), "value": -14490}
+
+
+def test_gap_base_bound_failure_names_the_first_tuple_of_its_pair(monkeypatch):
+    # a zero away from all-ones; (2, 3) is the first of two tuples with p_2 = 13, p_4 = 97
+    _gap_value_changed_at(monkeypatch, 1, (13, 97), lambda value: 0)
+    with pytest.raises(VerificationFailure) as info:
+        check_gap_positivity(s_max=3, a_max=3, d_max=3)
+    assert str(info.value) == "gap(2,1,8)(2, 3) = 0 violates the base bound"
+    assert info.value.witness == {"s": 2, "a": 1, "b": 8, "tuple": (2, 3), "value": 0}
+
+
+def test_frozen_rows_are_polynomials_in_a_and_s():
+    # every table row, fed SparsePoly variables for a and s, is a polynomial
+    # that takes the row's value at each point of a small grid
+    def value(row, point):
+        return row.eval(point) if isinstance(row, SparsePoly) else row
+
+    a, s = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
+    grid = [(2, 1), (3, 4), (7, 9), (9, 30)]
+    for _, _, _, table in COEFF_TABLES.values():
+        for point in grid:
+            assert [value(row, point) for row in table(a, s)] == table(*point)
+    for table in S4_TABLES.values():
+        for point in grid:
+            assert [value(row, point[:1]) for row in table(SparsePoly.variable(1, 0))] == table(point[0])
+    for _, _, rows in CLOSED_FORM_TABLES.values():
+        for fn in rows.values():
+            assert [value(fn(a, s), point) for point in grid] == [fn(*point) for point in grid]
 
 
 def test_gap_positivity_usage_errors():
