@@ -19,7 +19,8 @@ checks their gap against d * v exactly.
 
 The symbolic chi(O_Z)/d is the same three-term numerator run over
 polynomials in the power sums of indeterminate degrees, so one formula
-serves the numbers and the identity layer's polynomials.
+serves the numbers and the identity layer's polynomials; built once per
+(m, r, ell) with a and s as variables too, it is read at each (a, s).
 """
 
 from __future__ import annotations
@@ -107,12 +108,12 @@ def chi_ulrich(ell: ScalarLike, profile: ChiProfile) -> Fraction:
     return Fraction(top, factorial(m) * q**m)
 
 
-def _subvariety_numerator(m: int, s: int, sums, d, a: int, r: int, L, U, den: int):
+def _subvariety_numerator(m: int, s, sums, d, a, r: int, L, U, den: int):
     """F * m! * den**m * chi(O_Z(L/den)) for u = U/den, F = todd_table(m)[0]:
     the three-term chi(O_X(ell)) - chi(E(ell-u)) + (r-1) chi(O_X(ell-u)),
     chi(O_X) by HRR from the power sums ``sums`` of the s degrees, whose
-    product is d.  Ints for one profile, or polynomials in the power sums
-    (:func:`subvariety_chi_power_sums`)."""
+    product is d.  Ints for one profile, or polynomials in the power sums,
+    a and s (:func:`subvariety_chi_symbolic`)."""
     shifted = L - U
     at_ell, at_shift = chi_numerators(m, s, sums, (L, shifted), den)
     top = d * factorial(m) * (at_ell + (r - 1) * at_shift)
@@ -144,22 +145,29 @@ def chi_subvariety(ell: ScalarLike, profile: ChiProfile, u: ScalarLike) -> Fract
 
 
 @lru_cache(maxsize=None)
+def subvariety_chi_symbolic(m: int, r: int, ell: int) -> SparsePoly:
+    """chi(O_Z(ell))/d for every twist a and every number s of degrees: the
+    three-term numerator of :func:`chi_subvariety` over Q[p_1, ..., p_n, a, s],
+    n = max(4, m), variable k - 1 standing for p_k and variables n and n + 1
+    for a and s, at d = 1, den = 2 and 2u = r((m+1)(a-1) + p_1 - s)."""
+    n = max(POWER_SUM_VARS, m)
+    sums = {k: SparsePoly.variable(n + 2, k - 1) for k in range(1, n + 1)}
+    a, s = SparsePoly.variable(n + 2, n), SparsePoly.variable(n + 2, n + 1)
+    twice_u = r * (sums[1] + (m + 1) * (a - 1) - s)
+    top = _subvariety_numerator(m, s, sums, 1, a, r, 2 * ell, twice_u, 2)
+    return top / (todd_table(m)[0] * factorial(m) * 2**m)
+
+
+@lru_cache(maxsize=None)
 def subvariety_chi_power_sums(a: int, m: int, s: int, r: int, ell: int) -> SparsePoly:
-    """chi(O_Z(ell))/d for the subvariety attached to a rank-r Ulrich bundle
-    on an m-dimensional complete intersection of s indeterminate degrees, as
-    a polynomial in their power sums p_1, ..., p_n, n = max(4, m), variable
-    k - 1 standing for p_k: the three-term numerator of
-    :func:`chi_subvariety`, which is linear in d, at d = 1, den = 2 and
-    2u = r((m+1)(a-1) + p_1 - s)."""
+    """chi(O_Z(ell))/d on an m-dimensional complete intersection of s
+    indeterminate degrees, as a polynomial in their power sums p_1, ..., p_n
+    (variable k - 1 for p_k): :func:`subvariety_chi_symbolic` at this a and s."""
     if s < 1 or m < 1:
         raise ValueError("need m >= 1 and s >= 1")
     if r < 2:
         raise ValueError("the chi polynomial is defined for rank r >= 2")
-    n = max(POWER_SUM_VARS, m)
-    sums = {k: SparsePoly.variable(n, k - 1) for k in range(1, n + 1)}
-    twice_u = r * (sums[1] + ((m + 1) * (a - 1) - s))
-    top = _subvariety_numerator(m, s, sums, 1, a, r, 2 * ell, twice_u, 2)
-    return top / (todd_table(m)[0] * factorial(m) * 2**m)
+    return subvariety_chi_symbolic(m, r, ell).substitute_last((a, s))
 
 
 @lru_cache(maxsize=None)

@@ -275,6 +275,16 @@ class SparsePoly:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
         return Fraction(sum(c * prod(map(pow, point, exps)) for exps, c in self.num.items()), self.den)
 
+    def substitute_last(self, values: Sequence[int]) -> "SparsePoly":
+        """The polynomial in the first ``nvars - len(values)`` variables when the last
+        take the given ints: one pass over the terms, each power product once per tail."""
+        k = self.nvars - len(values)
+        weight = {tail: prod(map(pow, values, tail)) for tail in {exps[k:] for exps in self.num}}
+        out: dict[Exponents, int] = {}
+        for exps, c in self.num.items():
+            out[exps[:k]] = out.get(exps[:k], 0) + c * weight[exps[k:]]
+        return SparsePoly._trusted(k, out, self.den)
+
     # -- canonical serialization ----------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:

@@ -42,7 +42,7 @@ def chi_numerators(m: int, s: int, sums, nums: tuple, q: int) -> tuple:
     """F q^m chi(O_X(p/q)) / d for each p in ``nums``, q > 0, F = todd_table(m)[0],
     X cut out by s degrees whose power sums p_k are ``sums[k]`` (see :func:`power_sums`).
 
-    The p and p_k may be ints or SparsePolys: only +, -, * and int
+    The p, the p_k and s may be ints or SparsePolys: only +, -, * and int
     constants are applied to them, as in ``invariants.noether_chain``."""
     _, mult, weights = todd_table(m)
     top = m + s + 1

@@ -7,15 +7,15 @@ polynomial v whose positivity drives the final contradiction, the frozen
 coefficient tables for the chi polynomial in the monomial basis, and check
 functions that compare builder output against the tables term by term.
 
-The six derived polynomials are not typed here: each builder runs the
-invariants chain (:func:`ulrichcert.invariants.noether_chain`) over
-polynomials in the power sums p_1, ..., p_4 of the degrees, with S = p_1,
-S' = (p_1^2 - p_2)/2, d = 1 and, for rank 3, the chi polynomials at twists 0
-and 1 divided by d.  Every field the builders return is linear in d and the
-two chis, so each builder returns its polynomial divided by
-d = x_1 ... x_s, in the monomial basis of s variables.  The checkers compare
-those basis forms; none of them expands an orbit.  The frozen closed-form
-tables below check the builders against independent expansions.
+The six derived polynomials are not typed here: the invariants chain
+(:func:`ulrichcert.invariants.noether_chain`) runs once per rank over
+polynomials in a, s and the power sums p_1, ..., p_4 of the degrees, with
+S = p_1, S' = (p_1^2 - p_2)/2, d = 1 and, for rank 3, the chi polynomials at
+twists 0 and 1 divided by d; each builder substitutes its (a, s) into the one
+field it reads.  Every field is linear in d and the two chis, so each builder
+returns its polynomial divided by d = x_1 ... x_s, in the monomial basis of
+s variables.  The checkers compare those basis forms; none expands an orbit.
+The frozen closed-form tables check the builders against independent expansions.
 
 Each checker returns a :class:`VerificationReport` that lists only the
 comparisons that failed, with their exact residuals; an empty list is a pass.
@@ -39,7 +39,7 @@ from functools import lru_cache
 
 from .errors import VerificationFailure
 from .exactcore import SparsePoly, scalar_str
-from .euler import subvariety_chi_basis, subvariety_chi_power_sums
+from .euler import subvariety_chi_basis, subvariety_chi_power_sums, subvariety_chi_symbolic
 from .invariants import noether_chain
 from .symmetric import (
     POWER_SUM_VARS,
@@ -86,56 +86,54 @@ NOETHER_R2_NOTE = (
 # ---------------------------------------------------------------------------
 
 
-#: The power sums p_1, p_2 and p_4 of the degrees, as variables.
-_P1, _P2, _P4 = (SparsePoly.variable(POWER_SUM_VARS, k - 1) for k in (1, 2, 4))
+#: The power sums p_2 and p_4 of the degrees, as variables.
+_P2, _P4 = (SparsePoly.variable(POWER_SUM_VARS, k - 1) for k in (2, 4))
 
 
 @lru_cache(maxsize=None)
-def _chain(a: int, r: int, s: int) -> tuple:
-    """The invariants chain over power sums of the degrees, divided by d:
-    (e, deg Z, kZ, K_Z . H_Z, K_Z^2, c2(Z), Noether chi), indexed below.
-    Rank 3 reads chi/d at twists 0 and 1 in the same power sums."""
-    chis = ()
-    if r == 3:
-        chis = [subvariety_chi_power_sums(a, 4, s, 3, ell) for ell in (0, 1)]
-    return noether_chain(a, r, s, _P1, (_P1**2 - _P2) / 2, 1, *chis)
+def _chain(r: int) -> tuple:
+    """The invariants chain over Q[p_1..p_4, a, s], divided by d: (e, deg Z, kZ,
+    K_Z . H_Z, K_Z^2, c2(Z), Noether chi); rank 3 reads chi/d at twists 0 and 1."""
+    p1, p2, a, s = (SparsePoly.variable(POWER_SUM_VARS + 2, k) for k in (0, 1, 4, 5))
+    chis = [subvariety_chi_symbolic(4, 3, ell) for ell in (0, 1)] if r == 3 else ()
+    return noether_chain(a, r, s, p1, (p1**2 - p2) / 2, 1, *chis)
 
 
 @lru_cache(maxsize=None)
 def noether_chi_r2(a: int, s: int) -> BasisExpr:
     """chi(O_Z)/d via Noether's formula in the monomial basis, rank 2."""
-    return power_sums_to_basis(_chain(a, 2, s)[6], s)
+    return power_sums_to_basis(_chain(2)[6].substitute_last((a, s)), s)
 
 
 @lru_cache(maxsize=None)
 def deg_poly_r3(a: int, s: int) -> BasisExpr:
     """deg_H(Z)/d in the monomial basis, rank 3, dimension 4."""
-    return power_sums_to_basis(_chain(a, 3, s)[1], s)
+    return power_sums_to_basis(_chain(3)[1].substitute_last((a, s)), s)
 
 
 @lru_cache(maxsize=None)
 def kh_poly_r3(a: int, s: int) -> BasisExpr:
     """K_Z . H_Z/d in the monomial basis, rank 3: Riemann-Roch on the
     surface applied to the chi polynomials at twists 0 and 1."""
-    return power_sums_to_basis(_chain(a, 3, s)[3], s)
+    return power_sums_to_basis(_chain(3)[3].substitute_last((a, s)), s)
 
 
 @lru_cache(maxsize=None)
 def ksq_poly_r3(a: int, s: int) -> BasisExpr:
     """K_Z^2/d in the monomial basis, rank 3 (see KSQ_NOTE)."""
-    return power_sums_to_basis(_chain(a, 3, s)[4], s)
+    return power_sums_to_basis(_chain(3)[4].substitute_last((a, s)), s)
 
 
 @lru_cache(maxsize=None)
 def c2_poly_r3(a: int, s: int) -> BasisExpr:
     """c2(Z)/d in the monomial basis, rank 3."""
-    return power_sums_to_basis(_chain(a, 3, s)[5], s)
+    return power_sums_to_basis(_chain(3)[5].substitute_last((a, s)), s)
 
 
 @lru_cache(maxsize=None)
 def noether_chi_r3(a: int, s: int) -> BasisExpr:
     """chi(O_Z)/d via Noether's formula in the monomial basis, rank 3."""
-    return power_sums_to_basis(_chain(a, 3, s)[6], s)
+    return power_sums_to_basis(_chain(3)[6].substitute_last((a, s)), s)
 
 
 def gap_value(s: int, a: int, b: int, p2, p4):
@@ -764,10 +762,9 @@ def check_gap_identities(a: int, s: int) -> VerificationReport:
     is reported multiplied back by that product."""
     residuals = []
     for label, r in (("rank2", 2), ("rank3", 3)):
-        gap = gap_value(s, a, GAP_B[r], _P2, _P4)
-        chi = subvariety_chi_power_sums(a, 4, s, r, 0)
-        diff = power_sums_to_basis(_chain(a, r, s)[6] - chi - gap / GAP_FACTOR[r], s)
-        for partition, coeff in times_all_vars(diff).sorted_items():
+        gap = gap_value(s, a, GAP_B[r], _P2, _P4) / GAP_FACTOR[r]
+        diff = _chain(r)[6].substitute_last((a, s)) - subvariety_chi_power_sums(a, 4, s, r, 0) - gap
+        for partition, coeff in times_all_vars(power_sums_to_basis(diff, s)).sorted_items():
             residuals.append((f"{label}:{_label(partition)}", scalar_str(coeff)))
     return VerificationReport("chi-gap-identity", {"a": a, "s": s}, residuals, [NOETHER_R2_NOTE])
 

@@ -115,13 +115,13 @@ def _over(x, k: int):
     return Fraction(x, k) if isinstance(x, int) else x / k
 
 
-def noether_chain(a: int, r: int, s: int, S, S2, d, chi0=None, chi1=None, den: int = 1) -> tuple:
+def noether_chain(a, r: int, s, S, S2, d, chi0=None, chi1=None, den: int = 1) -> tuple:
     """The rank-r chain (r = 2 or 3) on a 4-dimensional complete intersection.
 
     S, S2 and d are the sum, the pairwise-product sum and the product of the
     degrees; chi0/den and chi1/den are chi(O_Z) and chi(O_Z(1)), needed for
-    rank 3 only (den stays 1 for rank 2).  Each may be an int or a
-    SparsePoly: only +, -, * and int constants are applied to them.  Each
+    rank 3 only (den stays 1 for rank 2).  Each, and a and s, may be an int
+    or a SparsePoly: only +, -, * and int constants are applied to them.  Each
     bracket is grouped by powers of S, c0 + (c1 + c2 S) S - k S2 with int
     c0, c1, c2 in (a, r, s), so on polynomials it takes one product, not a
     scaling and a sum per term of the expanded bracket.  Each field is

@@ -1,14 +1,14 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ulrichcert import cli, euler
+from ulrichcert import cli, euler, identities
 from ulrichcert.certify import certify_complete_intersection
 from ulrichcert.errors import InternalContradiction
 from ulrichcert.euler import (
@@ -19,11 +19,12 @@ from ulrichcert.euler import (
     chi_ulrich,
     subvariety_chi_basis,
     subvariety_chi_poly,
+    subvariety_chi_power_sums,
 )
 from ulrichcert.exactcore import SparsePoly, binom_int
 from ulrichcert.identities import check_coefficient_table
 from ulrichcert.invariants import c1_coeff
-from ulrichcert.symmetric import divide_all_vars, specialize_ones, to_basis
+from ulrichcert.symmetric import POWER_SUM_VARS, divide_all_vars, specialize_ones, to_basis
 from oracles import (
     _ci_numerator,
     _falling_binom_2var,
@@ -288,6 +289,32 @@ def test_chi_poly_rejects_rank_one():
         subvariety_chi_poly(2, 4, 4, 1, 0)
 
 
+def _per_point_chi_power_sums(a, m, s, r, ell):
+    """The three-term numerator over Q[p_1, ..., p_n] with int a and s: the
+    per-point build the symbolic polynomial is read against."""
+    n = max(POWER_SUM_VARS, m)
+    sums = {k: SparsePoly.variable(n, k - 1) for k in range(1, n + 1)}
+    twice_u = r * (sums[1] + ((m + 1) * (a - 1) - s))
+    top = euler._subvariety_numerator(m, s, sums, 1, a, r, 2 * ell, twice_u, 2)
+    return top / (euler.todd_table(m)[0] * factorial(m) * 2**m)
+
+
+def test_chi_power_sums_read_the_symbolic_polynomial_at_a_and_s():
+    # one polynomial in (p_1, ..., p_n, a, s) per (m, r, ell), substituted at
+    # each (a, s), is the per-point build in the same canonical num and den
+    pairs = ((2, 0), (3, 0), (3, 1), (2, 1), (3, -2))
+    for m, s, a, (r, ell) in product(range(1, 7), range(1, 13), range(2, 10), pairs):
+        got = subvariety_chi_power_sums(a, m, s, r, ell)
+        want = _per_point_chi_power_sums(a, m, s, r, ell)
+        assert (got.nvars, got.num, got.den) == (want.nvars, want.num, want.den), (a, m, s, r, ell)
+
+
+def test_chi_power_sums_reject_out_of_range():
+    for args in [(2, 4, 0, 2, 0), (2, 0, 3, 2, 0), (2, 4, 3, 1, 0)]:  # s < 1, m < 1, r < 2
+        with pytest.raises(ValueError):
+            subvariety_chi_power_sums(*args)
+
+
 def test_chi_ci_padding_identity_s25():
     # 25 hyperplanes cut P^27 down to P^2; 2^25 subsets, 26 Koszul terms
     assert chi_ci(0, ChiProfile(2, (1,) * 25, 2, 1)) == 1
@@ -386,7 +413,15 @@ CORES = {"chi_numerators": "chi_numerators", "chi_ulrich": "_ulrich_numerator"}
 
 
 def _clear_chi_caches():
-    for builder in (euler.subvariety_chi_power_sums, euler.subvariety_chi_basis, euler.subvariety_chi_poly):
+    # the symbolic chi polynomial and the rank chains built on it would
+    # otherwise keep a faulted core past the test
+    for builder in (
+        euler.subvariety_chi_symbolic,
+        identities._chain,
+        euler.subvariety_chi_power_sums,
+        euler.subvariety_chi_basis,
+        euler.subvariety_chi_poly,
+    ):
         builder.cache_clear()
 
 

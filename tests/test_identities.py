@@ -9,7 +9,12 @@ from ulrichcert import identities
 from ulrichcert.cli import main
 from ulrichcert.errors import VerificationFailure
 from ulrichcert.exactcore import SparsePoly
-from ulrichcert.euler import subvariety_chi_basis, subvariety_chi_poly
+from ulrichcert.euler import (
+    subvariety_chi_basis,
+    subvariety_chi_poly,
+    subvariety_chi_power_sums,
+    subvariety_chi_symbolic,
+)
 from ulrichcert.identities import (
     BASIS,
     CLOSED_FORM_TABLES,
@@ -31,10 +36,12 @@ from ulrichcert.identities import (
 )
 from ulrichcert.invariants import noether_chain
 from ulrichcert.symmetric import (
+    POWER_SUM_VARS,
     BasisExpr,
     divide_all_vars,
     expand_m,
     from_basis,
+    p_times_coeffs,
     specialize_ones,
     specialize_ones_basis,
     times_all_vars,
@@ -165,21 +172,80 @@ def _x_variable_chain(a, r, s):
     return noether_chain(a, r, s, expand_m((1,), s), expand_m((1, 1), s), ones, *chis)
 
 
+#: Each derived-polynomial builder -> (rank, index of its chain field).
+CHAIN_FIELDS = {
+    noether_chi_r2: (2, 6),
+    deg_poly_r3: (3, 1),
+    kh_poly_r3: (3, 3),
+    ksq_poly_r3: (3, 4),
+    c2_poly_r3: (3, 5),
+    noether_chi_r3: (3, 6),
+}
+
+
 def test_builders_match_x_variable_chain():
-    fields = {
-        noether_chi_r2: (2, 6),
-        deg_poly_r3: (3, 1),
-        kh_poly_r3: (3, 3),
-        ksq_poly_r3: (3, 4),
-        c2_poly_r3: (3, 5),
-        noether_chi_r3: (3, 6),
-    }
     for a in range(2, 7):
         for s in range(1, 8):
             chains = {r: _x_variable_chain(a, r, s) for r in (2, 3)}
-            for builder, (r, index) in fields.items():
+            for builder, (r, index) in CHAIN_FIELDS.items():
                 expected = to_basis(divide_all_vars(chains[r][index]))
                 assert builder(a, s) == expected, (builder.__name__, a, s)
+
+
+def test_chain_fields_read_the_per_point_chain_at_a_and_s():
+    # each field of the one chain per rank over Q[p_1..p_4, a, s], substituted
+    # at (a, s), is noether_chain run with int a and s over Q[p_1..p_4]; the
+    # rank-3 chis are the per-point polynomials, which test_euler checks
+    # against the per-point numerator
+    p1, p2 = (SparsePoly.variable(POWER_SUM_VARS, k) for k in (0, 1))
+    for a, s, r in itertools.product(range(2, 10), range(1, 13), (2, 3)):
+        chis = [subvariety_chi_power_sums(a, 4, s, 3, ell) for ell in (0, 1)] if r == 3 else []
+        want = noether_chain(a, r, s, p1, (p1**2 - p2) / 2, 1, *chis)
+        got = [None if f is None else f.substitute_last((a, s)) for f in identities._chain(r)]
+        assert got == list(want), (a, s, r)
+
+
+def _basis_in_a_and_s(poly):
+    """A polynomial in Q[p_1..p_4, a, s] in the monomial basis for every
+    s >= 4 at once: its terms grouped by p-exponents, each group a SparsePoly
+    in (a, s) carried through p_times_coeffs.  A power-sum monomial of weight
+    <= 4 expands in partitions of at most 4 parts, the same for every s >= 4."""
+    groups = {}
+    for exps, coeff in poly.terms.items():
+        groups.setdefault(exps[:4], {})[exps[4:]] = coeff
+    out = {}
+    for exps, terms in groups.items():
+        expansions = []
+        for s in (4, 40):
+            coeffs = {(): SparsePoly(2, terms)}
+            for k, e in enumerate(exps, start=1):
+                for _ in range(e):
+                    coeffs = p_times_coeffs(coeffs, s, k)
+            expansions.append(coeffs)
+        assert expansions[0] == expansions[1], exps
+        for partition, coeff in expansions[0].items():
+            out[partition] = out.get(partition, 0) + coeff
+    return out
+
+
+def test_frozen_tables_hold_for_every_a_and_every_s_from_four():
+    # the symbolic chi/d and chain fields against every COEFF_TABLES and
+    # CLOSED_FORM_TABLES row fed SparsePoly variables a and s: an identity
+    # in (a, s), not a grid
+    a, s = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
+    compared = []
+    for r, ell, denom, table in COEFF_TABLES.values():
+        expected = {partition: row * Fraction(1, denom) for partition, row in zip(BASIS, table(a, s))}
+        compared.append((subvariety_chi_symbolic(4, r, ell), expected))
+    for builder, prefactor, rows in CLOSED_FORM_TABLES.values():
+        r, index = CHAIN_FIELDS[builder]
+        expected = {partition: prefactor * fn(a, s) for partition, fn in rows.items()}
+        compared.append((identities._chain(r)[index], expected))
+    for poly, expected in compared:
+        got = _basis_in_a_and_s(poly)
+        assert set(got) <= set(BASIS)
+        for partition in BASIS:
+            assert got.get(partition, 0) == expected.get(partition, 0), partition
 
 
 def test_gap_identities_pass():
