@@ -20,7 +20,8 @@ checks their gap against d * v exactly.
 The symbolic chi(O_Z)/d is the same three-term numerator run over
 polynomials in the power sums of indeterminate degrees, so one formula
 serves the numbers and the identity layer's polynomials; built once per
-(m, r, ell) with a and s as variables too, it is read at each (a, s).
+(m, r, ell) with a and s as variables too, and written once in the monomial
+basis with coefficients in (a, s), it is read at each (a, s).
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from math import factorial, lcm, prod
 from .errors import OutOfTheoremScope
 from .exactcore import ScalarLike, SparsePoly, binom
 from .hrr import chi_numerators, power_sums, todd_table
-from .symmetric import POWER_SUM_VARS, BasisExpr, from_basis, power_sums_to_basis, times_all_vars
+from .symmetric import POWER_SUM_VARS, BasisExpr, from_basis, times_all_vars
+from .symmetric import power_sums_basis_form, read_basis_form
 from .symmetric import m1_times  # noqa: F401 - the benchmark tracer wraps euler.m1_times
 
 
@@ -159,23 +161,22 @@ def subvariety_chi_symbolic(m: int, r: int, ell: int) -> SparsePoly:
 
 
 @lru_cache(maxsize=None)
-def subvariety_chi_power_sums(a: int, m: int, s: int, r: int, ell: int) -> SparsePoly:
-    """chi(O_Z(ell))/d on an m-dimensional complete intersection of s
-    indeterminate degrees, as a polynomial in their power sums p_1, ..., p_n
-    (variable k - 1 for p_k): :func:`subvariety_chi_symbolic` at this a and s."""
-    if s < 1 or m < 1:
-        raise ValueError("need m >= 1 and s >= 1")
-    if r < 2:
-        raise ValueError("the chi polynomial is defined for rank r >= 2")
-    return subvariety_chi_symbolic(m, r, ell).substitute_last((a, s))
+def subvariety_chi_form(m: int, r: int, ell: int) -> tuple:
+    """:func:`subvariety_chi_symbolic` in the monomial basis for every a and s."""
+    return power_sums_basis_form(subvariety_chi_symbolic(m, r, ell), 2)
 
 
 @lru_cache(maxsize=None)
 def subvariety_chi_basis(a: int, m: int, s: int, r: int, ell: int) -> BasisExpr:
     """The chi polynomial of :func:`subvariety_chi_poly` divided by
-    x_1 ... x_s, in the monomial basis: :func:`subvariety_chi_power_sums`
-    in s variables."""
-    return power_sums_to_basis(subvariety_chi_power_sums(a, m, s, r, ell), s)
+    x_1 ... x_s, in the monomial basis: chi(O_Z(ell))/d on an
+    m-dimensional complete intersection of s degrees, read at (a, s) from
+    :func:`subvariety_chi_form`."""
+    if s < 1 or m < 1:
+        raise ValueError("need m >= 1 and s >= 1")
+    if r < 2:
+        raise ValueError("the chi polynomial is defined for rank r >= 2")
+    return read_basis_form(subvariety_chi_form(m, r, ell), s, (a, s))
 
 
 @lru_cache(maxsize=None)

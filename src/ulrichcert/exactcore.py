@@ -249,9 +249,13 @@ class SparsePoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        result = SparsePoly.const(self.nvars, 1)
-        for _ in range(exponent):
-            result = result * self
+        if exponent == 0:
+            return SparsePoly.const(self.nvars, 1)
+        result = self  # square-and-multiply over the bits below the leading one
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):
@@ -274,16 +278,6 @@ class SparsePoly:
         if len(point) != self.nvars:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
         return Fraction(sum(c * prod(map(pow, point, exps)) for exps, c in self.num.items()), self.den)
-
-    def substitute_last(self, values: Sequence[int]) -> "SparsePoly":
-        """The polynomial in the first ``nvars - len(values)`` variables when the last
-        take the given ints: one pass over the terms, each power product once per tail."""
-        k = self.nvars - len(values)
-        weight = {tail: prod(map(pow, values, tail)) for tail in {exps[k:] for exps in self.num}}
-        out: dict[Exponents, int] = {}
-        for exps, c in self.num.items():
-            out[exps[:k]] = out.get(exps[:k], 0) + c * weight[exps[k:]]
-        return SparsePoly._trusted(k, out, self.den)
 
     # -- canonical serialization ----------------------------------------------
 

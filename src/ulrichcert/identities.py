@@ -11,10 +11,13 @@ The six derived polynomials are not typed here: the invariants chain
 (:func:`ulrichcert.invariants.noether_chain`) runs once per rank over
 polynomials in a, s and the power sums p_1, ..., p_4 of the degrees, with
 S = p_1, S' = (p_1^2 - p_2)/2, d = 1 and, for rank 3, the chi polynomials at
-twists 0 and 1 divided by d; each builder substitutes its (a, s) into the one
-field it reads.  Every field is linear in d and the two chis, so each builder
-returns its polynomial divided by d = x_1 ... x_s, in the monomial basis of
-s variables.  The checkers compare those basis forms; none expands an orbit.
+twists 0 and 1 divided by d.  Each field a builder reads is written once in
+the monomial basis with coefficients in (a, s)
+(:func:`ulrichcert.symmetric.power_sums_basis_form`), and the builder reads
+that form at its (a, s).  Every field is linear in d and the two chis, so
+each builder returns its polynomial divided by d = x_1 ... x_s, in the
+monomial basis of s variables.  The checkers compare those basis forms; none
+expands an orbit.
 The frozen closed-form tables check the builders against independent expansions.
 
 Each checker returns a :class:`VerificationReport` that lists only the
@@ -39,14 +42,16 @@ from functools import lru_cache
 
 from .errors import VerificationFailure
 from .exactcore import SparsePoly, scalar_str
-from .euler import subvariety_chi_basis, subvariety_chi_power_sums, subvariety_chi_symbolic
+from .euler import subvariety_chi_basis, subvariety_chi_symbolic
 from .invariants import noether_chain
 from .symmetric import (
     POWER_SUM_VARS,
     BasisExpr,
     expand_m,
     from_basis,
+    power_sums_basis_form,
     power_sums_to_basis,
+    read_basis_form,
     specialize_ones_basis,
     times_all_vars,
 )
@@ -100,40 +105,54 @@ def _chain(r: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _chain_form(r: int, index: int) -> tuple:
+    """Field ``index`` of :func:`_chain` in the monomial basis, built once for
+    every a and s; each builder reads its field's form at its (a, s)."""
+    return power_sums_basis_form(_chain(r)[index], 2)
+
+
+@lru_cache(maxsize=None)
 def noether_chi_r2(a: int, s: int) -> BasisExpr:
-    """chi(O_Z)/d via Noether's formula in the monomial basis, rank 2."""
-    return power_sums_to_basis(_chain(2)[6].substitute_last((a, s)), s)
+    """chi(O_Z)/d via Noether's formula, rank 2, read at (a, s) from its basis form."""
+    return read_basis_form(_chain_form(2, 6), s, (a, s))
 
 
 @lru_cache(maxsize=None)
 def deg_poly_r3(a: int, s: int) -> BasisExpr:
-    """deg_H(Z)/d in the monomial basis, rank 3, dimension 4."""
-    return power_sums_to_basis(_chain(3)[1].substitute_last((a, s)), s)
+    """deg_H(Z)/d, rank 3, dimension 4, read at (a, s) from its basis form."""
+    return read_basis_form(_chain_form(3, 1), s, (a, s))
 
 
 @lru_cache(maxsize=None)
 def kh_poly_r3(a: int, s: int) -> BasisExpr:
-    """K_Z . H_Z/d in the monomial basis, rank 3: Riemann-Roch on the
-    surface applied to the chi polynomials at twists 0 and 1."""
-    return power_sums_to_basis(_chain(3)[3].substitute_last((a, s)), s)
+    """K_Z . H_Z/d, rank 3, read at (a, s) from its basis form: Riemann-Roch
+    on the surface applied to the chi polynomials at twists 0 and 1."""
+    return read_basis_form(_chain_form(3, 3), s, (a, s))
 
 
 @lru_cache(maxsize=None)
 def ksq_poly_r3(a: int, s: int) -> BasisExpr:
-    """K_Z^2/d in the monomial basis, rank 3 (see KSQ_NOTE)."""
-    return power_sums_to_basis(_chain(3)[4].substitute_last((a, s)), s)
+    """K_Z^2/d, rank 3 (see KSQ_NOTE), read at (a, s) from its basis form."""
+    return read_basis_form(_chain_form(3, 4), s, (a, s))
 
 
 @lru_cache(maxsize=None)
 def c2_poly_r3(a: int, s: int) -> BasisExpr:
-    """c2(Z)/d in the monomial basis, rank 3."""
-    return power_sums_to_basis(_chain(3)[5].substitute_last((a, s)), s)
+    """c2(Z)/d, rank 3, read at (a, s) from its basis form."""
+    return read_basis_form(_chain_form(3, 5), s, (a, s))
 
 
 @lru_cache(maxsize=None)
 def noether_chi_r3(a: int, s: int) -> BasisExpr:
-    """chi(O_Z)/d via Noether's formula in the monomial basis, rank 3."""
-    return power_sums_to_basis(_chain(3)[6].substitute_last((a, s)), s)
+    """chi(O_Z)/d via Noether's formula, rank 3, read at (a, s) from its basis form."""
+    return read_basis_form(_chain_form(3, 6), s, (a, s))
+
+
+@lru_cache(maxsize=None)
+def _chi_gap_form(r: int) -> tuple:
+    """Noether's chi/d minus the HRR chi/d at twist 0, rank r, in the
+    monomial basis for every a and s: the gap identity's left side."""
+    return power_sums_basis_form(_chain(r)[6] - subvariety_chi_symbolic(4, r, 0), 2)
 
 
 def gap_value(s: int, a: int, b: int, p2, p4):
@@ -757,14 +776,16 @@ def check_gap_identities(a: int, s: int) -> VerificationReport:
     """Exact polynomial identity between the two chi routes and the scaled
     gap polynomial, for both ranks.
 
-    Both sides are divided by the product of the degrees and formed over
-    power sums; the difference is decided in s variables, and a nonzero one
-    is reported multiplied back by that product."""
+    Both sides are divided by the product of the degrees and written in the
+    monomial basis of s variables: the chi difference read at (a, s) from its
+    one basis form per rank, the gap formed on each call from
+    :func:`gap_value`, GAP_B and GAP_FACTOR over the power sums; a nonzero
+    difference is reported multiplied back by that product."""
     residuals = []
     for label, r in (("rank2", 2), ("rank3", 3)):
-        gap = gap_value(s, a, GAP_B[r], _P2, _P4) / GAP_FACTOR[r]
-        diff = _chain(r)[6].substitute_last((a, s)) - subvariety_chi_power_sums(a, 4, s, r, 0) - gap
-        for partition, coeff in times_all_vars(power_sums_to_basis(diff, s)).sorted_items():
+        gap = power_sums_to_basis(gap_value(s, a, GAP_B[r], _P2, _P4) / GAP_FACTOR[r], s)
+        diff = read_basis_form(_chi_gap_form(r), s, (a, s)) - gap
+        for partition, coeff in times_all_vars(diff).sorted_items():
             residuals.append((f"{label}:{_label(partition)}", scalar_str(coeff)))
     return VerificationReport("chi-gap-identity", {"a": a, "s": s}, residuals, [NOETHER_R2_NOTE])
 

@@ -10,8 +10,10 @@ variables.
 
 The power sums p_k = m_k bridge the basis to the ring Q[p_1, ..., p_n]:
 p_k is multiplied in directly in the basis (:func:`p_times`), so a
-polynomial in the power sums has one image in s variables for every s
-(:func:`power_sums_to_basis`).
+polynomial in the power sums, with or without further int parameters, is
+written in the basis once for every s and every parameter value
+(:func:`power_sums_basis_form`) and read at each (:func:`read_basis_form`);
+:func:`power_sums_to_basis` reads it with no parameters.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from collections import Counter, namedtuple
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
+from operator import mul
 from types import MappingProxyType
 
 from .errors import DivisibilityError, SymmetryError
@@ -130,8 +133,8 @@ class BasisExpr(namedtuple("BasisExpr", "nvars coeffs")):
     ``_make`` and ``_replace`` skip it, so build an expression only through
     the constructor.  Only the producers whose partitions are valid by
     construction skip the checks through ``_trusted``: :func:`p_times`,
-    :func:`times_all_vars`, :func:`specialize_ones_basis` and
-    :func:`power_sums_to_basis`."""
+    :func:`times_all_vars`, :func:`specialize_ones_basis`,
+    :func:`read_basis_form` and subtraction."""
 
     __slots__ = ()
 
@@ -161,6 +164,12 @@ class BasisExpr(namedtuple("BasisExpr", "nvars coeffs")):
         if not isinstance(other, BasisExpr):
             return NotImplemented
         return self.nvars == other.nvars and dict(self.coeffs) == dict(other.coeffs)
+
+    def __sub__(self, other: "BasisExpr") -> "BasisExpr":
+        if self.nvars != other.nvars:
+            raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
+        keys = self.coeffs.keys() | other.coeffs.keys()
+        return BasisExpr._trusted(self.nvars, {p: self.get(p) - other.get(p) for p in keys})
 
 
 def to_basis(poly: SparsePoly) -> BasisExpr:
@@ -237,14 +246,25 @@ def specialize_ones_basis(expr: BasisExpr, k: int) -> BasisExpr:
     den, nums = _over_one_denominator(expr.coeffs)
     out: dict[Partition, int] = {}
     for partition, coeff in nums.items():
-        values = sorted(Counter(partition).items(), reverse=True)
-        for kept in itertools.product(*(range(c + 1) for _, c in values)):
-            head = tuple(v for (v, _), n in zip(values, kept) for _ in range(n))
-            tail = tuple(v for (v, c), n in zip(values, kept) for _ in range(c - n))
-            weight = orbit_size(tail, s - k)
-            if weight and len(head) <= k:
-                out[head] = out.get(head, 0) + coeff * weight
+        for head, weight in _ones_splits(partition, s, k):
+            out[head] = out.get(head, 0) + coeff * weight
     return BasisExpr._trusted(k, {head: Fraction(c, den) for head, c in out.items() if c})
+
+
+@lru_cache(maxsize=None)
+def _ones_splits(partition: Partition, s: int, k: int) -> tuple:
+    """The (head, weight) pairs of :func:`specialize_ones_basis` for one
+    partition: each head of at most k parts, with the nonzero number of
+    arrangements of its tail on s - k variables."""
+    values = sorted(Counter(partition).items(), reverse=True)
+    splits = []
+    for kept in itertools.product(*(range(c + 1) for _, c in values)):
+        head = tuple(v for (v, _), n in zip(values, kept) for _ in range(n))
+        tail = tuple(v for (v, c), n in zip(values, kept) for _ in range(c - n))
+        weight = orbit_size(tail, s - k)
+        if weight and len(head) <= k:
+            splits.append((head, weight))
+    return tuple(splits)
 
 
 def times_all_vars(expr: BasisExpr) -> BasisExpr:
@@ -293,24 +313,63 @@ POWER_SUM_VARS = 4
 
 
 @lru_cache(maxsize=None)
-def _power_sum_monomial(exps: tuple, s: int) -> Mapping[Partition, int]:
-    """p_1^e_1 ... p_n^e_n in s variables: its int coefficients in the
-    monomial basis, read-only since the cache shares them."""
+def _power_sum_monomial(exps: tuple) -> Mapping[Partition, int]:
+    """p_1^e_1 ... p_n^e_n in as many variables as it has factors, so no
+    part is cut: its int coefficients in the monomial basis, read-only since
+    the cache shares them."""
     coeffs: Mapping[Partition, int] = {(): 1}
+    factors = sum(exps)
     for k, e in enumerate(exps, start=1):
         for _ in range(e):
-            coeffs = p_times_coeffs(coeffs, s, k)
+            coeffs = p_times_coeffs(coeffs, factors, k)
     return MappingProxyType(coeffs)
 
 
 def power_sums_to_basis(poly: SparsePoly, s: int) -> BasisExpr:
     """The image in s variables of a polynomial in p_1, ..., p_n (variable
-    k - 1 standing for p_k), written in the monomial basis."""
-    out: dict[Partition, int] = {}
+    k - 1 standing for p_k), written in the monomial basis: its
+    :func:`power_sums_basis_form` with no parameters, read in s variables."""
+    return read_basis_form(power_sums_basis_form(poly, 0), s, ())
+
+
+def power_sums_basis_form(poly: SparsePoly, params: int) -> tuple:
+    """A polynomial in p_1, ..., p_n whose last ``params`` variables are
+    parameters with int values, in the monomial basis for every s at once:
+    the triple (den, tails, rows), where the coefficient of m_partition is
+    sum(c_i * t**tails[i]) / den, t the parameters and (c_0, c_1, ...) the
+    ints ``rows[partition]``.
+
+    The power-sum monomial p_1^e_1 ... p_n^e_n, a product of
+    w = e_1 + ... + e_n power sums, expands in partitions of at most w
+    parts.  Each factor p_k raises a part or appends one, so the number of
+    parts never falls: in s variables, where only an append past s parts is
+    cut, each partition of at most s parts has the coefficient it has for
+    every s >= w, and the others are absent.  :func:`read_basis_form` drops
+    just those."""
+    k = poly.nvars - params
+    tails = sorted({exps[k:] for exps in poly.num})
+    column = {tail: i for i, tail in enumerate(tails)}
+    rows: dict[Partition, list] = {}
     for exps, coeff in poly.num.items():
-        for partition, c in _power_sum_monomial(exps, s).items():
-            out[partition] = out.get(partition, 0) + coeff * c
-    return BasisExpr._trusted(s, {p: Fraction(c, poly.den) for p, c in out.items() if c})
+        i = column[exps[k:]]
+        for partition, c in _power_sum_monomial(exps[:k]).items():
+            if partition not in rows:
+                rows[partition] = [0] * len(tails)
+            rows[partition][i] += coeff * c
+    return poly.den, tuple(tails), {p: tuple(row) for p, row in rows.items() if any(row)}
+
+
+def read_basis_form(form: tuple, s: int, values: Sequence[int]) -> BasisExpr:
+    """A form of :func:`power_sums_basis_form` in s variables with the
+    parameters at ``values``: each coefficient evaluated, the partitions of
+    more than s parts dropped."""
+    den, tails, rows = form
+    weights = [prod(map(pow, values, tail)) for tail in tails]
+    out = {}
+    for partition, row in rows.items():
+        if len(partition) <= s:
+            out[partition] = Fraction(sum(map(mul, row, weights)), den)
+    return BasisExpr._trusted(s, out)
 
 
 def _over_one_denominator(coeffs: Mapping[Partition, Fraction]) -> tuple[int, dict]:

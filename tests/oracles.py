@@ -6,7 +6,11 @@ they check.  The Koszul references (the stepped sums and
 :func:`koszul_chi_basis`) are a second algorithm for chi rather than a
 naive one: they share no chi code with the package's Hirzebruch-Riemann-Roch
 route, and :func:`koszul_chi_basis` only borrows the basis helpers
-``partitions_of`` and ``p_times_coeffs``.
+``partitions_of`` and ``p_times_coeffs``.  The per-point references
+(:func:`substitute_last`, :func:`chi_power_sums`,
+:func:`power_sums_in_s_vars`) read a polynomial over Q[p_1..p_n, a, s] at
+one (a, s) and multiply it out in s variables, the route that the
+once-built basis forms replace.
 """
 
 import argparse
@@ -16,6 +20,7 @@ from itertools import combinations
 from math import factorial, lcm, prod
 
 from ulrichcert import cli
+from ulrichcert.euler import subvariety_chi_symbolic
 from ulrichcert.exactcore import SparsePoly, falling
 from ulrichcert.symmetric import BasisExpr, p_times_coeffs, partitions_of
 
@@ -330,6 +335,42 @@ def koszul_chi_basis(a: int, m: int, s: int, r: int, ell: int) -> BasisExpr:
         for partition, c in by_wpow.get(i2, {}).items():
             coeffs[partition] = coeffs.get(partition, 0) + c
     return BasisExpr(s, {partition: Fraction(c, den) for partition, c in coeffs.items()})
+
+
+def substitute_last(poly: SparsePoly, values) -> SparsePoly:
+    """The polynomial in the first ``nvars - len(values)`` variables when
+    the last take the given ints, term by term."""
+    k = poly.nvars - len(values)
+    out: dict = {}
+    for exps, c in poly.num.items():
+        out[exps[:k]] = out.get(exps[:k], 0) + c * prod(map(pow, values, exps[k:]))
+    return SparsePoly(k, {exps: Fraction(c, poly.den) for exps, c in out.items()})
+
+
+def chi_power_sums(a: int, m: int, s: int, r: int, ell: int) -> SparsePoly:
+    """chi(O_Z(ell))/d in the power sums p_1, ..., p_n of s degrees at one
+    twist a: ``euler.subvariety_chi_symbolic`` substituted at (a, s)."""
+    return substitute_last(subvariety_chi_symbolic(m, r, ell), (a, s))
+
+
+@lru_cache(maxsize=None)
+def _power_sum_product(exps: tuple, s: int) -> dict:
+    coeffs = {(): 1}
+    for k, e in enumerate(exps, start=1):
+        for _ in range(e):
+            coeffs = p_times_coeffs(coeffs, s, k)
+    return coeffs
+
+
+def power_sums_in_s_vars(poly: SparsePoly, s: int) -> BasisExpr:
+    """A polynomial in p_1, ..., p_n in the monomial basis of s variables,
+    each power-sum monomial multiplied out in s variables itself, with no
+    appeal to the truncation lemma of ``symmetric.power_sums_basis_form``."""
+    out: dict = {}
+    for exps, c in poly.terms.items():
+        for partition, n in _power_sum_product(exps, s).items():
+            out[partition] = out.get(partition, 0) + c * n
+    return BasisExpr(s, out)
 
 
 def brute_chi_ulrich(ell, m, degrees, a, r):

@@ -19,7 +19,6 @@ from ulrichcert.euler import (
     chi_ulrich,
     subvariety_chi_basis,
     subvariety_chi_poly,
-    subvariety_chi_power_sums,
 )
 from ulrichcert.exactcore import SparsePoly, binom_int
 from ulrichcert.identities import check_coefficient_table
@@ -33,6 +32,7 @@ from oracles import (
     brute_chi_poly,
     brute_chi_subvariety,
     brute_chi_ulrich,
+    chi_power_sums,
     koszul_chi_basis,
     koszul_chi_ci,
     koszul_chi_subvariety,
@@ -304,15 +304,17 @@ def test_chi_power_sums_read_the_symbolic_polynomial_at_a_and_s():
     # each (a, s), is the per-point build in the same canonical num and den
     pairs = ((2, 0), (3, 0), (3, 1), (2, 1), (3, -2))
     for m, s, a, (r, ell) in product(range(1, 7), range(1, 13), range(2, 10), pairs):
-        got = subvariety_chi_power_sums(a, m, s, r, ell)
+        got = chi_power_sums(a, m, s, r, ell)
         want = _per_point_chi_power_sums(a, m, s, r, ell)
         assert (got.nvars, got.num, got.den) == (want.nvars, want.num, want.den), (a, m, s, r, ell)
 
 
 def test_chi_power_sums_reject_out_of_range():
+    # the chi in s variables, read at (a, s) from its one form, keeps the
+    # range checks of the per-point build
     for args in [(2, 4, 0, 2, 0), (2, 0, 3, 2, 0), (2, 4, 3, 1, 0)]:  # s < 1, m < 1, r < 2
         with pytest.raises(ValueError):
-            subvariety_chi_power_sums(*args)
+            subvariety_chi_basis(*args)
 
 
 def test_chi_ci_padding_identity_s25():
@@ -418,7 +420,9 @@ def _clear_chi_caches():
     for builder in (
         euler.subvariety_chi_symbolic,
         identities._chain,
-        euler.subvariety_chi_power_sums,
+        identities._chain_form,
+        identities._chi_gap_form,
+        euler.subvariety_chi_form,
         euler.subvariety_chi_basis,
         euler.subvariety_chi_poly,
     ):

@@ -200,6 +200,24 @@ def test_poly_basic_arithmetic():
     assert (x1 + x2) * (x1 - x2) == SparsePoly(2, {(2, 0): 1, (0, 2): -1})
 
 
+def test_poly_power_is_the_repeated_product():
+    # square-and-multiply against k products from the constant 1; p**0 is 1,
+    # for the zero polynomial too
+    polys = [
+        SparsePoly.zero(2),
+        SparsePoly.const(2, Fraction(-3, 4)),
+        SparsePoly(2, {(1, 0): Fraction(1, 2), (0, 2): -3, (0, 0): 5}),
+    ]
+    for p in polys:
+        product = SparsePoly.const(2, 1)
+        for k in range(6):
+            power = p**k
+            assert (power.nvars, power.num, power.den) == (product.nvars, product.num, product.den), (p, k)
+            product = product * p
+    with pytest.raises(ValueError):
+        polys[2] ** -1
+
+
 def test_poly_nvars_mismatch():
     with pytest.raises(ValueError):
         _x(2, 0) + _x(3, 0)

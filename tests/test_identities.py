@@ -11,8 +11,8 @@ from ulrichcert.errors import VerificationFailure
 from ulrichcert.exactcore import SparsePoly
 from ulrichcert.euler import (
     subvariety_chi_basis,
+    subvariety_chi_form,
     subvariety_chi_poly,
-    subvariety_chi_power_sums,
     subvariety_chi_symbolic,
 )
 from ulrichcert.identities import (
@@ -41,13 +41,15 @@ from ulrichcert.symmetric import (
     divide_all_vars,
     expand_m,
     from_basis,
-    p_times_coeffs,
+    power_sums_basis_form,
+    power_sums_to_basis,
+    read_basis_form,
     specialize_ones,
     specialize_ones_basis,
     times_all_vars,
     to_basis,
 )
-from oracles import brute_chi_poly
+from oracles import brute_chi_poly, chi_power_sums, power_sums_in_s_vars, substitute_last
 
 
 def test_basis_compare_reports_exact_residuals_of_what_differs():
@@ -199,33 +201,25 @@ def test_chain_fields_read_the_per_point_chain_at_a_and_s():
     # against the per-point numerator
     p1, p2 = (SparsePoly.variable(POWER_SUM_VARS, k) for k in (0, 1))
     for a, s, r in itertools.product(range(2, 10), range(1, 13), (2, 3)):
-        chis = [subvariety_chi_power_sums(a, 4, s, 3, ell) for ell in (0, 1)] if r == 3 else []
+        chis = [chi_power_sums(a, 4, s, 3, ell) for ell in (0, 1)] if r == 3 else []
         want = noether_chain(a, r, s, p1, (p1**2 - p2) / 2, 1, *chis)
-        got = [None if f is None else f.substitute_last((a, s)) for f in identities._chain(r)]
+        got = [None if f is None else substitute_last(f, (a, s)) for f in identities._chain(r)]
         assert got == list(want), (a, s, r)
 
 
 def _basis_in_a_and_s(poly):
     """A polynomial in Q[p_1..p_4, a, s] in the monomial basis for every
-    s >= 4 at once: its terms grouped by p-exponents, each group a SparsePoly
-    in (a, s) carried through p_times_coeffs.  A power-sum monomial of weight
-    <= 4 expands in partitions of at most 4 parts, the same for every s >= 4."""
-    groups = {}
-    for exps, coeff in poly.terms.items():
-        groups.setdefault(exps[:4], {})[exps[4:]] = coeff
-    out = {}
-    for exps, terms in groups.items():
-        expansions = []
-        for s in (4, 40):
-            coeffs = {(): SparsePoly(2, terms)}
-            for k, e in enumerate(exps, start=1):
-                for _ in range(e):
-                    coeffs = p_times_coeffs(coeffs, s, k)
-            expansions.append(coeffs)
-        assert expansions[0] == expansions[1], exps
-        for partition, coeff in expansions[0].items():
-            out[partition] = out.get(partition, 0) + coeff
-    return out
+    s >= 4 at once, from its one basis form: each coefficient a SparsePoly
+    in (a, s).  The form keeps the same partitions at s = 4 and at s = 40,
+    so none has more than 4 parts and it is the same for every s >= 4."""
+    den, tails, rows = power_sums_basis_form(poly, 2)
+    rows = {
+        partition: SparsePoly(2, {tail: Fraction(c, den) for tail, c in zip(tails, row)})
+        for partition, row in rows.items()
+    }
+    kept = [{p: coeff for p, coeff in rows.items() if len(p) <= s} for s in (4, 40)]
+    assert kept[0] == kept[1]
+    return kept[0]
 
 
 def test_frozen_tables_hold_for_every_a_and_every_s_from_four():
@@ -246,6 +240,47 @@ def test_frozen_tables_hold_for_every_a_and_every_s_from_four():
         assert set(got) <= set(BASIS)
         for partition in BASIS:
             assert got.get(partition, 0) == expected.get(partition, 0), partition
+
+
+def _once_built_forms():
+    """(label, basis form, polynomial in Q[p_1..p_4, a, s]) for every field
+    of both chains, the gap identity's chi difference and the three chi
+    polynomials the appendix reads."""
+    cases = [
+        (f"chain{r}[{index}]", identities._chain_form(r, index), field)
+        for r in (2, 3)
+        for index, field in enumerate(identities._chain(r))
+        if field is not None
+    ]
+    for r in (2, 3):
+        gap_side = identities._chain(r)[6] - subvariety_chi_symbolic(4, r, 0)
+        cases.append((f"chi-gap{r}", identities._chi_gap_form(r), gap_side))
+    for r, ell in ((2, 0), (3, 0), (3, 1)):
+        cases.append((f"chi{r}{ell}", subvariety_chi_form(4, r, ell), subvariety_chi_symbolic(4, r, ell)))
+    return cases
+
+
+def test_once_built_forms_read_as_the_substituted_polynomials():
+    # the form built once, read at (a, s), is the polynomial substituted at
+    # (a, s) and then multiplied out in s variables, below four degrees and
+    # far past them; power_sums_to_basis, which reads a form too, agrees
+    sizes = (*range(1, 13), 25, 40, 80)
+    for (label, form, poly), a, s in itertools.product(_once_built_forms(), range(2, 10), sizes):
+        got = read_basis_form(form, s, (a, s))
+        point = substitute_last(poly, (a, s))
+        want = power_sums_in_s_vars(point, s)
+        assert (got.nvars, got.coeffs) == (want.nvars, want.coeffs), (label, a, s)
+        assert power_sums_to_basis(point, s) == want, (label, a, s)
+
+
+def test_gap_factor_mutation_fails_on_warm_caches(monkeypatch, capsys):
+    # GAP_B, GAP_FACTOR and gap_value are read on every call, so a changed
+    # factor fails the identity after a full report has filled every cache
+    assert main(["verify-appendix", "--format", "json"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(identities, "GAP_FACTOR", {2: 4321, 3: 3840})
+    for a, s in itertools.product(range(2, 7), range(1, 8)):
+        assert not check_gap_identities(a, s).passed, (a, s)
 
 
 def test_gap_identities_pass():

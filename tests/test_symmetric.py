@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulrichcert.errors import DivisibilityError, SymmetryError
-from ulrichcert.euler import subvariety_chi_basis, subvariety_chi_power_sums
+from ulrichcert.euler import subvariety_chi_basis
 from ulrichcert.exactcore import SparsePoly
 from ulrichcert.symmetric import (
     BasisExpr,
@@ -15,7 +15,9 @@ from ulrichcert.symmetric import (
     from_basis,
     m1_times,
     p_times,
+    power_sums_basis_form,
     power_sums_to_basis,
+    read_basis_form,
     times_all_vars,
     orbit_size,
     partition_sort_key,
@@ -25,6 +27,7 @@ from ulrichcert.symmetric import (
     specialize_ones_basis,
     to_basis,
 )
+from oracles import chi_power_sums
 
 
 def test_partitions_up_to_small():
@@ -204,6 +207,27 @@ def test_power_sum_monomials_match_expanded_products():
             assert power_sums_to_basis(_power_sum_monomial(partition), s) == to_basis(product)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(partitions_up_to(4)),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+    st.integers(min_value=2, max_value=9),
+    st.integers(min_value=1, max_value=6),
+)
+def test_basis_form_truncates_power_sum_monomials(partition, i, j, c, a, s):
+    # c a^i s^j p_lambda for |lambda| <= 4, built once for every s and read
+    # in s variables, against the expanded product of the power sums: below
+    # four variables only the partitions of more than s parts are gone
+    exps = tuple(partition.count(k) for k in range(1, 5)) + (i, j)
+    form = power_sums_basis_form(SparsePoly(6, {exps: c}), 2)
+    product = SparsePoly.const(s, c * a**i * s**j)
+    for k in partition:
+        product = product * expand_m((k,), s)
+    assert read_basis_form(form, s, (a, s)) == to_basis(product)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.integers(min_value=1, max_value=8),
@@ -231,7 +255,7 @@ def test_trusted_producers_match_the_checked_constructor():
                     "p_times": p_times(chi, 2),
                     "m1_times": m1_times(chi),
                     "times_all_vars": times_all_vars(chi),
-                    "power_sums_to_basis": power_sums_to_basis(subvariety_chi_power_sums(a, 4, s, r, ell), s),
+                    "power_sums_to_basis": power_sums_to_basis(chi_power_sums(a, 4, s, r, ell), s),
                 }
                 for k in range(1, s + 1):
                     produced[f"specialize_ones_basis[{k}]"] = specialize_ones_basis(chi, k)
