@@ -16,9 +16,17 @@ the monomial basis with coefficients in (a, s)
 (:func:`ulrichcert.symmetric.power_sums_basis_form`), and the builder reads
 that form at its (a, s).  Every field is linear in d and the two chis, so
 each builder returns its polynomial divided by d = x_1 ... x_s, in the
-monomial basis of s variables.  The checkers compare those basis forms; none
-expands an orbit.
+monomial basis of s variables.
 The frozen closed-form tables check the builders against independent expansions.
+
+Each table and each gap identity is compared with the builders' forms once,
+as polynomials in (a, s): every table row is fed the variables a and s, and
+the gap v is formed over the chain's ring.  What does not hold as an
+identity is left as residual rows, polynomials in (a, s), and a checker at
+one (a, s) evaluates only those; when the identity holds there are none, so
+a passing point does no arithmetic.  Each residual is cached on the objects
+it was built from (the table rows, GAP_B, GAP_FACTOR, :func:`gap_value`), so
+a changed one misses the cache.
 
 Each checker returns a :class:`VerificationReport` that lists only the
 comparisons that failed, with their exact residuals; an empty list is a pass.
@@ -35,14 +43,13 @@ Two construction notes surface in every relevant report:
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import VerificationFailure
 from .exactcore import SparsePoly, scalar_str
-from .euler import subvariety_chi_basis, subvariety_chi_symbolic
+from .euler import subvariety_chi_basis, subvariety_chi_form, subvariety_chi_symbolic
 from .invariants import noether_chain
 from .symmetric import (
     POWER_SUM_VARS,
@@ -50,7 +57,6 @@ from .symmetric import (
     expand_m,
     from_basis,
     power_sums_basis_form,
-    power_sums_to_basis,
     read_basis_form,
     specialize_ones_basis,
     times_all_vars,
@@ -91,8 +97,9 @@ NOETHER_R2_NOTE = (
 # ---------------------------------------------------------------------------
 
 
-#: The power sums p_2 and p_4 of the degrees, as variables.
-_P2, _P4 = (SparsePoly.variable(POWER_SUM_VARS, k - 1) for k in (2, 4))
+#: The power sums p_2, p_4 of the degrees and the parameters a, s, as variables
+#: of Q[p_1..p_4, a, s].
+_P2, _P4, _A_VAR, _S_VAR = (SparsePoly.variable(POWER_SUM_VARS + 2, k) for k in (1, 3, 4, 5))
 
 
 @lru_cache(maxsize=None)
@@ -146,13 +153,6 @@ def c2_poly_r3(a: int, s: int) -> BasisExpr:
 def noether_chi_r3(a: int, s: int) -> BasisExpr:
     """chi(O_Z)/d via Noether's formula, rank 3, read at (a, s) from its basis form."""
     return read_basis_form(_chain_form(3, 6), s, (a, s))
-
-
-@lru_cache(maxsize=None)
-def _chi_gap_form(r: int) -> tuple:
-    """Noether's chi/d minus the HRR chi/d at twist 0, rank r, in the
-    monomial basis for every a and s: the gap identity's left side."""
-    return power_sums_basis_form(_chain(r)[6] - subvariety_chi_symbolic(4, r, 0), 2)
 
 
 def gap_value(s: int, a: int, b: int, p2, p4):
@@ -635,6 +635,16 @@ def _closed_form_tables() -> dict:
 
 CLOSED_FORM_TABLES = _closed_form_tables()
 
+#: Each CLOSED_FORM_TABLES name -> the (rank, field of :func:`_chain`) its builder reads.
+_CHAIN_FIELDS = {
+    "noether_chi_r2": (2, 6),
+    "deg_poly_r3": (3, 1),
+    "kh_poly_r3": (3, 3),
+    "ksq_poly_r3": (3, 4),
+    "c2_poly_r3": (3, 5),
+    "noether_chi_r3": (3, 6),
+}
+
 
 # ---------------------------------------------------------------------------
 # Reports
@@ -732,20 +742,68 @@ def _basis_compare(
     return VerificationReport(check, parameters, residuals, list(notes or []))
 
 
+#: The table variables a and s, as polynomials in (a, s).
+_TABLE_A, _TABLE_S = (SparsePoly.variable(2, k) for k in (0, 1))
+
+
+def _residual_rows(form: tuple, expected: dict) -> tuple:
+    """A basis form of :func:`power_sums_basis_form` minus the expected
+    coefficients (polynomials in (a, s)) as an identity in (a, s): the
+    (partition, residual) rows that are not zero, in BASIS order and then
+    the partitions outside BASIS, sorted, as :func:`_basis_compare` lists
+    them."""
+    den, tails, rows = form
+
+    def row(partition) -> SparsePoly:
+        return SparsePoly(2, dict(zip(tails, rows.get(partition, ())))) / den
+
+    def holds(partition) -> bool:
+        """The row equals its expected coefficient: compared on int numerators."""
+        want = expected.get(partition, 0)
+        want = want if isinstance(want, SparsePoly) else SparsePoly.const(2, want)
+        got = {tail: c * want.den for tail, c in zip(tails, rows.get(partition, ())) if c}
+        return got == {tail: n * den for tail, n in want.num.items()}
+
+    residuals = [(p, row(p) - expected.get(p, 0)) for p in BASIS if not holds(p)]
+    return tuple(residuals + [(p, row(p)) for p in sorted(set(rows) - set(BASIS))])
+
+
+def _read_residuals(prefix: str, residuals: tuple, a: int, s: int) -> list:
+    """The residual rows of at most s parts that are nonzero at (a, s), as
+    (label, exact value): the report :func:`_basis_compare` makes there."""
+    out = []
+    for partition, poly in residuals:
+        if len(partition) <= s:
+            value = poly.eval((a, s))
+            if value:
+                out.append((prefix + _label(partition), scalar_str(value)))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _table_residuals(r: int, ell: int, denom: int, table) -> tuple:
+    """The chi polynomial's basis form minus one COEFF_TABLES variant, in (a, s)."""
+    expected = {p: row * Fraction(1, denom) for p, row in zip(BASIS, table(_TABLE_A, _TABLE_S))}
+    return _residual_rows(subvariety_chi_form(4, r, ell), expected)
+
+
+@lru_cache(maxsize=None)
+def _closed_form_residuals(r: int, index: int, prefactor: Fraction, rows: tuple) -> tuple:
+    """Field ``index`` of :func:`_chain` minus its CLOSED_FORM_TABLES rows, in (a, s)."""
+    expected = {p: prefactor * fn(_TABLE_A, _TABLE_S) for p, fn in rows}
+    return _residual_rows(_chain_form(r, index), expected)
+
+
 def check_coefficient_table(a: int, s: int, variant: str) -> VerificationReport:
     """Compare the chi polynomial, divided by the product of the variables
-    and written in the monomial basis, against its frozen coefficient table."""
+    and written in the monomial basis, against its frozen coefficient table:
+    the residual of the table as an identity in (a, s), read at (a, s)."""
     if variant not in COEFF_TABLES:
         raise ValueError(f"unknown variant {variant!r}; expected one of {sorted(COEFF_TABLES)}")
     if s < 4:
         raise ValueError("coefficient tables are stated for s >= 4")
-    r, ell, denom, table = COEFF_TABLES[variant]
-    reduced = subvariety_chi_basis(a, 4, s, r, ell)
-    scale = Fraction(1, denom)  # an int row over an int denom would be a float
-    expected = {partition: coeff * scale for partition, coeff in zip(BASIS, table(a, s))}
-    return _basis_compare(
-        f"coefficient-table[{variant}]", {"a": a, "s": s}, {"": (reduced, expected)}
-    )
+    residuals = _read_residuals("", _table_residuals(*COEFF_TABLES[variant]), a, s)
+    return VerificationReport(f"coefficient-table[{variant}]", {"a": a, "s": s}, residuals, [])
 
 
 def check_s4_tables(a: int) -> VerificationReport:
@@ -762,29 +820,37 @@ def check_s4_tables(a: int) -> VerificationReport:
 
 
 def check_closed_forms(a: int, s: int) -> VerificationReport:
-    """Compare each derived polynomial against its closed-form basis table."""
-    compared = {}
-    for name, (builder, prefactor, rows) in CLOSED_FORM_TABLES.items():
-        expected = {partition: prefactor * fn(a, s) for partition, fn in rows.items()}
-        compared[name + ":"] = (builder(a, s), expected)
-    return _basis_compare(
-        "closed-forms", {"a": a, "s": s}, compared, [KSQ_NOTE, NOETHER_R2_NOTE]
-    )
+    """Compare each derived polynomial against its closed-form basis table:
+    the residual of each table as an identity in (a, s), read at (a, s)."""
+    residuals = []
+    for name, (_, prefactor, rows) in CLOSED_FORM_TABLES.items():
+        table = _closed_form_residuals(*_CHAIN_FIELDS[name], prefactor, tuple(rows.items()))
+        residuals += _read_residuals(name + ":", table, a, s)
+    return VerificationReport("closed-forms", {"a": a, "s": s}, residuals, [KSQ_NOTE, NOETHER_R2_NOTE])
+
+
+@lru_cache(maxsize=None)
+def _gap_residual_form(r: int, b: int, factor: int, gap) -> tuple:
+    """Noether's chi/d minus the HRR chi/d at twist 0 minus gap(s, a, b, p_2,
+    p_4)/factor, rank r, over Q[p_1..p_4, a, s], in the monomial basis for
+    every a and s: the gap identity's residual, with no row when it holds."""
+    gap_side = gap(_S_VAR, _A_VAR, b, _P2, _P4) / factor
+    residual = _chain(r)[6] - subvariety_chi_symbolic(4, r, 0) - gap_side
+    return power_sums_basis_form(residual, 2)
 
 
 def check_gap_identities(a: int, s: int) -> VerificationReport:
     """Exact polynomial identity between the two chi routes and the scaled
     gap polynomial, for both ranks.
 
-    Both sides are divided by the product of the degrees and written in the
-    monomial basis of s variables: the chi difference read at (a, s) from its
-    one basis form per rank, the gap formed on each call from
-    :func:`gap_value`, GAP_B and GAP_FACTOR over the power sums; a nonzero
-    difference is reported multiplied back by that product."""
+    Both sides are divided by the product of the degrees: their difference,
+    with the gap from :func:`gap_value`, GAP_B and GAP_FACTOR, is formed once
+    per rank over the power sums, a and s, and read in the monomial basis
+    of s variables at (a, s); a nonzero difference is reported multiplied
+    back by that product."""
     residuals = []
     for label, r in (("rank2", 2), ("rank3", 3)):
-        gap = power_sums_to_basis(gap_value(s, a, GAP_B[r], _P2, _P4) / GAP_FACTOR[r], s)
-        diff = read_basis_form(_chi_gap_form(r), s, (a, s)) - gap
+        diff = read_basis_form(_gap_residual_form(r, GAP_B[r], GAP_FACTOR[r], gap_value), s, (a, s))
         for partition, coeff in times_all_vars(diff).sorted_items():
             residuals.append((f"{label}:{_label(partition)}", scalar_str(coeff)))
     return VerificationReport("chi-gap-identity", {"a": a, "s": s}, residuals, [NOETHER_R2_NOTE])
@@ -817,25 +883,37 @@ def _recursion_step(s: int, a: int, b: int, p2):
 def check_gap_positivity(s_max: int, a_max: int, d_max: int) -> list:
     """Recursion, base case and strict positivity of the gap v.
 
-    For every s <= s_max and b in GAP_B: the recursion in a is checked up to
-    a_max as an exact identity over the power sums p_1, ..., p_4 (free
-    variables, so it holds in s variables too); values on the full degree
-    grid {1..d_max}^s are recorded for a in 1..a_max, demanding strict
+    For every b in GAP_B, the recursion in a is checked once as an exact
+    identity over the power sums p_1, ..., p_4, a and s (free variables, so
+    it holds in s variables too); only when it fails is it checked at each
+    s <= s_max and a <= a_max in turn, to name the first (s, a) where it
+    does.  For every s <= s_max, values on the full degree grid
+    {1..d_max}^s are recorded for a in 1..a_max, demanding strict
     positivity for a >= 2 and non-negativity (zero exactly at all-ones) for
     a = 1.  Every value is :func:`gap_value` at the tuple's power sums p_2
     and p_4, so it is symmetric in the degrees by construction; each distinct
     (p_2, p_4) is checked once, at its first tuple in ``itertools.product``
-    order.  The terms of :func:`gap_value` show v > 0 for every tuple.
+    order.  The tuples and their (p_2, p_4) for s extend those for s - 1 by
+    one degree.  The terms of :func:`gap_value` show v > 0 for every tuple.
     """
     if s_max < 2 or a_max < 2 or d_max < 1:
         raise ValueError("need s_max >= 2, a_max >= 2, d_max >= 1")
+
+    def recursion_holds(s, a, b) -> bool:
+        step = gap_value(s, a, b, _P2, _P4) - gap_value(s, a - 1, b, _P2, _P4)
+        return step == _recursion_step(s, a, b, _P2)
+
+    holds_for_all = {b: recursion_holds(_S_VAR, _A_VAR, b) for b in GAP_B.values()}
+    powers = [(d, d**2, d**4) for d in range(1, d_max + 1)]
+    tuples = [(d,) for d, _, _ in powers]
+    pairs = [(d2, d4) for _, d2, d4 in powers]
     reports = []
     for s in range(2, s_max + 1):
         ones = (1,) * s
-        tuples = itertools.product(range(1, d_max + 1), repeat=s)
-        grid = [(tup, (sum(d**2 for d in tup), sum(d**4 for d in tup))) for tup in tuples]
+        tuples = [tup + (d,) for tup in tuples for d, _, _ in powers]
+        pairs = [(q2 + d2, q4 + d4) for q2, q4 in pairs for _, d2, d4 in powers]
         first = {}  # each (p_2, p_4) -> its first tuple
-        for tup, pair in grid:
+        for tup, pair in zip(tuples, pairs):
             first.setdefault(pair, tup)
         for b in GAP_B.values():
             base_value = gap_at(ones, 1, b)
@@ -844,16 +922,12 @@ def check_gap_positivity(s_max: int, a_max: int, d_max: int) -> list:
                     f"base case failed: gap({s},1,{b}) at all-ones is {base_value}",
                     witness={"s": s, "b": b, "value": base_value},
                 )
-            previous = gap_value(s, 1, b, _P2, _P4)
             for a in range(1, a_max + 1):
-                if a >= 2:
-                    current = gap_value(s, a, b, _P2, _P4)
-                    if current - previous != _recursion_step(s, a, b, _P2):
-                        raise VerificationFailure(
-                            f"recursion failed at s={s}, a={a}, b={b}",
-                            witness={"s": s, "a": a, "b": b},
-                        )
-                    previous = current
+                if a >= 2 and not holds_for_all[b] and not recursion_holds(s, a, b):
+                    raise VerificationFailure(
+                        f"recursion failed at s={s}, a={a}, b={b}",
+                        witness={"s": s, "a": a, "b": b},
+                    )
                 gaps = {pair: gap_value(s, a, b, *pair) for pair in first}
                 for pair, tup in first.items():
                     value = gaps[pair]
@@ -867,6 +941,6 @@ def check_gap_positivity(s_max: int, a_max: int, d_max: int) -> list:
                             f"gap({s},1,{b}){tup} = {value} violates the base bound",
                             witness={"s": s, "a": 1, "b": b, "tuple": tup, "value": value},
                         )
-                values = {tup: gaps[pair] for tup, pair in grid}
+                values = dict(zip(tuples, map(gaps.__getitem__, pairs)))
                 reports.append(GapReport(s, a, b, values, True, True))
     return reports

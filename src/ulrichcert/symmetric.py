@@ -12,8 +12,7 @@ The power sums p_k = m_k bridge the basis to the ring Q[p_1, ..., p_n]:
 p_k is multiplied in directly in the basis (:func:`p_times`), so a
 polynomial in the power sums, with or without further int parameters, is
 written in the basis once for every s and every parameter value
-(:func:`power_sums_basis_form`) and read at each (:func:`read_basis_form`);
-:func:`power_sums_to_basis` reads it with no parameters.
+(:func:`power_sums_basis_form`) and read at each (:func:`read_basis_form`).
 """
 
 from __future__ import annotations
@@ -323,13 +322,6 @@ def _power_sum_monomial(exps: tuple) -> Mapping[Partition, int]:
         for _ in range(e):
             coeffs = p_times_coeffs(coeffs, factors, k)
     return MappingProxyType(coeffs)
-
-
-def power_sums_to_basis(poly: SparsePoly, s: int) -> BasisExpr:
-    """The image in s variables of a polynomial in p_1, ..., p_n (variable
-    k - 1 standing for p_k), written in the monomial basis: its
-    :func:`power_sums_basis_form` with no parameters, read in s variables."""
-    return read_basis_form(power_sums_basis_form(poly, 0), s, ())
 
 
 def power_sums_basis_form(poly: SparsePoly, params: int) -> tuple:

@@ -421,7 +421,9 @@ def _clear_chi_caches():
         euler.subvariety_chi_symbolic,
         identities._chain,
         identities._chain_form,
-        identities._chi_gap_form,
+        identities._table_residuals,
+        identities._closed_form_residuals,
+        identities._gap_residual_form,
         euler.subvariety_chi_form,
         euler.subvariety_chi_basis,
         euler.subvariety_chi_poly,

@@ -42,7 +42,6 @@ from ulrichcert.symmetric import (
     expand_m,
     from_basis,
     power_sums_basis_form,
-    power_sums_to_basis,
     read_basis_form,
     specialize_ones,
     specialize_ones_basis,
@@ -254,7 +253,7 @@ def _once_built_forms():
     ]
     for r in (2, 3):
         gap_side = identities._chain(r)[6] - subvariety_chi_symbolic(4, r, 0)
-        cases.append((f"chi-gap{r}", identities._chi_gap_form(r), gap_side))
+        cases.append((f"chi-gap{r}", power_sums_basis_form(gap_side, 2), gap_side))
     for r, ell in ((2, 0), (3, 0), (3, 1)):
         cases.append((f"chi{r}{ell}", subvariety_chi_form(4, r, ell), subvariety_chi_symbolic(4, r, ell)))
     return cases
@@ -263,24 +262,158 @@ def _once_built_forms():
 def test_once_built_forms_read_as_the_substituted_polynomials():
     # the form built once, read at (a, s), is the polynomial substituted at
     # (a, s) and then multiplied out in s variables, below four degrees and
-    # far past them; power_sums_to_basis, which reads a form too, agrees
+    # far past them; the form built with no parameters agrees
     sizes = (*range(1, 13), 25, 40, 80)
     for (label, form, poly), a, s in itertools.product(_once_built_forms(), range(2, 10), sizes):
         got = read_basis_form(form, s, (a, s))
         point = substitute_last(poly, (a, s))
         want = power_sums_in_s_vars(point, s)
         assert (got.nvars, got.coeffs) == (want.nvars, want.coeffs), (label, a, s)
-        assert power_sums_to_basis(point, s) == want, (label, a, s)
+        assert read_basis_form(power_sums_basis_form(point, 0), s, ()) == want, (label, a, s)
 
 
 def test_gap_factor_mutation_fails_on_warm_caches(monkeypatch, capsys):
-    # GAP_B, GAP_FACTOR and gap_value are read on every call, so a changed
-    # factor fails the identity after a full report has filled every cache
+    # GAP_B, GAP_FACTOR and gap_value key the gap residual's cache, so a
+    # changed factor fails the identity after a full report has filled every cache
     assert main(["verify-appendix", "--format", "json"]) == 0
     capsys.readouterr()
     monkeypatch.setattr(identities, "GAP_FACTOR", {2: 4321, 3: 3840})
     for a, s in itertools.product(range(2, 7), range(1, 8)):
         assert not check_gap_identities(a, s).passed, (a, s)
+
+
+def _clear_residual_caches():
+    for residuals in (
+        identities._table_residuals,
+        identities._closed_form_residuals,
+        identities._gap_residual_form,
+    ):
+        residuals.cache_clear()
+
+
+def _move_closed_form_row(monkeypatch):
+    rows = CLOSED_FORM_TABLES["noether_chi_r3"][2]
+    row = rows[(2, 1)]
+    monkeypatch.setitem(rows, (2, 1), lambda a, s: row(a, s) + a)
+
+
+def _move_coefficient_entry(monkeypatch):
+    r, ell, denom, table = COEFF_TABLES["r3l1"]
+
+    def moved(a, s):
+        coeffs = table(a, s)
+        coeffs[8] += 1  # the m_2 entry
+        return coeffs
+
+    monkeypatch.setitem(COEFF_TABLES, "r3l1", (r, ell, denom, moved))
+
+
+def _shift_gap_b(monkeypatch):
+    gap = identities.gap_value
+    monkeypatch.setattr(identities, "gap_value", lambda s, a, b, *rest: gap(s, a, b + 1, *rest))
+
+
+@pytest.mark.parametrize("caches", ["cold", "warm"])
+def test_table_and_gap_mutations_fail_on_cold_and_warm_caches(monkeypatch, capsys, caches):
+    # each residual cache is keyed on the table row, the factor or gap_value
+    # it was built from, so a changed one misses it even after a full report
+    if caches == "warm":
+        assert main(["verify-appendix", "--format", "json"]) == 0
+        capsys.readouterr()
+    else:
+        _clear_residual_caches()
+    points = list(itertools.product(range(2, 7), range(4, 8)))
+    with monkeypatch.context() as patch:
+        _move_closed_form_row(patch)
+        assert not any(check_closed_forms(a, s).passed for a, s in points)
+    with monkeypatch.context() as patch:
+        _move_coefficient_entry(patch)
+        assert not any(check_coefficient_table(a, s, "r3l1").passed for a, s in points)
+    with monkeypatch.context() as patch:
+        _shift_gap_b(patch)
+        assert not any(check_gap_identities(a, s).passed for a, s in points)
+    # with every change undone, the cached residuals of the tables are read again
+    for a, s in points:
+        assert check_closed_forms(a, s).passed and check_gap_identities(a, s).passed
+        assert check_coefficient_table(a, s, "r3l1").passed
+
+
+def _per_point_closed_forms(a: int, s: int):
+    """check_closed_forms as the per-point compare: each builder at (a, s)
+    against its table's rows at (a, s)."""
+    compared = {}
+    for name, (builder, prefactor, rows) in CLOSED_FORM_TABLES.items():
+        compared[name + ":"] = (builder(a, s), {p: prefactor * fn(a, s) for p, fn in rows.items()})
+    notes = [identities.KSQ_NOTE, identities.NOETHER_R2_NOTE]
+    return identities._basis_compare("closed-forms", {"a": a, "s": s}, compared, notes)
+
+
+def _per_point_coefficient_table(a: int, s: int, variant: str):
+    """check_coefficient_table as the per-point compare: the chi basis at
+    (a, s) against the table's entries at (a, s)."""
+    r, ell, denom, table = COEFF_TABLES[variant]
+    expected = {p: Fraction(c) / denom for p, c in zip(BASIS, table(a, s))}
+    reduced = subvariety_chi_basis(a, 4, s, r, ell)
+    return identities._basis_compare(f"coefficient-table[{variant}]", {"a": a, "s": s}, {"": (reduced, expected)})
+
+
+@pytest.mark.parametrize("move", [None, _move_closed_form_row, _move_coefficient_entry])
+def test_residual_reads_match_the_per_point_compare(monkeypatch, move):
+    # the residuals formed once in (a, s) and read at each point give the
+    # reports, labels, order and bytes of _basis_compare on the builders
+    if move is not None:
+        move(monkeypatch)
+    for a, s in itertools.product(range(2, 7), range(1, 10)):
+        assert check_closed_forms(a, s).to_json() == _per_point_closed_forms(a, s).to_json(), (a, s)
+        if s >= 4:
+            for variant in COEFF_TABLES:
+                got = check_coefficient_table(a, s, variant).to_json()
+                assert got == _per_point_coefficient_table(a, s, variant).to_json(), (a, s, variant)
+    if move is not None:
+        assert not check_closed_forms(6, 9).passed or not check_coefficient_table(6, 9, "r3l1").passed
+
+
+def test_residual_rows_outside_the_basis_read_as_the_per_point_compare():
+    # a form with partitions of weight 5 and of up to 5 parts, against rows
+    # that hold, rows that differ and rows the form lacks: the residual read
+    # at (a, s) is _basis_compare on the form read at (a, s), for s below
+    # and above the number of parts
+    p1, p2, p4, a, s = (SparsePoly.variable(POWER_SUM_VARS + 2, k) for k in (0, 1, 3, 4, 5))
+    form = power_sums_basis_form(p1**5 * a - 3 * p2 * p1**3 + p4 * s / 7 + p2 * p1 * (a - s) + 2, 2)
+    A, S = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
+    one = SparsePoly.const(2, 1)
+    expected = {(4,): one, (2, 1): A - S, (3,): 5 * S, (2, 2): 3 * one, (1, 1, 1, 1): S, (): 2 * one}
+    residuals = identities._residual_rows(form, expected)
+    inside = [p for p, _ in residuals if p in BASIS]
+    assert inside == [(4,), (2, 2), (1, 1, 1, 1), (3,)]
+    assert [p for p, _ in residuals[len(inside):]] == sorted(set(form[2]) - set(BASIS)) != []
+    for a_, s_ in itertools.product(range(2, 5), range(1, 8)):
+        actual = read_basis_form(form, s_, (a_, s_))
+        want = {p: row.eval((a_, s_)) for p, row in expected.items()}
+        reference = identities._basis_compare("demo", {}, {"x:": (actual, want)})
+        assert identities._read_residuals("x:", residuals, a_, s_) == reference.residuals, (a_, s_)
+
+
+def test_a_passing_point_evaluates_no_residual_row(monkeypatch):
+    # when every table and gap identity holds, each residual is empty, so
+    # the checkers at a point evaluate nothing
+    for variant in COEFF_TABLES:
+        assert identities._table_residuals(*COEFF_TABLES[variant]) == ()
+    for name, (_, prefactor, rows) in CLOSED_FORM_TABLES.items():
+        fields = identities._CHAIN_FIELDS[name]
+        assert identities._closed_form_residuals(*fields, prefactor, tuple(rows.items())) == ()
+    for r in (2, 3):
+        form = identities._gap_residual_form(r, identities.GAP_B[r], identities.GAP_FACTOR[r], identities.gap_value)
+        assert form[2] == {}, r
+
+    def no_eval(*args):
+        raise AssertionError("a residual row was evaluated")
+
+    monkeypatch.setattr(SparsePoly, "eval", no_eval)
+    for a, s in itertools.product(range(2, 7), range(1, 10)):
+        assert check_closed_forms(a, s).passed and check_gap_identities(a, s).passed
+        if s >= 4:
+            assert all(check_coefficient_table(a, s, variant).passed for variant in COEFF_TABLES)
 
 
 def test_gap_identities_pass():
@@ -397,6 +530,17 @@ def test_gap_positivity_failure_carries_witness(monkeypatch):
     # message and witness as the per-tuple sweep reported them
     assert str(info.value) == "gap(2,1,-1000)(1, 2) = -15030 violates the base bound"
     assert info.value.witness == {"s": 2, "a": 1, "b": -1000, "tuple": (1, 2), "value": -15030}
+
+
+def test_gap_recursion_failure_names_the_first_s_and_a(monkeypatch):
+    # the recursion is checked once with a and s as variables; when it
+    # fails, the (s, a) sweep names the witness the per-point sweep named
+    step = identities._recursion_step
+    monkeypatch.setattr(identities, "_recursion_step", lambda *args: step(*args) + 1)
+    with pytest.raises(VerificationFailure) as info:
+        check_gap_positivity(3, 3, 2)
+    assert str(info.value) == "recursion failed at s=2, a=2, b=8"
+    assert info.value.witness == {"s": 2, "a": 2, "b": 8}
 
 
 def _gap_value_changed_at(monkeypatch, a: int, pair: tuple, change):
