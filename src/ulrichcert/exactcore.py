@@ -111,11 +111,24 @@ class SparsePoly:
     immutable by convention: no method mutates ``self`` and callers must
     never modify ``num``.  That makes values safe to share and to cache.
 
-    The ring operations, comparison and hashing run on Python ints.  Each
+    The ring operations, comparison and hashing run on Python ints.  A
     result is built by the private ``_trusted`` constructor, which skips
-    the exponent checks of the public one, drops zero numerators and
-    reduces by one gcd.  ``terms`` is a derived ``{exps: Fraction}`` view,
-    built afresh on each access.
+    the exponent checks of the public one, drops zero numerators and, when
+    ``den != 1``, reduces by one gcd over ``den`` and every numerator.  Some
+    results need no such scan, because canonical operands already fix it:
+
+    * ``-p`` keeps ``den`` and negates each numerator, so the gcd is unchanged;
+    * ``p * c`` for an int ``c`` takes ``g = gcd(den, c)`` and gives ``n * (c/g)``
+      over ``den/g``: a prime of ``den/g`` divides neither ``c/g`` nor every
+      ``n``, so the result is in lowest terms;
+    * ``p + c`` for an int ``c`` adds ``c * den`` to the constant numerator,
+      which leaves it unchanged modulo ``den``, so the gcd stays 1 unless that
+      term cancels (then ``_trusted`` reduces the rest).
+
+    ``p ± q`` over one ``den`` adds the numerators without rescaling, then
+    reduces by ``_trusted``, since ``(x/2 + 1/2) + (x/2 + 1/2)`` is ``x + 1``.
+    ``terms`` is a derived ``{exps: Fraction}`` view, built afresh on each
+    access.
     """
 
     __slots__ = ("nvars", "num", "den")
@@ -145,12 +158,19 @@ class SparsePoly:
     @classmethod
     def _trusted(cls, nvars: int, num: Mapping[Exponents, int], den: int) -> "SparsePoly":
         """A polynomial from int numerators over ``den > 0``, keyed by valid
-        exponent tuples; zeros are dropped and one gcd reduces the rest."""
+        exponent tuples; zeros are dropped and, unless ``den == 1``, one gcd
+        reduces the rest."""
         num = {e: c for e, c in num.items() if c}
-        g = gcd(den, *num.values())
-        if g != 1:
-            num = {e: c // g for e, c in num.items()}
-            den //= g
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {e: c // g for e, c in num.items()}
+                den //= g
+        return cls._canonical(nvars, num, den)
+
+    @classmethod
+    def _canonical(cls, nvars: int, num: dict, den: int) -> "SparsePoly":
+        """A polynomial from numerators and ``den`` already in canonical form."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "nvars", nvars)
         object.__setattr__(poly, "num", num)
@@ -196,40 +216,72 @@ class SparsePoly:
         if self.nvars != other.nvars:
             raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):  # a scalar joins the constant term
-            other_num, other_den = {(0,) * self.nvars: other.numerator}, other.denominator
-        elif isinstance(other, SparsePoly):
-            self._require_same_vars(other)
-            other_num, other_den = other.num, other.den
+    def _plus(self, num: Mapping[Exponents, int], den: int, sign: int) -> "SparsePoly":
+        """self + sign * num/den, for int numerators over ``den > 0``."""
+        if den == self.den:
+            out, scale = dict(self.num), sign
         else:
-            return NotImplemented
-        den = lcm(self.den, other_den)
-        out = {e: c * (den // self.den) for e, c in self.num.items()}
-        scale = den // other_den
-        for exps, coeff in other_num.items():
+            common = lcm(self.den, den)
+            out = {e: c * (common // self.den) for e, c in self.num.items()}
+            den, scale = common, sign * (common // den)
+        for exps, coeff in num.items():
             out[exps] = out.get(exps, 0) + coeff * scale
         return SparsePoly._trusted(self.nvars, out, den)
+
+    def _plus_int(self, value: int) -> "SparsePoly":
+        """self + value: ``value * den`` joins the constant numerator."""
+        if not value:
+            return self
+        const = (0,) * self.nvars
+        out = dict(self.num)
+        coeff = out.get(const, 0) + value * self.den
+        if not coeff:  # the constant term cancels, and the rest may share a factor
+            del out[const]
+            return SparsePoly._trusted(self.nvars, out, self.den)
+        out[const] = coeff
+        return SparsePoly._canonical(self.nvars, out, self.den)
+
+    def _sum(self, other, sign: int):
+        """self + sign * other, for a polynomial or a scalar ``other``."""
+        if type(other) is not SparsePoly:
+            if isinstance(other, int):
+                return self._plus_int(sign * other)
+            if isinstance(other, Fraction):  # a scalar joins the constant term
+                return self._plus({(0,) * self.nvars: other.numerator}, other.denominator, sign)
+            if not isinstance(other, SparsePoly):
+                return NotImplemented
+        self._require_same_vars(other)
+        return self._plus(other.num, other.den, sign)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly._trusted(self.nvars, {e: -c for e, c in self.num.items()}, self.den)
+        return SparsePoly._canonical(self.nvars, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, SparsePoly)):
-            return NotImplemented
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            num = {e: c * other.numerator for e, c in self.num.items()}
-            return SparsePoly._trusted(self.nvars, num, self.den * other.denominator)
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
+        if type(other) is not SparsePoly:
+            if isinstance(other, int):  # one gcd with den keeps the result canonical
+                if not other:
+                    return SparsePoly._canonical(self.nvars, {}, 1)
+                g = gcd(self.den, other)
+                scale = other // g
+                return SparsePoly._canonical(
+                    self.nvars, {e: c * scale for e, c in self.num.items()}, self.den // g
+                )
+            if isinstance(other, Fraction):
+                num = {e: c * other.numerator for e, c in self.num.items()}
+                return SparsePoly._trusted(self.nvars, num, self.den * other.denominator)
+            if not isinstance(other, SparsePoly):
+                return NotImplemented
         self._require_same_vars(other)
         out: dict[Exponents, int] = {}
         terms2 = list(other.num.items())
@@ -259,10 +311,11 @@ class SparsePoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SparsePoly.const(self.nvars, other)
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
+        if type(other) is not SparsePoly:
+            if isinstance(other, (int, Fraction)):
+                other = SparsePoly.const(self.nvars, other)
+            elif not isinstance(other, SparsePoly):
+                return NotImplemented
         return self.nvars == other.nvars and self.den == other.den and self.num == other.num
 
     def __hash__(self):

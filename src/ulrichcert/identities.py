@@ -44,6 +44,7 @@ Two construction notes surface in every relevant report:
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 
@@ -678,16 +679,59 @@ class VerificationReport(
         }
 
 
+class _GapGrid(Mapping):
+    """Each degree tuple to its gap value, read through its (p_2, p_4):
+    ``tuples`` and ``pairs`` run in step and are shared by every (a, b) at
+    one s, and ``gaps`` maps each distinct pair to its value.  Its size and
+    minimum need no tuple; the ``{tuple: value}`` dict is built on the first
+    lookup or iteration, and compares and prints as that dict."""
+
+    __slots__ = ("_tuples", "_pairs", "_gaps", "_grid")
+
+    def __init__(self, tuples: list, pairs: list, gaps: dict):
+        self._tuples, self._pairs, self._gaps, self._grid = tuples, pairs, gaps, None
+
+    def _dict(self) -> dict:
+        if self._grid is None:
+            self._grid = dict(zip(self._tuples, map(self._gaps.__getitem__, self._pairs)))
+        return self._grid
+
+    def __getitem__(self, tup):
+        return self._dict()[tup]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self) -> int:
+        return len(self._tuples)
+
+    def __eq__(self, other):
+        return self._dict() == other
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
+
+    @property
+    def min_value(self) -> int:
+        return min(self._gaps.values())
+
+
 class GapReport(namedtuple("GapReport", "s a b value_grid recursion_checked base_checked")):
     """Outcome of the gap-polynomial positivity sweep for one (s, a, b);
     value_grid maps each degree tuple to its gap value.  Both flags are
-    true: a check that fails raises instead."""
+    true: a check that fails raises instead.
+
+    From :func:`check_gap_positivity`, value_grid is a read-only mapping
+    whose size and minimum (:meth:`summary`) are read from the distinct
+    (p_2, p_4) alone; its ``{tuple: value}`` dict is built only when the
+    grid is first indexed or iterated, as by :meth:`to_json`."""
 
     __slots__ = ()
 
     @property
     def min_value(self) -> int:
-        return min(self.value_grid.values())
+        grid = self.value_grid
+        return grid.min_value if isinstance(grid, _GapGrid) else min(grid.values())
 
     def to_json(self) -> dict:
         ordered = sorted(self.value_grid.items())
@@ -894,7 +938,10 @@ def check_gap_positivity(s_max: int, a_max: int, d_max: int) -> list:
     and p_4, so it is symmetric in the degrees by construction; each distinct
     (p_2, p_4) is checked once, at its first tuple in ``itertools.product``
     order.  The tuples and their (p_2, p_4) for s extend those for s - 1 by
-    one degree.  The terms of :func:`gap_value` show v > 0 for every tuple.
+    one degree; each report's grid reads its values through them and the
+    per-pair values, and builds its ``{tuple: value}`` dict only when read
+    (:class:`GapReport`).  The terms of :func:`gap_value` show v > 0 for
+    every tuple.
     """
     if s_max < 2 or a_max < 2 or d_max < 1:
         raise ValueError("need s_max >= 2, a_max >= 2, d_max >= 1")
@@ -941,6 +988,5 @@ def check_gap_positivity(s_max: int, a_max: int, d_max: int) -> list:
                             f"gap({s},1,{b}){tup} = {value} violates the base bound",
                             witness={"s": s, "a": 1, "b": b, "tuple": tup, "value": value},
                         )
-                values = dict(zip(tuples, map(gaps.__getitem__, pairs)))
-                reports.append(GapReport(s, a, b, values, True, True))
+                reports.append(GapReport(s, a, b, _GapGrid(tuples, pairs, gaps), True, True))
     return reports

@@ -378,6 +378,82 @@ def test_equal_polynomials_from_different_routes_share_form_and_hash(t1, t2, c):
         assert hash(left) == hash(right), name
 
 
+_scalars = st.one_of(st.integers(min_value=-30, max_value=30), _fractions, st.booleans())
+# an int-coefficient shift keeps p's denominator, so p and p + shift meet the
+# one-denominator sum, whose result may still share a factor with it
+_int_terms = st.dictionaries(_exps, _coeffs, max_size=6)
+
+
+def _assert_as_checked_constructor(result, terms, name):
+    """num, den and hash equal those of SparsePoly(3, terms), the checked
+    constructor fed the Fraction arithmetic's terms."""
+    public = SparsePoly(3, terms)
+    assert (result.nvars, result.num, result.den) == (3, public.num, public.den), name
+    assert hash(result) == hash(public), name
+    _assert_canonical(result, name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_frac_terms, _frac_terms, _int_terms, _scalars, st.integers(min_value=0, max_value=3))
+def test_every_operator_gives_the_checked_constructors_form(t1, t2, shift, c, k):
+    p, q = SparsePoly(3, t1), SparsePoly(3, t2)
+    same = p + SparsePoly(3, shift)  # over p's den unless a term cancels
+    t_same = brute_poly_add(t1, shift)
+    origin = {(0, 0, 0): Fraction(c)}
+    power = {(0, 0, 0): Fraction(1)}
+    for _ in range(k):
+        power = brute_poly_mul(power, t1)
+    results = {
+        "p + q": (p + q, brute_poly_add(t1, t2)),
+        "p - q": (p - q, brute_poly_add(t1, brute_poly_scale(t2, -1))),
+        "p * q": (p * q, brute_poly_mul(t1, t2)),
+        "p + same": (p + same, brute_poly_add(t1, t_same)),
+        "same - p": (same - p, brute_poly_add(t_same, brute_poly_scale(t1, -1))),
+        "p - same": (p - same, brute_poly_add(t1, brute_poly_scale(t_same, -1))),
+        "-p": (-p, brute_poly_scale(t1, -1)),
+        "p + c": (p + c, brute_poly_add(t1, origin)),
+        "c + p": (c + p, brute_poly_add(origin, t1)),
+        "p - c": (p - c, brute_poly_add(t1, brute_poly_scale(origin, -1))),
+        "c - p": (c - p, brute_poly_add(origin, brute_poly_scale(t1, -1))),
+        "p * c": (p * c, brute_poly_scale(t1, c)),
+        "c * p": (c * p, brute_poly_scale(t1, c)),
+        "p ** k": (p**k, power),
+    }
+    if c:
+        results["p / c"] = (p / c, brute_poly_scale(t1, 1 / Fraction(c)))
+    for name, (result, terms) in results.items():
+        _assert_as_checked_constructor(result, terms, (name, c))
+
+
+def test_sums_that_cancel_keep_the_canonical_form():
+    x = SparsePoly.variable(3, 0)
+    half = Fraction(1, 2)
+    p = x * half + half
+    cases = {
+        # a sum that cancels to zero
+        "p - p": (p - p, {}),
+        "p + (-p)": (p + (-p), {}),
+        "(p - 1/2) - x/2": ((p - half) - x * half, {}),
+        # a sum that cancels to a constant
+        "p - x/2": (p - x * half, {(0, 0, 0): half}),
+        "(x + 3) - x": ((x + 3) - x, {(0, 0, 0): Fraction(3)}),
+        # one denominator, and the numerators' sum shares a factor with it
+        "p + p": (p + p, {(1, 0, 0): Fraction(1), (0, 0, 0): Fraction(1)}),
+        "p * 2": (p * 2, {(1, 0, 0): Fraction(1), (0, 0, 0): Fraction(1)}),
+        "(x/2 + 1) - 1": ((x * half + 1) - 1, {(1, 0, 0): half}),
+        "(3x/2 + 1) + 1/2": ((x * Fraction(3, 2) + 1) + half, {(1, 0, 0): Fraction(3, 2), (0, 0, 0): Fraction(3, 2)}),
+        "(x/6 + 1/2) + (x/6 - 1/2)": (x / 6 + half + (x / 6 - half), {(1, 0, 0): Fraction(1, 3)}),
+        "p * 0": (p * 0, {}),
+        "p * True": (p * True, {(1, 0, 0): half, (0, 0, 0): half}),
+        "p + False": (p + False, {(1, 0, 0): half, (0, 0, 0): half}),
+    }
+    for name, (result, terms) in cases.items():
+        _assert_as_checked_constructor(result, terms, name)
+    assert p + p == x + 1 and (p + p).den == 1
+    for constant, value in (((p - x * half), half), ((x + 3) - x, 3), (p - p, 0)):
+        assert constant == value and hash(constant) == hash(value)
+
+
 def test_terms_is_a_read_only_view():
     p = SparsePoly(2, {(1, 0): Fraction(1, 2), (0, 0): 3})
     view = p.terms

@@ -27,6 +27,7 @@ from ulrichcert.identities import (
     check_s4_tables,
     check_structure,
     deg_poly_r3,
+    gap_at,
     gap_poly,
     kh_poly_r3,
     ksq_poly_r3,
@@ -541,6 +542,50 @@ def test_gap_recursion_failure_names_the_first_s_and_a(monkeypatch):
         check_gap_positivity(3, 3, 2)
     assert str(info.value) == "recursion failed at s=2, a=2, b=8"
     assert info.value.witness == {"s": 2, "a": 2, "b": 8}
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 1), (3, 3, 3), (5, 6, 4), (4, 4, 6)])
+def test_gap_positivity_lazy_grid_reads_as_the_eager_dict(shape):
+    # each report against the same report over dict(zip(tuples, values)),
+    # the grid the sweep built eagerly before it was read lazily
+    d_max = shape[2]
+    for report in check_gap_positivity(*shape):
+        ones = (1,) * report.s
+        tuples = list(itertools.product(range(1, d_max + 1), repeat=report.s))
+        values = [gap_at(tup, report.a, report.b) for tup in tuples]
+        eager = report._replace(value_grid=dict(zip(tuples, values)))
+        assert len(report.value_grid) == len(eager.value_grid) == d_max**report.s
+        assert report.min_value == eager.min_value == min(values)
+        assert report.summary() == eager.summary()
+        assert list(report.value_grid) == list(eager.value_grid) == tuples
+        assert report.value_grid[ones] == eager.value_grid[ones]
+        assert report.to_json() == eager.to_json()
+        assert report.value_grid == eager.value_grid and eager.value_grid == report.value_grid
+        assert repr(report.value_grid) == repr(eager.value_grid)
+        assert repr(report) == repr(eager) and report == eager
+
+
+def test_gap_positivity_lazy_grid_builds_its_dict_only_when_read():
+    for report in check_gap_positivity(3, 3, 3):
+        grid = report.value_grid
+        ones = (1,) * report.s
+        assert (len(grid), report.summary()["grid_points"]) == (3**report.s, 3**report.s)
+        assert report.min_value == grid.min_value
+        assert grid._grid is None  # size and minimum came from the distinct (p_2, p_4)
+        assert grid[ones] == gap_at(ones, report.a, report.b)
+        assert grid._grid is not None
+
+
+def test_gap_positivity_failure_with_b_four_matches_the_eager_sweep(monkeypatch):
+    # gap_value with b = 4 breaks the recursion for every b in GAP_B; message
+    # and witness as recorded from the sweep that built every grid eagerly
+    gap = identities.gap_value
+    monkeypatch.setattr(identities, "gap_value", lambda s, a, b, p2, p4: gap(s, a, 4, p2, p4))
+    for shape in [(2, 2, 1), (3, 3, 3), (5, 6, 4), (4, 4, 6)]:
+        with pytest.raises(VerificationFailure) as info:
+            check_gap_positivity(*shape)
+        assert str(info.value) == "recursion failed at s=2, a=2, b=8"
+        assert info.value.witness == {"s": 2, "a": 2, "b": 8}
 
 
 def _gap_value_changed_at(monkeypatch, a: int, pair: tuple, change):
