@@ -3,9 +3,8 @@
 This module holds the closed-form side of every identity the pipeline rests
 on: the six derived polynomials of the two contradiction chains (Noether
 chi, subvariety degree, K_Z . H_Z, K_Z^2, c2(Z), combined chi), the gap
-polynomial v whose positivity drives the final contradiction, the frozen
-coefficient tables for the chi polynomial in the monomial basis, and check
-functions that compare builder output against the tables term by term.
+polynomial v whose positivity drives the final contradiction, and the
+frozen coefficient tables for the chi polynomial in the monomial basis.
 
 The six derived polynomials are not typed here: the invariants chain
 (:func:`ulrichcert.invariants.noether_chain`) runs once per rank over
@@ -19,14 +18,16 @@ each builder returns its polynomial divided by d = x_1 ... x_s, in the
 monomial basis of s variables.
 The frozen closed-form tables check the builders against independent expansions.
 
-Each table and each gap identity is compared with the builders' forms once,
-as polynomials in (a, s): every table row is fed the variables a and s, and
-the gap v is formed over the chain's ring.  What does not hold as an
-identity is left as residual rows, polynomials in (a, s), and a checker at
-one (a, s) evaluates only those; when the identity holds there are none, so
-a passing point does no arithmetic.  Each residual is cached on the objects
-it was built from (the table rows, GAP_B, GAP_FACTOR, :func:`gap_value`), so
-a changed one misses the cache.
+Each table (COEFF_TABLES, CLOSED_FORM_TABLES and the s = 4 displays
+S4_TABLES) and each gap identity is compared with the builders' forms once,
+as polynomials in (a, s): every table row is fed the variables a and s (a
+display only a, against the form at s = 4), and the gap v is formed over
+the chain's ring.  What does not hold as an identity is left as residual
+rows, polynomials in (a, s), and a checker at one (a, s) evaluates only
+those; when the identity holds there are none, so a passing point does no
+arithmetic.  Each residual is cached on the objects it was built from (the
+table rows, GAP_B, GAP_FACTOR, :func:`gap_value`), so a changed one misses
+the cache.
 
 Each checker returns a :class:`VerificationReport` that lists only the
 comparisons that failed, with their exact residuals; an empty list is a pass.
@@ -386,264 +387,251 @@ def _s4_r3l1(a: int) -> list:
 S4_TABLES: dict = {"r2l0": _s4_r2l0, "r3l0": _s4_r3l0, "r3l1": _s4_r3l1}
 
 
-#: closed-form basis expansions of the six derived polynomials:
-#: name -> (builder, bracket prefactor, {partition: coefficient fn of (a, s)})
-def _closed_form_tables() -> dict:
-    return {
-        "noether_chi_r2": (
-            noether_chi_r2,
-            Fraction(5, 1728),
-            {
-                (4,): lambda a, s: 64,
-                (3, 1): lambda a, s: 216,
-                (2, 2): lambda a, s: 308,
-                (2, 1, 1): lambda a, s: 576,
-                (1, 1, 1, 1): lambda a, s: 1080,
-                (3,): lambda a, s: -1080 + 792 * a - 216 * s,
-                (2, 1): lambda a, s: -2880 + 2160 * a - 576 * s,
-                (1, 1, 1): lambda a, s: -5400 + 4104 * a - 1080 * s,
-                (2,): lambda a, s: 7100
-                - 10800 * a
-                + 4036 * a**2
-                + 2860 * s
-                - 2160 * a * s
-                + 288 * s**2,
-                (1, 1): lambda a, s: 13320
-                - 20520 * a
-                + 7704 * a**2
-                + 5364 * s
-                - 4104 * a * s
-                + 540 * s**2,
-                (1,): lambda a, s: -21600
-                + 50760 * a
-                - 38520 * a**2
-                + 9360 * a**3
-                - 13140 * s
-                + 20412 * a * s
-                - 7704 * a**2 * s
-                - 2664 * s**2
-                + 2052 * a * s**2
-                - 180 * s**3,
-                (): lambda a, s: 25900
-                - 82800 * a
-                + 95380 * a**2
-                - 46800 * a**3
-                + 8320 * a**4
-                + 21160 * s
-                - 50220 * a * s
-                + 38336 * a**2 * s
-                - 9360 * a**3 * s
-                + 6481 * s**2
-                - 10152 * a * s**2
-                + 3852 * a**2 * s**2
-                + 882 * s**3
-                - 684 * a * s**3
-                + 45 * s**4,
-            },
-        ),
-        "deg_poly_r3": (
-            deg_poly_r3,
-            Fraction(1, 8),
-            {
-                (2,): lambda a, s: 7,
-                (1, 1): lambda a, s: 12,
-                (1,): lambda a, s: -60 + 60 * a - 12 * s,
-                (): lambda a, s: 145 - 300 * a + 155 * a**2 + 59 * s - 60 * a * s + 6 * s**2,
-            },
-        ),
-        "kh_poly_r3": (
-            kh_poly_r3,
-            Fraction(1, 8),
-            {
-                (3,): lambda a, s: 19,
-                (2, 1): lambda a, s: 51,
-                (1, 1, 1): lambda a, s: 96,
-                (2,): lambda a, s: -255 + 220 * a - 51 * s,
-                (1, 1): lambda a, s: -480 + 420 * a - 96 * s,
-                (1,): lambda a, s: 1185
-                - 2100 * a
-                + 915 * a**2
-                + 477 * s
-                - 420 * a * s
-                + 48 * s**2,
-                (): lambda a, s: -1925
-                + 5200 * a
-                - 4575 * a**2
-                + 1300 * a**3
-                - 1170 * s
-                + 2090 * a * s
-                - 915 * a**2 * s
-                - 237 * s**2
-                + 210 * a * s**2
-                - 16 * s**3,
-            },
-        ),
-        "ksq_poly_r3": (
-            ksq_poly_r3,
-            Fraction(5, 32),
-            {
-                (4,): lambda a, s: 41,
-                (3, 1): lambda a, s: 150,
-                (2, 2): lambda a, s: 218,
-                (2, 1, 1): lambda a, s: 422,
-                (1, 1, 1, 1): lambda a, s: 816,
-                (3,): lambda a, s: -750 + 598 * a - 150 * s,
-                (2, 1): lambda a, s: -2110 + 1702 * a - 422 * s,
-                (1, 1, 1): lambda a, s: -4080 + 3312 * a - 816 * s,
-                (2,): lambda a, s: 5240
-                - 8510 * a
-                + 3410 * a**2
-                + 2103 * s
-                - 1702 * a * s
-                + 211 * s**2,
-                (1, 1): lambda a, s: 10130
-                - 16560 * a
-                + 6670 * a**2
-                + 4066 * s
-                - 3312 * a * s
-                + 408 * s**2,
-                (1,): lambda a, s: -16650
-                + 41170 * a
-                - 33350 * a**2
-                + 8830 * a**3
-                - 10060 * s
-                + 16514 * a * s
-                - 6670 * a**2 * s
-                - 2026 * s**2
-                + 1656 * a * s**2
-                - 136 * s**3,
-                (): lambda a, s: 20375
-                - 67850 * a
-                + 83000 * a**2
-                - 44150 * a**3
-                + 8625 * a**4
-                + 16475 * s
-                - 40940 * a * s
-                + 33275 * a**2 * s
-                - 8830 * a**3 * s
-                + 4995 * s**2
-                - 8234 * a * s**2
-                + 3335 * a**2 * s**2
-                + 673 * s**3
-                - 552 * a * s**3
-                + 34 * s**4,
-            },
-        ),
-        "c2_poly_r3": (
-            c2_poly_r3,
-            Fraction(1, 64),
-            {
-                (4,): lambda a, s: 265,
-                (3, 1): lambda a, s: 924,
-                (2, 2): lambda a, s: 1330,
-                (2, 1, 1): lambda a, s: 2524,
-                (1, 1, 1, 1): lambda a, s: 4800,
-                (3,): lambda a, s: -4620 + 3860 * a - 924 * s,
-                (2, 1): lambda a, s: -12620 + 10580 * a - 2524 * s,
-                (1, 1, 1): lambda a, s: -24000 + 20160 * a - 4800 * s,
-                (2,): lambda a, s: 31210
-                - 52900 * a
-                + 22250 * a**2
-                + 12552 * s
-                - 10580 * a * s
-                + 1262 * s**2,
-                (1, 1): lambda a, s: 59380
-                - 100800 * a
-                + 42380 * a**2
-                + 23876 * s
-                - 20160 * a * s
-                + 2400 * s**2,
-                (1,): lambda a, s: -96900
-                + 249500 * a
-                - 211900 * a**2
-                + 59300 * a**3
-                - 58760 * s
-                + 100300 * a * s
-                - 42380 * a**2 * s
-                - 11876 * s**2
-                + 10080 * a * s**2
-                - 800 * s**3,
-                (): lambda a, s: 117325
-                - 407500 * a
-                + 524450 * a**2
-                - 296500 * a**3
-                + 62225 * a**4
-                + 95380 * s
-                - 247000 * a * s
-                + 210840 * a**2 * s
-                - 59300 * a**3 * s
-                + 29073 * s**2
-                - 49900 * a * s**2
-                + 21190 * a**2 * s**2
-                + 3938 * s**3
-                - 3360 * a * s**3
-                + 200 * s**4,
-            },
-        ),
-        "noether_chi_r3": (
-            noether_chi_r3,
-            Fraction(1, 768),
-            {
-                (4,): lambda a, s: 675,
-                (3, 1): lambda a, s: 2424,
-                (2, 2): lambda a, s: 3510,
-                (2, 1, 1): lambda a, s: 6744,
-                (1, 1, 1, 1): lambda a, s: 12960,
-                (3,): lambda a, s: -12120 + 9840 * a - 2424 * s,
-                (2, 1): lambda a, s: -33720 + 27600 * a - 6744 * s,
-                (1, 1, 1): lambda a, s: -64800 + 53280 * a - 12960 * s,
-                (2,): lambda a, s: 83610
-                - 138000 * a
-                + 56350 * a**2
-                + 33582 * s
-                - 27600 * a * s
-                + 3372 * s**2,
-                (1, 1): lambda a, s: 160680
-                - 266400 * a
-                + 109080 * a**2
-                + 64536 * s
-                - 53280 * a * s
-                + 6480 * s**2,
-                (1,): lambda a, s: -263400
-                + 661200 * a
-                - 545400 * a**2
-                + 147600 * a**3
-                - 159360 * s
-                + 265440 * a * s
-                - 109080 * a**2 * s
-                - 32136 * s**2
-                + 26640 * a * s**2
-                - 2160 * s**3,
-                (): lambda a, s: 321075
-                - 1086000 * a
-                + 1354450 * a**2
-                - 738000 * a**3
-                + 148475 * a**4
-                + 260130 * s
-                - 656400 * a * s
-                + 543590 * a**2 * s
-                - 147600 * a**3 * s
-                + 79023 * s**2
-                - 132240 * a * s**2
-                + 54540 * a**2 * s**2
-                + 10668 * s**3
-                - 8880 * a * s**3
-                + 540 * s**4,
-            },
-        ),
-    }
-
-
-CLOSED_FORM_TABLES = _closed_form_tables()
-
-#: Each CLOSED_FORM_TABLES name -> the (rank, field of :func:`_chain`) its builder reads.
-_CHAIN_FIELDS = {
-    "noether_chi_r2": (2, 6),
-    "deg_poly_r3": (3, 1),
-    "kh_poly_r3": (3, 3),
-    "ksq_poly_r3": (3, 4),
-    "c2_poly_r3": (3, 5),
-    "noether_chi_r3": (3, 6),
+#: closed-form basis expansions of the six derived polynomials: builder name
+#: -> ((rank, field of :func:`_chain` the builder reads), bracket prefactor,
+#: {partition: coefficient fn of (a, s)})
+CLOSED_FORM_TABLES: dict = {
+    "noether_chi_r2": (
+        (2, 6),
+        Fraction(5, 1728),
+        {
+            (4,): lambda a, s: 64,
+            (3, 1): lambda a, s: 216,
+            (2, 2): lambda a, s: 308,
+            (2, 1, 1): lambda a, s: 576,
+            (1, 1, 1, 1): lambda a, s: 1080,
+            (3,): lambda a, s: -1080 + 792 * a - 216 * s,
+            (2, 1): lambda a, s: -2880 + 2160 * a - 576 * s,
+            (1, 1, 1): lambda a, s: -5400 + 4104 * a - 1080 * s,
+            (2,): lambda a, s: 7100
+            - 10800 * a
+            + 4036 * a**2
+            + 2860 * s
+            - 2160 * a * s
+            + 288 * s**2,
+            (1, 1): lambda a, s: 13320
+            - 20520 * a
+            + 7704 * a**2
+            + 5364 * s
+            - 4104 * a * s
+            + 540 * s**2,
+            (1,): lambda a, s: -21600
+            + 50760 * a
+            - 38520 * a**2
+            + 9360 * a**3
+            - 13140 * s
+            + 20412 * a * s
+            - 7704 * a**2 * s
+            - 2664 * s**2
+            + 2052 * a * s**2
+            - 180 * s**3,
+            (): lambda a, s: 25900
+            - 82800 * a
+            + 95380 * a**2
+            - 46800 * a**3
+            + 8320 * a**4
+            + 21160 * s
+            - 50220 * a * s
+            + 38336 * a**2 * s
+            - 9360 * a**3 * s
+            + 6481 * s**2
+            - 10152 * a * s**2
+            + 3852 * a**2 * s**2
+            + 882 * s**3
+            - 684 * a * s**3
+            + 45 * s**4,
+        },
+    ),
+    "deg_poly_r3": (
+        (3, 1),
+        Fraction(1, 8),
+        {
+            (2,): lambda a, s: 7,
+            (1, 1): lambda a, s: 12,
+            (1,): lambda a, s: -60 + 60 * a - 12 * s,
+            (): lambda a, s: 145 - 300 * a + 155 * a**2 + 59 * s - 60 * a * s + 6 * s**2,
+        },
+    ),
+    "kh_poly_r3": (
+        (3, 3),
+        Fraction(1, 8),
+        {
+            (3,): lambda a, s: 19,
+            (2, 1): lambda a, s: 51,
+            (1, 1, 1): lambda a, s: 96,
+            (2,): lambda a, s: -255 + 220 * a - 51 * s,
+            (1, 1): lambda a, s: -480 + 420 * a - 96 * s,
+            (1,): lambda a, s: 1185
+            - 2100 * a
+            + 915 * a**2
+            + 477 * s
+            - 420 * a * s
+            + 48 * s**2,
+            (): lambda a, s: -1925
+            + 5200 * a
+            - 4575 * a**2
+            + 1300 * a**3
+            - 1170 * s
+            + 2090 * a * s
+            - 915 * a**2 * s
+            - 237 * s**2
+            + 210 * a * s**2
+            - 16 * s**3,
+        },
+    ),
+    "ksq_poly_r3": (
+        (3, 4),
+        Fraction(5, 32),
+        {
+            (4,): lambda a, s: 41,
+            (3, 1): lambda a, s: 150,
+            (2, 2): lambda a, s: 218,
+            (2, 1, 1): lambda a, s: 422,
+            (1, 1, 1, 1): lambda a, s: 816,
+            (3,): lambda a, s: -750 + 598 * a - 150 * s,
+            (2, 1): lambda a, s: -2110 + 1702 * a - 422 * s,
+            (1, 1, 1): lambda a, s: -4080 + 3312 * a - 816 * s,
+            (2,): lambda a, s: 5240
+            - 8510 * a
+            + 3410 * a**2
+            + 2103 * s
+            - 1702 * a * s
+            + 211 * s**2,
+            (1, 1): lambda a, s: 10130
+            - 16560 * a
+            + 6670 * a**2
+            + 4066 * s
+            - 3312 * a * s
+            + 408 * s**2,
+            (1,): lambda a, s: -16650
+            + 41170 * a
+            - 33350 * a**2
+            + 8830 * a**3
+            - 10060 * s
+            + 16514 * a * s
+            - 6670 * a**2 * s
+            - 2026 * s**2
+            + 1656 * a * s**2
+            - 136 * s**3,
+            (): lambda a, s: 20375
+            - 67850 * a
+            + 83000 * a**2
+            - 44150 * a**3
+            + 8625 * a**4
+            + 16475 * s
+            - 40940 * a * s
+            + 33275 * a**2 * s
+            - 8830 * a**3 * s
+            + 4995 * s**2
+            - 8234 * a * s**2
+            + 3335 * a**2 * s**2
+            + 673 * s**3
+            - 552 * a * s**3
+            + 34 * s**4,
+        },
+    ),
+    "c2_poly_r3": (
+        (3, 5),
+        Fraction(1, 64),
+        {
+            (4,): lambda a, s: 265,
+            (3, 1): lambda a, s: 924,
+            (2, 2): lambda a, s: 1330,
+            (2, 1, 1): lambda a, s: 2524,
+            (1, 1, 1, 1): lambda a, s: 4800,
+            (3,): lambda a, s: -4620 + 3860 * a - 924 * s,
+            (2, 1): lambda a, s: -12620 + 10580 * a - 2524 * s,
+            (1, 1, 1): lambda a, s: -24000 + 20160 * a - 4800 * s,
+            (2,): lambda a, s: 31210
+            - 52900 * a
+            + 22250 * a**2
+            + 12552 * s
+            - 10580 * a * s
+            + 1262 * s**2,
+            (1, 1): lambda a, s: 59380
+            - 100800 * a
+            + 42380 * a**2
+            + 23876 * s
+            - 20160 * a * s
+            + 2400 * s**2,
+            (1,): lambda a, s: -96900
+            + 249500 * a
+            - 211900 * a**2
+            + 59300 * a**3
+            - 58760 * s
+            + 100300 * a * s
+            - 42380 * a**2 * s
+            - 11876 * s**2
+            + 10080 * a * s**2
+            - 800 * s**3,
+            (): lambda a, s: 117325
+            - 407500 * a
+            + 524450 * a**2
+            - 296500 * a**3
+            + 62225 * a**4
+            + 95380 * s
+            - 247000 * a * s
+            + 210840 * a**2 * s
+            - 59300 * a**3 * s
+            + 29073 * s**2
+            - 49900 * a * s**2
+            + 21190 * a**2 * s**2
+            + 3938 * s**3
+            - 3360 * a * s**3
+            + 200 * s**4,
+        },
+    ),
+    "noether_chi_r3": (
+        (3, 6),
+        Fraction(1, 768),
+        {
+            (4,): lambda a, s: 675,
+            (3, 1): lambda a, s: 2424,
+            (2, 2): lambda a, s: 3510,
+            (2, 1, 1): lambda a, s: 6744,
+            (1, 1, 1, 1): lambda a, s: 12960,
+            (3,): lambda a, s: -12120 + 9840 * a - 2424 * s,
+            (2, 1): lambda a, s: -33720 + 27600 * a - 6744 * s,
+            (1, 1, 1): lambda a, s: -64800 + 53280 * a - 12960 * s,
+            (2,): lambda a, s: 83610
+            - 138000 * a
+            + 56350 * a**2
+            + 33582 * s
+            - 27600 * a * s
+            + 3372 * s**2,
+            (1, 1): lambda a, s: 160680
+            - 266400 * a
+            + 109080 * a**2
+            + 64536 * s
+            - 53280 * a * s
+            + 6480 * s**2,
+            (1,): lambda a, s: -263400
+            + 661200 * a
+            - 545400 * a**2
+            + 147600 * a**3
+            - 159360 * s
+            + 265440 * a * s
+            - 109080 * a**2 * s
+            - 32136 * s**2
+            + 26640 * a * s**2
+            - 2160 * s**3,
+            (): lambda a, s: 321075
+            - 1086000 * a
+            + 1354450 * a**2
+            - 738000 * a**3
+            + 148475 * a**4
+            + 260130 * s
+            - 656400 * a * s
+            + 543590 * a**2 * s
+            - 147600 * a**3 * s
+            + 79023 * s**2
+            - 132240 * a * s**2
+            + 54540 * a**2 * s**2
+            + 10668 * s**3
+            - 8880 * a * s**3
+            + 540 * s**4,
+        },
+    ),
 }
 
 
@@ -762,30 +750,6 @@ def _label(partition: tuple) -> str:
     return "m_" + "".join(map(str, partition)) if partition else "1"
 
 
-def _basis_compare(
-    check: str, parameters: dict, compared: dict, notes: list | None = None
-) -> VerificationReport:
-    """Compare basis expressions against expected coefficients, reporting the
-    exact residual of every basis element that differs and any unexpected
-    support.
-
-    ``compared`` maps a label prefix to (basis expression, expected
-    coefficients by partition)."""
-    residuals = []
-    for prefix, (actual, expected) in compared.items():
-        s = actual.nvars
-        for partition in BASIS:
-            if len(partition) > s:
-                continue
-            want = expected.get(partition, 0)
-            if actual.coeffs.get(partition, 0) != want:
-                diff = actual.get(partition) - Fraction(want)
-                residuals.append((prefix + _label(partition), scalar_str(diff)))
-        for partition in sorted(set(actual.coeffs) - set(BASIS)):
-            residuals.append((prefix + _label(partition), scalar_str(actual.get(partition))))
-    return VerificationReport(check, parameters, residuals, list(notes or []))
-
-
 #: The table variables a and s, as polynomials in (a, s).
 _TABLE_A, _TABLE_S = (SparsePoly.variable(2, k) for k in (0, 1))
 
@@ -794,8 +758,7 @@ def _residual_rows(form: tuple, expected: dict) -> tuple:
     """A basis form of :func:`power_sums_basis_form` minus the expected
     coefficients (polynomials in (a, s)) as an identity in (a, s): the
     (partition, residual) rows that are not zero, in BASIS order and then
-    the partitions outside BASIS, sorted, as :func:`_basis_compare` lists
-    them."""
+    the partitions outside BASIS, sorted."""
     den, tails, rows = form
 
     def row(partition) -> SparsePoly:
@@ -814,7 +777,8 @@ def _residual_rows(form: tuple, expected: dict) -> tuple:
 
 def _read_residuals(prefix: str, residuals: tuple, a: int, s: int) -> list:
     """The residual rows of at most s parts that are nonzero at (a, s), as
-    (label, exact value): the report :func:`_basis_compare` makes there."""
+    (label, exact value): each basis element whose coefficient at (a, s)
+    differs from the table's, then any the table does not list."""
     out = []
     for partition, poly in residuals:
         if len(partition) <= s:
@@ -838,6 +802,22 @@ def _closed_form_residuals(r: int, index: int, prefactor: Fraction, rows: tuple)
     return _residual_rows(_chain_form(r, index), expected)
 
 
+@lru_cache(maxsize=None)
+def _s4_residuals(r: int, ell: int, denom: int, table) -> tuple:
+    """The chi polynomial's basis form at s = 4 minus one S4_TABLES display, in a:
+    the form's s tail folded at s = 4, so each row is a polynomial in (a, s) free of s."""
+    den, tails, rows = subvariety_chi_form(4, r, ell)
+    folded = tuple(sorted({(e, 0) for e, _ in tails}))
+    at_four = {}
+    for partition, row in rows.items():
+        column = dict.fromkeys(folded, 0)
+        for (e, f), c in zip(tails, row):
+            column[e, 0] += c * 4**f
+        at_four[partition] = tuple(column.values())
+    expected = {p: row * Fraction(1, denom) for p, row in zip(BASIS, table(_TABLE_A))}
+    return _residual_rows((den, folded, at_four), expected)
+
+
 def check_coefficient_table(a: int, s: int, variant: str) -> VerificationReport:
     """Compare the chi polynomial, divided by the product of the variables
     and written in the monomial basis, against its frozen coefficient table:
@@ -852,23 +832,21 @@ def check_coefficient_table(a: int, s: int, variant: str) -> VerificationReport:
 
 def check_s4_tables(a: int) -> VerificationReport:
     """Compare the three chi polynomials at s = 4 against the explicit
-    single-parameter displays."""
-    compared = {}
+    single-parameter displays: the residual of each display as an identity
+    in a, read at a."""
+    residuals = []
     for variant, table in S4_TABLES.items():
         r, ell, denom, _ = COEFF_TABLES[variant]
-        reduced = subvariety_chi_basis(a, 4, 4, r, ell)
-        scale = Fraction(1, denom)
-        expected = {partition: coeff * scale for partition, coeff in zip(BASIS, table(a))}
-        compared[variant + ":"] = (reduced, expected)
-    return _basis_compare("s4-displays", {"a": a}, compared)
+        residuals += _read_residuals(variant + ":", _s4_residuals(r, ell, denom, table), a, 4)
+    return VerificationReport("s4-displays", {"a": a}, residuals, [])
 
 
 def check_closed_forms(a: int, s: int) -> VerificationReport:
     """Compare each derived polynomial against its closed-form basis table:
     the residual of each table as an identity in (a, s), read at (a, s)."""
     residuals = []
-    for name, (_, prefactor, rows) in CLOSED_FORM_TABLES.items():
-        table = _closed_form_residuals(*_CHAIN_FIELDS[name], prefactor, tuple(rows.items()))
+    for name, (fields, prefactor, rows) in CLOSED_FORM_TABLES.items():
+        table = _closed_form_residuals(*fields, prefactor, tuple(rows.items()))
         residuals += _read_residuals(name + ":", table, a, s)
     return VerificationReport("closed-forms", {"a": a, "s": s}, residuals, [KSQ_NOTE, NOETHER_R2_NOTE])
 

@@ -132,8 +132,8 @@ class BasisExpr(namedtuple("BasisExpr", "nvars coeffs")):
     ``_make`` and ``_replace`` skip it, so build an expression only through
     the constructor.  Only the producers whose partitions are valid by
     construction skip the checks through ``_trusted``: :func:`p_times`,
-    :func:`times_all_vars`, :func:`specialize_ones_basis`,
-    :func:`read_basis_form` and subtraction."""
+    :func:`times_all_vars`, :func:`specialize_ones_basis` and
+    :func:`read_basis_form`."""
 
     __slots__ = ()
 
@@ -158,17 +158,6 @@ class BasisExpr(namedtuple("BasisExpr", "nvars coeffs")):
 
     def sorted_items(self) -> list[tuple[Partition, Fraction]]:
         return sorted(self.coeffs.items(), key=lambda item: partition_sort_key(item[0]))
-
-    def __eq__(self, other):
-        if not isinstance(other, BasisExpr):
-            return NotImplemented
-        return self.nvars == other.nvars and dict(self.coeffs) == dict(other.coeffs)
-
-    def __sub__(self, other: "BasisExpr") -> "BasisExpr":
-        if self.nvars != other.nvars:
-            raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
-        keys = self.coeffs.keys() | other.coeffs.keys()
-        return BasisExpr._trusted(self.nvars, {p: self.get(p) - other.get(p) for p in keys})
 
 
 def to_basis(poly: SparsePoly) -> BasisExpr:

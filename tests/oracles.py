@@ -10,7 +10,9 @@ route, and :func:`koszul_chi_basis` only borrows the basis helpers
 (:func:`substitute_last`, :func:`chi_power_sums`,
 :func:`power_sums_in_s_vars`) read a polynomial over Q[p_1..p_n, a, s] at
 one (a, s) and multiply it out in s variables, the route that the
-once-built basis forms replace.
+once-built basis forms replace; :func:`basis_compare` compares such a
+reading with a table's entries at that point, the report that the
+identity layer's residuals, formed once in (a, s), replace.
 """
 
 import argparse
@@ -21,7 +23,8 @@ from math import factorial, lcm, prod
 
 from ulrichcert import cli
 from ulrichcert.euler import subvariety_chi_symbolic
-from ulrichcert.exactcore import SparsePoly, falling
+from ulrichcert.exactcore import SparsePoly, falling, scalar_str
+from ulrichcert.identities import BASIS, VerificationReport
 from ulrichcert.symmetric import BasisExpr, p_times_coeffs, partitions_of
 
 
@@ -371,6 +374,31 @@ def power_sums_in_s_vars(poly: SparsePoly, s: int) -> BasisExpr:
         for partition, n in _power_sum_product(exps, s).items():
             out[partition] = out.get(partition, 0) + c * n
     return BasisExpr(s, out)
+
+
+def basis_compare(check: str, parameters: dict, compared: dict, notes: list | None = None):
+    """Compare basis expressions against expected coefficients at one point,
+    reporting the exact residual of every basis element that differs and
+    any unexpected support.
+
+    ``compared`` maps a label prefix to (basis expression, expected
+    coefficients by partition)."""
+
+    def label(partition):
+        return "m_" + "".join(map(str, partition)) if partition else "1"
+
+    residuals = []
+    for prefix, (actual, expected) in compared.items():
+        for partition in BASIS:
+            if len(partition) > actual.nvars:
+                continue
+            want = expected.get(partition, 0)
+            if actual.coeffs.get(partition, 0) != want:
+                diff = actual.get(partition) - Fraction(want)
+                residuals.append((prefix + label(partition), scalar_str(diff)))
+        for partition in sorted(set(actual.coeffs) - set(BASIS)):
+            residuals.append((prefix + label(partition), scalar_str(actual.get(partition))))
+    return VerificationReport(check, parameters, residuals, list(notes or []))
 
 
 def brute_chi_ulrich(ell, m, degrees, a, r):

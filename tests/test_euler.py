@@ -21,7 +21,7 @@ from ulrichcert.euler import (
     subvariety_chi_poly,
 )
 from ulrichcert.exactcore import SparsePoly, binom_int
-from ulrichcert.identities import check_coefficient_table
+from ulrichcert.identities import check_coefficient_table, check_s4_tables
 from ulrichcert.invariants import c1_coeff
 from ulrichcert.symmetric import POWER_SUM_VARS, divide_all_vars, specialize_ones, to_basis
 from oracles import (
@@ -423,6 +423,7 @@ def _clear_chi_caches():
         identities._chain_form,
         identities._table_residuals,
         identities._closed_form_residuals,
+        identities._s4_residuals,
         identities._gap_residual_form,
         euler.subvariety_chi_form,
         euler.subvariety_chi_basis,
@@ -438,7 +439,7 @@ def test_cross_check_trips_on_a_faulty_route(monkeypatch, capsys, name):
     # delta_chi * factor == d * v against the Noether route, and the
     # identity layer checks the chi polynomial against its frozen table, so
     # a fault in either core fails the certificate at rank 2 and at rank 3
-    # and the rank-3 table; the chi caches are cleared around the fault
+    # and the rank-3 tables; the chi caches are cleared around the fault
     profile = ChiProfile(4, (3, 2), 2, 3)
     scale = euler.todd_table(4)[0]
     sums = euler.power_sums(4, profile.degrees)
@@ -462,6 +463,7 @@ def test_cross_check_trips_on_a_faulty_route(monkeypatch, capsys, name):
     try:
         report = check_coefficient_table(2, 5, "r3l1")
         assert report.status == "fail" and report.residuals
+        assert not check_s4_tables(2).passed
         for r in (2, 3):
             with pytest.raises(InternalContradiction, match="is not d\\*v"):
                 certify_complete_intersection(ChiProfile(4, (3,), 2, r))

@@ -49,7 +49,7 @@ from ulrichcert.symmetric import (
     times_all_vars,
     to_basis,
 )
-from oracles import brute_chi_poly, chi_power_sums, power_sums_in_s_vars, substitute_last
+from oracles import basis_compare, brute_chi_poly, chi_power_sums, power_sums_in_s_vars, substitute_last
 
 
 def test_basis_compare_reports_exact_residuals_of_what_differs():
@@ -57,12 +57,12 @@ def test_basis_compare_reports_exact_residuals_of_what_differs():
     # is missing, and a partition outside BASIS each give their exact residual
     actual = BasisExpr(3, {(3,): Fraction(7, 2), (2, 1): Fraction(5), (1,): -1, (5,): Fraction(2, 3)})
     expected = {(3,): Fraction(7, 2), (2, 1): Fraction(4), (2,): Fraction(1, 3), (1,): Fraction(-1)}
-    report = identities._basis_compare("demo", {"a": 2}, {"x:": (actual, expected)}, ["note"])
+    report = basis_compare("demo", {"a": 2}, {"x:": (actual, expected)}, ["note"])
     assert report.residuals == [("x:m_21", "1"), ("x:m_2", "-1/3"), ("x:m_5", "2/3")]
     assert (report.check, report.parameters, report.notes) == ("demo", {"a": 2}, ["note"])
     assert not report.passed
     same = {partition: actual.get(partition) for partition in BASIS}
-    assert identities._basis_compare("demo", {}, {"": (actual, same)}).residuals == [("m_5", "2/3")]
+    assert basis_compare("demo", {}, {"": (actual, same)}).residuals == [("m_5", "2/3")]
 
 
 def test_gap_poly_vanishes_at_ones_for_unit_twist():
@@ -174,18 +174,13 @@ def _x_variable_chain(a, r, s):
     return noether_chain(a, r, s, expand_m((1,), s), expand_m((1, 1), s), ones, *chis)
 
 
-#: Each derived-polynomial builder -> (rank, index of its chain field).
-CHAIN_FIELDS = {
-    noether_chi_r2: (2, 6),
-    deg_poly_r3: (3, 1),
-    kh_poly_r3: (3, 3),
-    ksq_poly_r3: (3, 4),
-    c2_poly_r3: (3, 5),
-    noether_chi_r3: (3, 6),
-}
+#: Each derived-polynomial builder -> (rank, index of its chain field), as
+#: its CLOSED_FORM_TABLES entry names them.
+CHAIN_FIELDS = {getattr(identities, name): fields for name, (fields, _, _) in CLOSED_FORM_TABLES.items()}
 
 
 def test_builders_match_x_variable_chain():
+    assert set(CHAIN_FIELDS) == {noether_chi_r2, deg_poly_r3, kh_poly_r3, ksq_poly_r3, c2_poly_r3, noether_chi_r3}
     for a in range(2, 7):
         for s in range(1, 8):
             chains = {r: _x_variable_chain(a, r, s) for r in (2, 3)}
@@ -231,8 +226,7 @@ def test_frozen_tables_hold_for_every_a_and_every_s_from_four():
     for r, ell, denom, table in COEFF_TABLES.values():
         expected = {partition: row * Fraction(1, denom) for partition, row in zip(BASIS, table(a, s))}
         compared.append((subvariety_chi_symbolic(4, r, ell), expected))
-    for builder, prefactor, rows in CLOSED_FORM_TABLES.values():
-        r, index = CHAIN_FIELDS[builder]
+    for (r, index), prefactor, rows in CLOSED_FORM_TABLES.values():
         expected = {partition: prefactor * fn(a, s) for partition, fn in rows.items()}
         compared.append((identities._chain(r)[index], expected))
     for poly, expected in compared:
@@ -287,6 +281,7 @@ def _clear_residual_caches():
     for residuals in (
         identities._table_residuals,
         identities._closed_form_residuals,
+        identities._s4_residuals,
         identities._gap_residual_form,
     ):
         residuals.cache_clear()
@@ -307,6 +302,17 @@ def _move_coefficient_entry(monkeypatch):
         return coeffs
 
     monkeypatch.setitem(COEFF_TABLES, "r3l1", (r, ell, denom, moved))
+
+
+def _move_s4_row(monkeypatch):
+    table = S4_TABLES["r3l0"]
+
+    def moved(a):
+        coeffs = table(a)
+        coeffs[8] += a  # the m_2 entry
+        return coeffs
+
+    monkeypatch.setitem(S4_TABLES, "r3l0", moved)
 
 
 def _shift_gap_b(monkeypatch):
@@ -333,20 +339,24 @@ def test_table_and_gap_mutations_fail_on_cold_and_warm_caches(monkeypatch, capsy
     with monkeypatch.context() as patch:
         _shift_gap_b(patch)
         assert not any(check_gap_identities(a, s).passed for a, s in points)
+    with monkeypatch.context() as patch:
+        _move_s4_row(patch)
+        assert not any(check_s4_tables(a).passed for a in range(2, 7))
     # with every change undone, the cached residuals of the tables are read again
     for a, s in points:
         assert check_closed_forms(a, s).passed and check_gap_identities(a, s).passed
-        assert check_coefficient_table(a, s, "r3l1").passed
+        assert check_coefficient_table(a, s, "r3l1").passed and check_s4_tables(a).passed
 
 
 def _per_point_closed_forms(a: int, s: int):
     """check_closed_forms as the per-point compare: each builder at (a, s)
     against its table's rows at (a, s)."""
     compared = {}
-    for name, (builder, prefactor, rows) in CLOSED_FORM_TABLES.items():
+    for name, (_, prefactor, rows) in CLOSED_FORM_TABLES.items():
+        builder = getattr(identities, name)
         compared[name + ":"] = (builder(a, s), {p: prefactor * fn(a, s) for p, fn in rows.items()})
     notes = [identities.KSQ_NOTE, identities.NOETHER_R2_NOTE]
-    return identities._basis_compare("closed-forms", {"a": a, "s": s}, compared, notes)
+    return basis_compare("closed-forms", {"a": a, "s": s}, compared, notes)
 
 
 def _per_point_coefficient_table(a: int, s: int, variant: str):
@@ -355,13 +365,25 @@ def _per_point_coefficient_table(a: int, s: int, variant: str):
     r, ell, denom, table = COEFF_TABLES[variant]
     expected = {p: Fraction(c) / denom for p, c in zip(BASIS, table(a, s))}
     reduced = subvariety_chi_basis(a, 4, s, r, ell)
-    return identities._basis_compare(f"coefficient-table[{variant}]", {"a": a, "s": s}, {"": (reduced, expected)})
+    return basis_compare(f"coefficient-table[{variant}]", {"a": a, "s": s}, {"": (reduced, expected)})
 
 
-@pytest.mark.parametrize("move", [None, _move_closed_form_row, _move_coefficient_entry])
+def _per_point_s4_tables(a: int):
+    """check_s4_tables as the per-point compare: each chi basis at (a, 4)
+    against its display's entries at a."""
+    compared = {}
+    for variant, table in S4_TABLES.items():
+        r, ell, denom, _ = COEFF_TABLES[variant]
+        expected = {p: Fraction(c) / denom for p, c in zip(BASIS, table(a))}
+        compared[variant + ":"] = (subvariety_chi_basis(a, 4, 4, r, ell), expected)
+    return basis_compare("s4-displays", {"a": a}, compared)
+
+
+@pytest.mark.parametrize("move", [None, _move_closed_form_row, _move_coefficient_entry, _move_s4_row])
 def test_residual_reads_match_the_per_point_compare(monkeypatch, move):
-    # the residuals formed once in (a, s) and read at each point give the
-    # reports, labels, order and bytes of _basis_compare on the builders
+    # the residuals formed once in (a, s), or in a at s = 4, and read at each
+    # point give the reports, labels, order and bytes of basis_compare on
+    # the builders
     if move is not None:
         move(monkeypatch)
     for a, s in itertools.product(range(2, 7), range(1, 10)):
@@ -370,14 +392,18 @@ def test_residual_reads_match_the_per_point_compare(monkeypatch, move):
             for variant in COEFF_TABLES:
                 got = check_coefficient_table(a, s, variant).to_json()
                 assert got == _per_point_coefficient_table(a, s, variant).to_json(), (a, s, variant)
-    if move is not None:
+    for a in range(2, 10):
+        assert check_s4_tables(a).to_json() == _per_point_s4_tables(a).to_json(), a
+    if move is _move_s4_row:
+        assert not check_s4_tables(9).passed
+    elif move is not None:
         assert not check_closed_forms(6, 9).passed or not check_coefficient_table(6, 9, "r3l1").passed
 
 
 def test_residual_rows_outside_the_basis_read_as_the_per_point_compare():
     # a form with partitions of weight 5 and of up to 5 parts, against rows
     # that hold, rows that differ and rows the form lacks: the residual read
-    # at (a, s) is _basis_compare on the form read at (a, s), for s below
+    # at (a, s) is basis_compare on the form read at (a, s), for s below
     # and above the number of parts
     p1, p2, p4, a, s = (SparsePoly.variable(POWER_SUM_VARS + 2, k) for k in (0, 1, 3, 4, 5))
     form = power_sums_basis_form(p1**5 * a - 3 * p2 * p1**3 + p4 * s / 7 + p2 * p1 * (a - s) + 2, 2)
@@ -391,7 +417,7 @@ def test_residual_rows_outside_the_basis_read_as_the_per_point_compare():
     for a_, s_ in itertools.product(range(2, 5), range(1, 8)):
         actual = read_basis_form(form, s_, (a_, s_))
         want = {p: row.eval((a_, s_)) for p, row in expected.items()}
-        reference = identities._basis_compare("demo", {}, {"x:": (actual, want)})
+        reference = basis_compare("demo", {}, {"x:": (actual, want)})
         assert identities._read_residuals("x:", residuals, a_, s_) == reference.residuals, (a_, s_)
 
 
@@ -400,8 +426,10 @@ def test_a_passing_point_evaluates_no_residual_row(monkeypatch):
     # the checkers at a point evaluate nothing
     for variant in COEFF_TABLES:
         assert identities._table_residuals(*COEFF_TABLES[variant]) == ()
-    for name, (_, prefactor, rows) in CLOSED_FORM_TABLES.items():
-        fields = identities._CHAIN_FIELDS[name]
+    for variant, table in S4_TABLES.items():
+        r, ell, denom, _ = COEFF_TABLES[variant]
+        assert identities._s4_residuals(r, ell, denom, table) == ()
+    for fields, prefactor, rows in CLOSED_FORM_TABLES.values():
         assert identities._closed_form_residuals(*fields, prefactor, tuple(rows.items())) == ()
     for r in (2, 3):
         form = identities._gap_residual_form(r, identities.GAP_B[r], identities.GAP_FACTOR[r], identities.gap_value)
@@ -415,6 +443,8 @@ def test_a_passing_point_evaluates_no_residual_row(monkeypatch):
         assert check_closed_forms(a, s).passed and check_gap_identities(a, s).passed
         if s >= 4:
             assert all(check_coefficient_table(a, s, variant).passed for variant in COEFF_TABLES)
+    for a in range(2, 10):
+        assert check_s4_tables(a).passed
 
 
 def test_gap_identities_pass():
@@ -674,6 +704,7 @@ FAILING_REPORT_DIGESTS = {
     "gap": "880a26d189efe60901311d581c5dbf2211993e737e16c134b84b9698d64a44bf",
     "closed": "890cab96190dcd9a91bdd88b6436dbcc437f871d5489a70b0ce70e5b003ed54d",
     "coeff": "d7728af462583dc6427f3b2f312723b02436a50fd595d4dca7cef57a0e9b43b1",
+    "s4": "008df6328b08f74c1caebf6b53b7db20275a324d27df2da5efac64b17ff48dc1",
 }
 
 
@@ -708,3 +739,10 @@ def test_failing_coefficient_table_reports_golden_digest(monkeypatch):
     monkeypatch.setitem(COEFF_TABLES, "r3l1", (r, ell, denom, perturbed))
     reports = [check_coefficient_table(a, s, "r3l1") for a, s in [(2, 4), (5, 7)]]
     assert _failing_reports_digest(reports) == FAILING_REPORT_DIGESTS["coeff"]
+
+
+def test_failing_s4_display_reports_golden_digest(monkeypatch):
+    # one r3l0 display row moved by a; the bytes were recorded from the per-point compare
+    _move_s4_row(monkeypatch)
+    reports = [check_s4_tables(a) for a in (2, 3, 5, 7)]
+    assert _failing_reports_digest(reports) == FAILING_REPORT_DIGESTS["s4"]
