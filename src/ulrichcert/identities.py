@@ -29,6 +29,11 @@ arithmetic.  Each residual is cached on the objects it was built from (the
 table rows, GAP_B, GAP_FACTOR, :func:`gap_value`), so a changed one misses
 the cache.
 
+The specialization check (:func:`check_structure`) stays per point: chi/d
+for s degrees with x_{k+1} = ... = x_s = 1 against chi/d for k degrees, for
+every k < s, compared on int numerators over the chi form's one
+denominator, so a passing point builds no Fraction.
+
 Each checker returns a :class:`VerificationReport` that lists only the
 comparisons that failed, with their exact residuals; an empty list is a pass.
 
@@ -51,16 +56,17 @@ from functools import lru_cache
 
 from .errors import VerificationFailure
 from .exactcore import SparsePoly, scalar_str
-from .euler import subvariety_chi_basis, subvariety_chi_form, subvariety_chi_symbolic
+from .euler import subvariety_chi_form, subvariety_chi_numerators, subvariety_chi_symbolic
 from .invariants import noether_chain
 from .symmetric import (
     POWER_SUM_VARS,
     BasisExpr,
+    basis_from_numerators,
     expand_m,
     from_basis,
     power_sums_basis_form,
     read_basis_form,
-    specialize_ones_basis,
+    specialize_ones_numerators,
     times_all_vars,
 )
 # the benchmark tracer wraps these names here
@@ -882,14 +888,19 @@ def check_structure(a: int, m: int, s: int, r: int, ell: int) -> VerificationRep
     """Specialization consistency of the chi polynomial, on basis forms: chi/d
     for s degrees at x_{k+1} = ... = x_s = 1 is chi/d for the first k, for
     every k < s; a difference is reported times x_1 ... x_k.  Symmetry and
-    divisibility hold by construction of the basis form."""
+    divisibility hold by construction of the basis form.  Both sides are int
+    numerators over the chi form's one denominator; polynomials are built
+    only to render a difference."""
     if s < 2:
         raise ValueError("structure checks need s >= 2")
-    basis = subvariety_chi_basis(a, m, s, r, ell)
+    den = subvariety_chi_form(m, r, ell)[0]
+    nums = subvariety_chi_numerators(a, m, s, r, ell)
     residuals = []
     for k in range(1, s):
-        actual, expected = specialize_ones_basis(basis, k), subvariety_chi_basis(a, m, k, r, ell)
+        actual = specialize_ones_numerators(nums, s, k)
+        expected = subvariety_chi_numerators(a, m, k, r, ell)
         if actual != expected:
+            actual, expected = (basis_from_numerators(k, den, side) for side in (actual, expected))
             diff = from_basis(times_all_vars(actual)) - from_basis(times_all_vars(expected))
             residuals.append((f"specialize[k={k}]", str(diff)))
     return VerificationReport("structure", {"a": a, "m": m, "s": s, "r": r, "ell": ell}, residuals)

@@ -13,11 +13,15 @@ p_k is multiplied in directly in the basis (:func:`p_times`), so a
 polynomial in the power sums, with or without further int parameters, is
 written in the basis once for every s and every parameter value
 (:func:`power_sums_basis_form`) and read at each (:func:`read_basis_form`).
+
+A reading is also given as int numerators over the form's one denominator
+(:func:`read_basis_numerators`), and setting trailing variables to 1 keeps
+them ints over that denominator (:func:`specialize_ones_numerators`), so
+two readings compare without a Fraction.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter, namedtuple
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
@@ -77,8 +81,11 @@ def partition_sort_key(partition: Partition):
     return (-sum(partition), tuple(-p for p in partition))
 
 
+@lru_cache(maxsize=None)
 def orbit_size(partition: Partition, s: int) -> int:
-    """Number of distinct monomials in s variables with this exponent multiset."""
+    """Number of distinct monomials in s variables with this exponent
+    multiset; cached, as :func:`specialize_ones_numerators` reads the same
+    few tails at every (s, k)."""
     if len(partition) > s:
         return 0
     counts: dict[int, int] = {}
@@ -132,8 +139,8 @@ class BasisExpr(namedtuple("BasisExpr", "nvars coeffs")):
     ``_make`` and ``_replace`` skip it, so build an expression only through
     the constructor.  Only the producers whose partitions are valid by
     construction skip the checks through ``_trusted``: :func:`p_times`,
-    :func:`times_all_vars`, :func:`specialize_ones_basis` and
-    :func:`read_basis_form`."""
+    :func:`times_all_vars` and :func:`basis_from_numerators`, which
+    :func:`specialize_ones_basis` and :func:`read_basis_form` build through."""
 
     __slots__ = ()
 
@@ -224,34 +231,40 @@ def specialize_ones(poly: SparsePoly, k: int) -> SparsePoly:
 
 
 def specialize_ones_basis(expr: BasisExpr, k: int) -> BasisExpr:
-    """:func:`specialize_ones` in the monomial basis: m_lambda at
-    x_{k+1} = ... = x_s = 1 is the sum, over the ways of splitting lambda
-    into a head and a tail multiset, of m_head in k variables times the
-    number of arrangements of the tail on the last s - k variables."""
+    """:func:`specialize_ones` in the monomial basis, on the coefficients'
+    int numerators over one denominator (:func:`specialize_ones_numerators`)."""
     s = expr.nvars
     if not 1 <= k <= s:
         raise ValueError(f"k must be in [1, {s}], got {k}")
     den, nums = _over_one_denominator(expr.coeffs)
+    return basis_from_numerators(k, den, specialize_ones_numerators(nums, s, k))
+
+
+def specialize_ones_numerators(nums: Mapping[Partition, int], s: int, k: int) -> dict:
+    """x_{k+1} = ... = x_s = 1 on a basis expression in s variables given by
+    its int numerators over a denominator it keeps: m_lambda there is the
+    sum, over the ways of splitting lambda into a head and a tail multiset
+    (:func:`_ones_splits`), of m_head in k variables times the number
+    ``orbit_size(tail, s - k)`` of arrangements of the tail on the last
+    s - k variables.  The nonzero numerators, by head."""
+    rest = s - k
     out: dict[Partition, int] = {}
     for partition, coeff in nums.items():
-        for head, weight in _ones_splits(partition, s, k):
-            out[head] = out.get(head, 0) + coeff * weight
-    return BasisExpr._trusted(k, {head: Fraction(c, den) for head, c in out.items() if c})
+        for head, tail in _ones_splits(partition):
+            if len(head) <= k and len(tail) <= rest:
+                out[head] = out.get(head, 0) + coeff * orbit_size(tail, rest)
+    return {head: c for head, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)
-def _ones_splits(partition: Partition, s: int, k: int) -> tuple:
-    """The (head, weight) pairs of :func:`specialize_ones_basis` for one
-    partition: each head of at most k parts, with the nonzero number of
-    arrangements of its tail on s - k variables."""
-    values = sorted(Counter(partition).items(), reverse=True)
-    splits = []
-    for kept in itertools.product(*(range(c + 1) for _, c in values)):
-        head = tuple(v for (v, _), n in zip(values, kept) for _ in range(n))
-        tail = tuple(v for (v, c), n in zip(values, kept) for _ in range(c - n))
-        weight = orbit_size(tail, s - k)
-        if weight and len(head) <= k:
-            splits.append((head, weight))
+def _ones_splits(partition: Partition) -> tuple:
+    """Every (head, tail) split of a partition into two sub-multisets, both
+    weakly decreasing; enumerated once per partition, for every s and k."""
+    splits = [((), ())]
+    for v, c in sorted(Counter(partition).items(), reverse=True):
+        splits = [
+            (head + (v,) * n, tail + (v,) * (c - n)) for head, tail in splits for n in range(c + 1)
+        ]
     return tuple(splits)
 
 
@@ -344,13 +357,27 @@ def read_basis_form(form: tuple, s: int, values: Sequence[int]) -> BasisExpr:
     """A form of :func:`power_sums_basis_form` in s variables with the
     parameters at ``values``: each coefficient evaluated, the partitions of
     more than s parts dropped."""
-    den, tails, rows = form
+    return basis_from_numerators(s, form[0], read_basis_numerators(form, s, values))
+
+
+def read_basis_numerators(form: tuple, s: int, values: Sequence[int]) -> dict:
+    """:func:`read_basis_form` before its division by the form's ``den``:
+    the nonzero int numerators, by partition."""
+    _, tails, rows = form
     weights = [prod(map(pow, values, tail)) for tail in tails]
     out = {}
     for partition, row in rows.items():
         if len(partition) <= s:
-            out[partition] = Fraction(sum(map(mul, row, weights)), den)
-    return BasisExpr._trusted(s, out)
+            c = sum(map(mul, row, weights))
+            if c:
+                out[partition] = c
+    return out
+
+
+def basis_from_numerators(s: int, den: int, nums: Mapping[Partition, int]) -> BasisExpr:
+    """The expression in s variables whose coefficients are the nonzero int
+    ``nums`` over ``den``, on valid partitions of at most s parts."""
+    return BasisExpr._trusted(s, {p: Fraction(c, den) for p, c in nums.items()})
 
 
 def _over_one_denominator(coeffs: Mapping[Partition, Fraction]) -> tuple[int, dict]:

@@ -13,19 +13,23 @@ one (a, s) and multiply it out in s variables, the route that the
 once-built basis forms replace; :func:`basis_compare` compares such a
 reading with a table's entries at that point, the report that the
 identity layer's residuals, formed once in (a, s), replace.
+:func:`ones_splits` enumerates a partition's specialization splits anew
+for each (partition, s, k), the reference for the splits that
+``symmetric._ones_splits`` enumerates once per partition.
 """
 
 import argparse
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial, lcm, prod
 
 from ulrichcert import cli
 from ulrichcert.euler import subvariety_chi_symbolic
 from ulrichcert.exactcore import SparsePoly, falling, scalar_str
 from ulrichcert.identities import BASIS, VerificationReport
-from ulrichcert.symmetric import BasisExpr, p_times_coeffs, partitions_of
+from ulrichcert.symmetric import BasisExpr, orbit_size, p_times_coeffs, partitions_of
 
 
 def falling_binom(q, m):
@@ -338,6 +342,22 @@ def koszul_chi_basis(a: int, m: int, s: int, r: int, ell: int) -> BasisExpr:
         for partition, c in by_wpow.get(i2, {}).items():
             coeffs[partition] = coeffs.get(partition, 0) + c
     return BasisExpr(s, {partition: Fraction(c, den) for partition, c in coeffs.items()})
+
+
+def ones_splits(partition: tuple, s: int, k: int) -> tuple:
+    """The (head, weight) pairs of m_partition in s variables at
+    x_{k+1} = ... = x_s = 1, one ``itertools.product`` enumeration of the
+    kept multiplicities per (partition, s, k): each head of at most k parts,
+    with the nonzero number of arrangements of its tail on s - k variables."""
+    values = sorted(Counter(partition).items(), reverse=True)
+    splits = []
+    for kept in product(*(range(c + 1) for _, c in values)):
+        head = tuple(v for (v, _), n in zip(values, kept) for _ in range(n))
+        tail = tuple(v for (v, c), n in zip(values, kept) for _ in range(c - n))
+        weight = orbit_size(tail, s - k)
+        if weight and len(head) <= k:
+            splits.append((head, weight))
+    return tuple(splits)
 
 
 def substitute_last(poly: SparsePoly, values) -> SparsePoly:

@@ -414,26 +414,8 @@ def test_chi_values_match_stepped_koszul_sums_at_large_s():
 CORES = {"chi_numerators": "chi_numerators", "chi_ulrich": "_ulrich_numerator"}
 
 
-def _clear_chi_caches():
-    # the symbolic chi polynomial and the rank chains built on it would
-    # otherwise keep a faulted core past the test
-    for builder in (
-        euler.subvariety_chi_symbolic,
-        identities._chain,
-        identities._chain_form,
-        identities._table_residuals,
-        identities._closed_form_residuals,
-        identities._s4_residuals,
-        identities._gap_residual_form,
-        euler.subvariety_chi_form,
-        euler.subvariety_chi_basis,
-        euler.subvariety_chi_poly,
-    ):
-        builder.cache_clear()
-
-
 @pytest.mark.parametrize("name", ["chi_numerators", "chi_ulrich"])
-def test_cross_check_trips_on_a_faulty_route(monkeypatch, capsys, name):
+def test_cross_check_trips_on_a_faulty_route(monkeypatch, capsys, clear_caches, name):
     # chi_subvariety and the chi polynomial share the HRR numerators of
     # chi(O_X) and the bundle's core.  The certificate checks
     # delta_chi * factor == d * v against the Noether route, and the
@@ -459,16 +441,13 @@ def test_cross_check_trips_on_a_faulty_route(monkeypatch, capsys, name):
         monkeypatch.setattr(euler, core_name, lambda *args: tuple(v + 1 for v in core(*args)))
     else:
         monkeypatch.setattr(euler, core_name, lambda *args: core(*args) + 1)
-    _clear_chi_caches()
-    try:
-        report = check_coefficient_table(2, 5, "r3l1")
-        assert report.status == "fail" and report.residuals
-        assert not check_s4_tables(2).passed
-        for r in (2, 3):
-            with pytest.raises(InternalContradiction, match="is not d\\*v"):
-                certify_complete_intersection(ChiProfile(4, (3,), 2, r))
-            assert cli.main(["certify", "--n", "10", "--a", "5", "--r", str(r)]) == 1
-            err = capsys.readouterr().err
-            assert "chi gap" in err and "is not d*v" in err
-    finally:
-        _clear_chi_caches()
+    clear_caches()
+    report = check_coefficient_table(2, 5, "r3l1")
+    assert report.status == "fail" and report.residuals
+    assert not check_s4_tables(2).passed
+    for r in (2, 3):
+        with pytest.raises(InternalContradiction, match="is not d\\*v"):
+            certify_complete_intersection(ChiProfile(4, (3,), 2, r))
+        assert cli.main(["certify", "--n", "10", "--a", "5", "--r", str(r)]) == 1
+        err = capsys.readouterr().err
+        assert "chi gap" in err and "is not d*v" in err

@@ -277,16 +277,6 @@ def test_gap_factor_mutation_fails_on_warm_caches(monkeypatch, capsys):
         assert not check_gap_identities(a, s).passed, (a, s)
 
 
-def _clear_residual_caches():
-    for residuals in (
-        identities._table_residuals,
-        identities._closed_form_residuals,
-        identities._s4_residuals,
-        identities._gap_residual_form,
-    ):
-        residuals.cache_clear()
-
-
 def _move_closed_form_row(monkeypatch):
     rows = CLOSED_FORM_TABLES["noether_chi_r3"][2]
     row = rows[(2, 1)]
@@ -321,14 +311,14 @@ def _shift_gap_b(monkeypatch):
 
 
 @pytest.mark.parametrize("caches", ["cold", "warm"])
-def test_table_and_gap_mutations_fail_on_cold_and_warm_caches(monkeypatch, capsys, caches):
+def test_table_and_gap_mutations_fail_on_cold_and_warm_caches(monkeypatch, capsys, clear_caches, caches):
     # each residual cache is keyed on the table row, the factor or gap_value
     # it was built from, so a changed one misses it even after a full report
     if caches == "warm":
         assert main(["verify-appendix", "--format", "json"]) == 0
         capsys.readouterr()
     else:
-        _clear_residual_caches()
+        clear_caches()
     points = list(itertools.product(range(2, 7), range(4, 8)))
     with monkeypatch.context() as patch:
         _move_closed_form_row(patch)
@@ -474,20 +464,23 @@ def test_reports_list_only_failed_comparisons(monkeypatch):
     assert all(value != "0" for _, value in report.residuals)
 
 
+def _move_structure_coefficient(monkeypatch, partition, delta=1):
+    # one numerator of the s = 4 basis form moves by delta, so its coefficient
+    # moves by delta / den; the k-variable forms it is specialized against do not
+    read = identities.subvariety_chi_numerators
+
+    def moved(a, m, s, r, ell):
+        nums = read(a, m, s, r, ell)
+        if s != 4:
+            return nums
+        return {**nums, partition: nums.get(partition, 0) + delta}
+
+    monkeypatch.setattr(identities, "subvariety_chi_numerators", moved)
+
+
 def test_structure_mutation_is_detected(monkeypatch):
-    def perturbed(partition, delta):
-        # one coefficient of the s = 4 basis form moves; the k-variable
-        # forms it is specialized against do not
-        def chi_basis(a, m, s, r, ell):
-            basis = subvariety_chi_basis(a, m, s, r, ell)
-            if s != 4:
-                return basis
-            return BasisExpr(s, {**basis.coeffs, partition: basis.get(partition) + delta})
-
-        return chi_basis
-
     for partition in ((2, 1), (1, 1, 1, 1), ()):
-        monkeypatch.setattr(identities, "subvariety_chi_basis", perturbed(partition, Fraction(1, 7)))
+        _move_structure_coefficient(monkeypatch, partition)
         report = check_structure(2, 4, 4, 2, 0)
         assert not report.passed, partition
         labels = [label for label, _ in report.residuals]
@@ -495,6 +488,7 @@ def test_structure_mutation_is_detected(monkeypatch):
         assert all(value != "0" for _, value in report.residuals)
         # at s = 5 the perturbed form is the expected side, at k = 4 only
         assert [label for label, _ in check_structure(2, 4, 5, 2, 0).residuals] == ["specialize[k=4]"]
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("r, ell", [(2, 0), (3, 0), (3, 1)])
@@ -705,6 +699,7 @@ FAILING_REPORT_DIGESTS = {
     "closed": "890cab96190dcd9a91bdd88b6436dbcc437f871d5489a70b0ce70e5b003ed54d",
     "coeff": "d7728af462583dc6427f3b2f312723b02436a50fd595d4dca7cef57a0e9b43b1",
     "s4": "008df6328b08f74c1caebf6b53b7db20275a324d27df2da5efac64b17ff48dc1",
+    "structure": "b0afb54664620f8caaacffe2a233a61495c95364c09a87addab2c010e0f55aa5",
 }
 
 
@@ -746,3 +741,17 @@ def test_failing_s4_display_reports_golden_digest(monkeypatch):
     _move_s4_row(monkeypatch)
     reports = [check_s4_tables(a) for a in (2, 3, 5, 7)]
     assert _failing_reports_digest(reports) == FAILING_REPORT_DIGESTS["s4"]
+
+
+def test_failing_structure_reports_golden_digest(monkeypatch):
+    # the m_21 coefficient of each s = 4 form moved by 1/den: every k < 4
+    # fails at s = 4, and k = 4 at s = 6; the bytes were recorded from the
+    # Fraction compare of the specialized basis expressions
+    _move_structure_coefficient(monkeypatch, (2, 1))
+    reports = [
+        check_structure(a, 4, s, r, ell)
+        for a in (2, 5)
+        for s in (4, 6)
+        for r, ell in ((2, 0), (3, 0), (3, 1))
+    ]
+    assert _failing_reports_digest(reports) == FAILING_REPORT_DIGESTS["structure"]

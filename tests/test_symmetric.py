@@ -10,6 +10,8 @@ from ulrichcert.euler import subvariety_chi_basis
 from ulrichcert.exactcore import SparsePoly
 from ulrichcert.symmetric import (
     BasisExpr,
+    _ones_splits,
+    basis_from_numerators,
     divide_all_vars,
     expand_m,
     from_basis,
@@ -24,9 +26,10 @@ from ulrichcert.symmetric import (
     partitions_up_to,
     specialize_ones,
     specialize_ones_basis,
+    specialize_ones_numerators,
     to_basis,
 )
-from oracles import chi_power_sums
+from oracles import chi_power_sums, ones_splits
 
 
 def test_partitions_up_to_small():
@@ -119,6 +122,41 @@ def test_specialize_ones_basis_matches_expansion(s, coeffs, k):
     expr = BasisExpr(s, {p: c for p, c in coeffs.items() if len(p) <= s})
     k = min(k, s)
     assert from_basis(specialize_ones_basis(expr, k)) == specialize_ones(from_basis(expr), k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.dictionaries(st.sampled_from(partitions_up_to(5)), st.integers(min_value=-50, max_value=50), max_size=8),
+    st.integers(min_value=1, max_value=60),
+)
+def test_specialize_ones_numerators_match_expansion(s, rows, den):
+    # int rows over one den, specialized at every k, against x_{k+1..s} = 1
+    # in the expanded polynomial; zero numerators never appear
+    nums = {p: c for p, c in rows.items() if len(p) <= s}
+    expanded = from_basis(basis_from_numerators(s, den, nums))
+    for k in range(1, s + 1):
+        specialized = specialize_ones_numerators(nums, s, k)
+        assert all(type(c) is int and c for c in specialized.values())
+        assert from_basis(basis_from_numerators(k, den, specialized)) == specialize_ones(expanded, k), k
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(partitions_up_to(7)),
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=1, max_value=9),
+)
+def test_ones_splits_match_product_enumeration(partition, s, k):
+    # the splits enumerated once per partition, weighted at (s, k), against
+    # the itertools.product enumeration made per (partition, s, k)
+    k = min(k, s)
+    weighted = [
+        (head, orbit_size(tail, s - k))
+        for head, tail in _ones_splits(partition)
+        if len(head) <= k and len(tail) <= s - k
+    ]
+    assert tuple(weighted) == ones_splits(partition, s, k)
 
 
 def test_specialize_ones_basis_examples():
