@@ -13,7 +13,6 @@ the input alone.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from math import factorial
 from types import MappingProxyType
@@ -258,7 +257,8 @@ def certify_veronese(n: int, a: int, r: int) -> Certificate:
     projective space polarized by O(a), n >= 4."""
     if n < 4:
         raise OutOfTheoremScope(f"n = {n} < 4: low-rank Ulrich bundles can exist there")
-    profile = ChiProfile(4, (a,) * (n - 4) or (1,), a, r)
+    # P^n as a hyperplane in P^(n+1): checks a and r without forming n - 4 degrees
+    hyperplane = ChiProfile(n, (1,), a, r)
 
     echo = {"n": n, "a": a, "r": r}
     if a == 2 and n in (5, 6):
@@ -274,7 +274,7 @@ def certify_veronese(n: int, a: int, r: int) -> Certificate:
             hypotheses_attested=(),
             conclusion=NONEXISTENT,
         )
-    return _certify(profile, echo)
+    return _certify(hyperplane if r == 1 else ChiProfile(4, (a,) * (n - 4) or (1,), a, r), echo)
 
 
 def replay(cert: Certificate) -> Certificate:
@@ -289,6 +289,8 @@ def replay(cert: Certificate) -> Certificate:
 
 def replay_matches(cert: Certificate) -> bool:
     """Whether a fresh run reproduces the certificate bit for bit."""
+    import json
+
     return json.dumps(replay(cert).to_json(), sort_keys=True) == json.dumps(
         cert.to_json(), sort_keys=True
     )

@@ -19,14 +19,12 @@ parser, built from the same table the first time such an argv arrives.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
+from _json import encode_basestring_ascii
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
-from .acceptance import run_all
 from .certify import certify_complete_intersection, certify_veronese
 from .errors import OutOfTheoremScope
 from .euler import ChiProfile, chi_ci, chi_subvariety, chi_ulrich
@@ -72,13 +70,18 @@ def _check_output(path: str | None) -> None:
         raise OutOfTheoremScope(f"cannot write --output {path!r}")
 
 
+#: json's spelling of None, the bools and the non-finite floats
+_SPELLED = {"None": "null", "True": "true", "False": "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _json(value, pad: str = "") -> str:
-    """``json.dumps(value, indent=2)`` byte for byte, ``pad`` deep, without the
-    pure-Python encoder that ``indent`` selects: scalars go to the C encoder."""
+    """``json.dumps(value, indent=2)`` byte for byte, ``pad`` deep, without
+    ``json`` itself: strings go to its C encoder, other scalars are spelled here."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None or isinstance(value, (bool, float)):
-        return json.dumps(value)
+        text = float.__repr__(value) if isinstance(value, float) else repr(value)
+        return _SPELLED.get(text, text)
     if isinstance(value, int):
         return int.__repr__(value)
     inner = pad + "  "
@@ -175,6 +178,8 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .acceptance import run_all
+
     results = run_all()
     all_passed = all(res.passed for res in results)
     if args.format == "json":
@@ -288,9 +293,18 @@ _COMMANDS = {
 }
 
 
+class Namespace(SimpleNamespace):
+    """Parsed flags; equal, as ``argparse.Namespace`` is, to any namespace with the same attributes."""
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if hasattr(other, "__dict__") else NotImplemented
+
+
 @lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
     """The top-level argparse parser, built once from ``_COMMANDS`` for an argv the table does not answer."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ulrichcert",
         description="Exact non-existence certificates for low-rank Ulrich bundles "
@@ -305,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _from_table(argv: list) -> argparse.Namespace | None:
+def _from_table(argv: list) -> Namespace | None:
     """The Namespace of ``<command> (--flag value)*``, or None where argparse must decide."""
     if not argv or argv[0] not in _COMMANDS:
         return None
@@ -332,10 +346,10 @@ def _from_table(argv: list) -> argparse.Namespace | None:
             return None
         if "choices" in spec and value not in spec["choices"]:
             return None
-    return argparse.Namespace(**values)
+    return Namespace(**values)
 
 
-def _parse(argv: list) -> argparse.Namespace:
+def _parse(argv: list):
     """What the top-level ``parse_args(argv)`` returns: ``_from_table``'s Namespace
     for an argv of the shape ``<command> (--flag value)*`` in which each flag is
     an exact ``--name`` of a store flag of that command, given once, each value

@@ -55,6 +55,29 @@ def test_certify_large_n_is_in_scope(capsys):
     assert digest == "03385bcbd16ea68eacf5739f9b2cc3b1906b58c20795c11010f8b811533695d4"
 
 
+HUGE_N = str(10**20)  # n - 4 degrees cannot be formed as a tuple
+
+
+def test_certify_rank_one_at_huge_n(capsys):
+    # the interval [m(a-1) + S - s, a-1] of P^n is [n(a-1), a-1]
+    assert main(["certify", "--n", HUGE_N, "--a", "2", "--r", "1", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["branch"] == "rank1-interval" and payload["conclusion"] == NONEXISTENT
+    assert payload["witnesses"]["interval"] == [10**20, 1]
+
+
+def test_certify_twist_one_at_huge_n_exits_2(capsys):
+    for n in ("7", HUGE_N):
+        assert main(["certify", "--n", n, "--a", "1", "--r", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: polarization twist a must be >= 2\n")
+
+
+def test_certify_rank_four_at_huge_n_exits_2(capsys):
+    for n in ("7", HUGE_N):
+        assert main(["certify", "--n", n, "--a", "2", "--r", "4"]) == 2
+        assert capsys.readouterr() == ("", "error: pipeline handles rank r <= 3 only\n")
+
+
 def test_certify_out_of_scope(capsys):
     code = main(["certify", "--n", "3", "--a", "2", "--r", "2"])
     assert code == 2
@@ -234,6 +257,9 @@ _json_values = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_json_values)
 @example({"t": [True, 1, False, 0, 1.0, None], "e": [[], {}, ()]})
+@example([float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 5e-324])
+@example(float("nan"))
+@example(float("-inf"))
 def test_json_writer_matches_json_dumps(value):
     assert cli._json(value) == json.dumps(value, indent=2)
 

@@ -151,7 +151,26 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import ulrichcert.cli; "
-        "print(*[m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])"
+        "print(*[m for m in ('dataclasses', 'inspect', 'typing', 'argparse', 'gettext', 'json', "
+        "'ulrichcert.acceptance') if m in sys.modules])"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == ""
+
+
+def test_table_answered_commands_never_load_argparse_json_or_acceptance():
+    # the modules left out of the import are not loaded later by the commands
+    # the benchmark runs either: their work is gone, not deferred
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import io, sys; from contextlib import redirect_stdout; sys.path.insert(0, sys.argv[1]); "
+        "from ulrichcert.cli import main\n"
+        "for argv in (['certify', '--n', '7', '--a', '3', '--r', '2', '--format', 'json'],"
+        " ['certify-ci', '--degrees', '3,2,1', '--a', '2', '--r', '3', '--format', 'json'], ['verify-appendix']):\n"
+        "    with redirect_stdout(io.StringIO()): assert main(argv) == 0, argv\n"
+        "print(*[m for m in ('argparse', 'gettext', 'json', 'ulrichcert.acceptance') if m in sys.modules])"
     )
     run = subprocess.run(
         [sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True
