@@ -4,7 +4,6 @@ on Veronese embeddings of complete intersections."""
 from .certify import (
     Certificate,
     certify_complete_intersection,
-    certify_line_bundle,
     certify_veronese,
     chi_integrality_check,
     prime_power_screen,

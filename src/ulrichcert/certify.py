@@ -142,14 +142,8 @@ def chi_integrality_check(n: int, a: int, r: int) -> bool:
     return True
 
 
-def certify_line_bundle(ctx: ChiProfile) -> Certificate:
-    """Rank-1 certificate: the interval of admissible twists is empty."""
-    return _line_bundle(ctx, _ci_input(ctx))
-
-
 def _line_bundle(ctx: ChiProfile, echo: dict) -> Certificate:
-    if ctx.r != 1:
-        raise ValueError("line-bundle certificate needs r = 1")
+    """Rank-1 certificate: the interval of admissible twists is empty."""
     lower = ctx.m * (ctx.a - 1) + ctx.S - ctx.s
     upper = ctx.a - 1
     empty = lower > upper

@@ -53,6 +53,7 @@ from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement, product
 
 from .errors import VerificationFailure
 from .exactcore import SparsePoly, scalar_str
@@ -105,18 +106,17 @@ NOETHER_R2_NOTE = (
 # ---------------------------------------------------------------------------
 
 
-#: The power sums p_2, p_4 of the degrees and the parameters a, s, as variables
-#: of Q[p_1..p_4, a, s].
-_P2, _P4, _A_VAR, _S_VAR = (SparsePoly.variable(POWER_SUM_VARS + 2, k) for k in (1, 3, 4, 5))
+#: The power sums p_1, p_2, p_4 of the degrees and the parameters a, s, as
+#: variables of Q[p_1..p_4, a, s].
+_P1, _P2, _P4, _A_VAR, _S_VAR = (SparsePoly.variable(POWER_SUM_VARS + 2, k) for k in (0, 1, 3, 4, 5))
 
 
 @lru_cache(maxsize=None)
 def _chain(r: int) -> tuple:
     """The invariants chain over Q[p_1..p_4, a, s], divided by d: (e, deg Z, kZ,
     K_Z . H_Z, K_Z^2, c2(Z), Noether chi); rank 3 reads chi/d at twists 0 and 1."""
-    p1, p2, a, s = (SparsePoly.variable(POWER_SUM_VARS + 2, k) for k in (0, 1, 4, 5))
     chis = [subvariety_chi_symbolic(4, 3, ell) for ell in (0, 1)] if r == 3 else ()
-    return noether_chain(a, r, s, p1, (p1**2 - p2) / 2, 1, *chis)
+    return noether_chain(_A_VAR, r, _S_VAR, _P1, (_P1**2 - _P2) / 2, 1, *chis)
 
 
 @lru_cache(maxsize=None)
@@ -180,9 +180,19 @@ def gap_value(s: int, a: int, b: int, p2, p4):
     )
 
 
+def _power_sums(degrees: tuple) -> tuple:
+    """(p_2, p_4) of the degrees: all of them that :func:`gap_value` reads."""
+    p2 = p4 = 0
+    for d in degrees:
+        square = d * d
+        p2 += square
+        p4 += square * square
+    return p2, p4
+
+
 def gap_at(degrees: tuple, a: int, b: int) -> int:
     """The gap v at one degree tuple, in O(s)."""
-    return gap_value(len(degrees), a, b, sum(d**2 for d in degrees), sum(d**4 for d in degrees))
+    return gap_value(len(degrees), a, b, *_power_sums(degrees))
 
 
 @lru_cache(maxsize=None)
@@ -674,36 +684,29 @@ class VerificationReport(
 
 
 class _GapGrid(Mapping):
-    """Each degree tuple to its gap value, read through its (p_2, p_4):
-    ``tuples`` and ``pairs`` run in step and are shared by every (a, b) at
-    one s, and ``gaps`` maps each distinct pair to its value.  Its size and
-    minimum need no tuple; the ``{tuple: value}`` dict is built on the first
-    lookup or iteration, and compares and prints as that dict."""
+    """Each degree tuple in {1..d_max}^s to its gap value, read from ``gaps``
+    at the tuple's (p_2, p_4).  It holds no tuple, and compares and prints as
+    the ``{tuple: value}`` dict."""
 
-    __slots__ = ("_tuples", "_pairs", "_gaps", "_grid")
+    __slots__ = ("_s", "_d_max", "_gaps")
 
-    def __init__(self, tuples: list, pairs: list, gaps: dict):
-        self._tuples, self._pairs, self._gaps, self._grid = tuples, pairs, gaps, None
-
-    def _dict(self) -> dict:
-        if self._grid is None:
-            self._grid = dict(zip(self._tuples, map(self._gaps.__getitem__, self._pairs)))
-        return self._grid
+    def __init__(self, s: int, d_max: int, gaps: dict):
+        self._s, self._d_max, self._gaps = s, d_max, gaps
 
     def __getitem__(self, tup):
-        return self._dict()[tup]
+        in_range = range(1, self._d_max + 1).__contains__
+        if not (isinstance(tup, tuple) and len(tup) == self._s and all(map(in_range, tup))):
+            raise KeyError(tup)
+        return self._gaps[_power_sums(tup)]
 
     def __iter__(self):
-        return iter(self._dict())
+        return product(range(1, self._d_max + 1), repeat=self._s)
 
     def __len__(self) -> int:
-        return len(self._tuples)
-
-    def __eq__(self, other):
-        return self._dict() == other
+        return self._d_max**self._s
 
     def __repr__(self) -> str:
-        return repr(self._dict())
+        return repr(dict(self.items()))
 
     @property
     def min_value(self) -> int:
@@ -713,12 +716,7 @@ class _GapGrid(Mapping):
 class GapReport(namedtuple("GapReport", "s a b value_grid recursion_checked base_checked")):
     """Outcome of the gap-polynomial positivity sweep for one (s, a, b);
     value_grid maps each degree tuple to its gap value.  Both flags are
-    true: a check that fails raises instead.
-
-    From :func:`check_gap_positivity`, value_grid is a read-only mapping
-    whose size and minimum (:meth:`summary`) are read from the distinct
-    (p_2, p_4) alone; its ``{tuple: value}`` dict is built only when the
-    grid is first indexed or iterated, as by :meth:`to_json`."""
+    true: a check that fails raises instead."""
 
     __slots__ = ()
 
@@ -920,17 +918,11 @@ def check_gap_positivity(s_max: int, a_max: int, d_max: int) -> list:
     identity over the power sums p_1, ..., p_4, a and s (free variables, so
     it holds in s variables too); only when it fails is it checked at each
     s <= s_max and a <= a_max in turn, to name the first (s, a) where it
-    does.  For every s <= s_max, values on the full degree grid
-    {1..d_max}^s are recorded for a in 1..a_max, demanding strict
-    positivity for a >= 2 and non-negativity (zero exactly at all-ones) for
-    a = 1.  Every value is :func:`gap_value` at the tuple's power sums p_2
-    and p_4, so it is symmetric in the degrees by construction; each distinct
-    (p_2, p_4) is checked once, at its first tuple in ``itertools.product``
-    order.  The tuples and their (p_2, p_4) for s extend those for s - 1 by
-    one degree; each report's grid reads its values through them and the
-    per-pair values, and builds its ``{tuple: value}`` dict only when read
-    (:class:`GapReport`).  The terms of :func:`gap_value` show v > 0 for
-    every tuple.
+    does.  For every s <= s_max and a in 1..a_max, the values on the degree
+    grid {1..d_max}^s must be positive for a >= 2, and non-negative with
+    zero exactly at all-ones for a = 1.  v reads the degrees only through
+    (p_2, p_4), so each distinct pair is checked once, at its first sorted
+    tuple, which is also its first tuple in ``itertools.product`` order.
     """
     if s_max < 2 or a_max < 2 or d_max < 1:
         raise ValueError("need s_max >= 2, a_max >= 2, d_max >= 1")
@@ -940,17 +932,12 @@ def check_gap_positivity(s_max: int, a_max: int, d_max: int) -> list:
         return step == _recursion_step(s, a, b, _P2)
 
     holds_for_all = {b: recursion_holds(_S_VAR, _A_VAR, b) for b in GAP_B.values()}
-    powers = [(d, d**2, d**4) for d in range(1, d_max + 1)]
-    tuples = [(d,) for d, _, _ in powers]
-    pairs = [(d2, d4) for _, d2, d4 in powers]
     reports = []
     for s in range(2, s_max + 1):
         ones = (1,) * s
-        tuples = [tup + (d,) for tup in tuples for d, _, _ in powers]
-        pairs = [(q2 + d2, q4 + d4) for q2, q4 in pairs for _, d2, d4 in powers]
         first = {}  # each (p_2, p_4) -> its first tuple
-        for tup, pair in zip(tuples, pairs):
-            first.setdefault(pair, tup)
+        for tup in combinations_with_replacement(range(1, d_max + 1), s):
+            first.setdefault(_power_sums(tup), tup)
         for b in GAP_B.values():
             base_value = gap_at(ones, 1, b)
             if base_value != 0:
@@ -977,5 +964,5 @@ def check_gap_positivity(s_max: int, a_max: int, d_max: int) -> list:
                             f"gap({s},1,{b}){tup} = {value} violates the base bound",
                             witness={"s": s, "a": 1, "b": b, "tuple": tup, "value": value},
                         )
-                reports.append(GapReport(s, a, b, _GapGrid(tuples, pairs, gaps), True, True))
+                reports.append(GapReport(s, a, b, _GapGrid(s, d_max, gaps), True, True))
     return reports

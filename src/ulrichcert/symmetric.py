@@ -26,7 +26,7 @@ from collections import Counter, namedtuple
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import factorial, prod
 from operator import mul
 from types import MappingProxyType
 
@@ -140,7 +140,8 @@ class BasisExpr(namedtuple("BasisExpr", "nvars coeffs")):
     the constructor.  Only the producers whose partitions are valid by
     construction skip the checks through ``_trusted``: :func:`p_times`,
     :func:`times_all_vars` and :func:`basis_from_numerators`, which
-    :func:`specialize_ones_basis` and :func:`read_basis_form` build through."""
+    :func:`read_basis_form` and :func:`ulrichcert.euler.subvariety_chi_basis`
+    build through."""
 
     __slots__ = ()
 
@@ -228,16 +229,6 @@ def specialize_ones(poly: SparsePoly, k: int) -> SparsePoly:
         head = exps[:k]
         out[head] = out.get(head, 0) + coeff
     return SparsePoly(k, out)
-
-
-def specialize_ones_basis(expr: BasisExpr, k: int) -> BasisExpr:
-    """:func:`specialize_ones` in the monomial basis, on the coefficients'
-    int numerators over one denominator (:func:`specialize_ones_numerators`)."""
-    s = expr.nvars
-    if not 1 <= k <= s:
-        raise ValueError(f"k must be in [1, {s}], got {k}")
-    den, nums = _over_one_denominator(expr.coeffs)
-    return basis_from_numerators(k, den, specialize_ones_numerators(nums, s, k))
 
 
 def specialize_ones_numerators(nums: Mapping[Partition, int], s: int, k: int) -> dict:
@@ -378,9 +369,3 @@ def basis_from_numerators(s: int, den: int, nums: Mapping[Partition, int]) -> Ba
     """The expression in s variables whose coefficients are the nonzero int
     ``nums`` over ``den``, on valid partitions of at most s parts."""
     return BasisExpr._trusted(s, {p: Fraction(c, den) for p, c in nums.items()})
-
-
-def _over_one_denominator(coeffs: Mapping[Partition, Fraction]) -> tuple[int, dict]:
-    """(den, {partition: int}) with every coefficient its int over den."""
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    return den, {p: c.numerator * (den // c.denominator) for p, c in coeffs.items()}

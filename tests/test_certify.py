@@ -14,7 +14,6 @@ from ulrichcert.certify import (
     INCONCLUSIVE,
     NONEXISTENT,
     certify_complete_intersection,
-    certify_line_bundle,
     certify_veronese,
     chi_integrality_check,
     prime_power_screen,
@@ -63,17 +62,17 @@ def test_screen_consistency_with_integrality():
 
 
 def test_line_bundle_certificates():
-    cert = certify_line_bundle(ctx(4, (1,), 2, 1))
+    cert = certify_complete_intersection(ctx(4, (1,), 2, 1))
     assert cert.branch == BRANCH_RANK1
     assert cert.witnesses["interval"] == (4, 1)
     assert cert.conclusion == NONEXISTENT
 
-    cert = certify_line_bundle(ctx(4, (2, 2), 3, 1))
+    cert = certify_complete_intersection(ctx(4, (2, 2), 3, 1))
     assert cert.witnesses["interval"] == (10, 2)
     assert cert.conclusion == NONEXISTENT
 
     # on the line the interval closes up and nothing is contradicted
-    cert = certify_line_bundle(ctx(1, (1,), 2, 1))
+    cert = certify_complete_intersection(ctx(1, (1,), 2, 1))
     assert cert.witnesses["interval"] == (1, 1)
     assert cert.conclusion == INCONCLUSIVE
 
@@ -83,7 +82,7 @@ def test_line_bundle_always_nonexistent_in_scope():
     for m in range(2, 7):
         for a in range(2, 6):
             for degrees in [(1,), (2,), (4, 3), (2, 2, 2)]:
-                cert = certify_line_bundle(ctx(m, degrees, a, 1))
+                cert = certify_complete_intersection(ctx(m, degrees, a, 1))
                 assert cert.conclusion == NONEXISTENT
 
 

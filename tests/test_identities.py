@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import json
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from ulrichcert.exactcore import SparsePoly
 from ulrichcert.euler import (
     subvariety_chi_basis,
     subvariety_chi_form,
+    subvariety_chi_numerators,
     subvariety_chi_poly,
     subvariety_chi_symbolic,
 )
@@ -39,13 +42,14 @@ from ulrichcert.invariants import noether_chain
 from ulrichcert.symmetric import (
     POWER_SUM_VARS,
     BasisExpr,
+    basis_from_numerators,
     divide_all_vars,
     expand_m,
     from_basis,
     power_sums_basis_form,
     read_basis_form,
     specialize_ones,
-    specialize_ones_basis,
+    specialize_ones_numerators,
     times_all_vars,
     to_basis,
 )
@@ -499,9 +503,10 @@ def test_basis_specialization_matches_literal_expansion(r, ell):
     for s in range(1, 6):
         literal = brute_chi_poly(2, 4, s, r, ell)
         assert from_basis(times_all_vars(to_basis(divide_all_vars(literal)))) == literal
-        basis = subvariety_chi_basis(2, 4, s, r, ell)
+        den, nums = subvariety_chi_form(4, r, ell)[0], subvariety_chi_numerators(2, 4, s, r, ell)
         for k in range(1, s + 1):
-            specialized = from_basis(times_all_vars(specialize_ones_basis(basis, k)))
+            specialized = basis_from_numerators(k, den, specialize_ones_numerators(nums, s, k))
+            specialized = from_basis(times_all_vars(specialized))
             assert specialized == specialize_ones(literal, k), (s, k)
 
 
@@ -568,10 +573,11 @@ def test_gap_recursion_failure_names_the_first_s_and_a(monkeypatch):
     assert info.value.witness == {"s": 2, "a": 2, "b": 8}
 
 
-@pytest.mark.parametrize("shape", [(2, 2, 1), (3, 3, 3), (5, 6, 4), (4, 4, 6)])
+@pytest.mark.parametrize("shape", [(2, 2, 1), (3, 3, 3), (5, 6, 4), (4, 4, 6), (4, 2, 1)])
 def test_gap_positivity_lazy_grid_reads_as_the_eager_dict(shape):
     # each report against the same report over dict(zip(tuples, values)),
-    # the grid the sweep built eagerly before it was read lazily
+    # the grid the sweep built eagerly before it was read lazily; d_max = 1
+    # gives one tuple per s
     d_max = shape[2]
     for report in check_gap_positivity(*shape):
         ones = (1,) * report.s
@@ -589,15 +595,34 @@ def test_gap_positivity_lazy_grid_reads_as_the_eager_dict(shape):
         assert repr(report) == repr(eager) and report == eager
 
 
-def test_gap_positivity_lazy_grid_builds_its_dict_only_when_read():
+def test_gap_positivity_grid_size_minimum_and_lookup():
     for report in check_gap_positivity(3, 3, 3):
-        grid = report.value_grid
-        ones = (1,) * report.s
-        assert (len(grid), report.summary()["grid_points"]) == (3**report.s, 3**report.s)
+        grid, s = report.value_grid, report.s
+        ones = (1,) * s
+        assert (len(grid), report.summary()["grid_points"]) == (3**s, 3**s)
         assert report.min_value == grid.min_value
-        assert grid._grid is None  # size and minimum came from the distinct (p_2, p_4)
         assert grid[ones] == gap_at(ones, report.a, report.b)
-        assert grid._grid is not None
+        # a key outside the grid is missing, as from the {tuple: value} dict:
+        # a wrong length, a 0 entry, d_max + 1
+        for key in [(1,) * (s - 1), (1,) * (s + 1), (0,) + (1,) * (s - 1), (1,) * (s - 1) + (4,)]:
+            with pytest.raises(KeyError):
+                grid[key]
+            assert key not in grid and grid.get(key) is None
+
+
+def test_gap_positivity_holds_no_grid_of_tuples():
+    # the sweep runs over the sorted tuples and each grid reads its values
+    # through (p_2, p_4): the peak stays far below what the 12^5 tuples at
+    # s = 5 alone would take, which the sweep that listed them exceeded
+    check_gap_positivity(2, 2, 2)
+    tracemalloc.start()
+    try:
+        reports = check_gap_positivity(5, 2, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reports[-1].value_grid) == 12**5
+    assert peak < 12**5 * sys.getsizeof((1,) * 5) / 4
 
 
 def test_gap_positivity_failure_with_b_four_matches_the_eager_sweep(monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulrichcert.errors import DivisibilityError, SymmetryError
-from ulrichcert.euler import subvariety_chi_basis
+from ulrichcert.euler import subvariety_chi_basis, subvariety_chi_form, subvariety_chi_numerators
 from ulrichcert.exactcore import SparsePoly
 from ulrichcert.symmetric import (
     BasisExpr,
@@ -25,7 +25,6 @@ from ulrichcert.symmetric import (
     partitions_of,
     partitions_up_to,
     specialize_ones,
-    specialize_ones_basis,
     specialize_ones_numerators,
     to_basis,
 )
@@ -108,22 +107,6 @@ def test_specialize_ones():
         specialize_ones(m2, 4)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=6),
-    st.dictionaries(
-        st.sampled_from(partitions_up_to(5)),
-        st.fractions(min_value=-5, max_value=5, max_denominator=7),
-        max_size=6,
-    ),
-    st.integers(min_value=1, max_value=6),
-)
-def test_specialize_ones_basis_matches_expansion(s, coeffs, k):
-    expr = BasisExpr(s, {p: c for p, c in coeffs.items() if len(p) <= s})
-    k = min(k, s)
-    assert from_basis(specialize_ones_basis(expr, k)) == specialize_ones(from_basis(expr), k)
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(min_value=1, max_value=6),
@@ -159,13 +142,11 @@ def test_ones_splits_match_product_enumeration(partition, s, k):
     assert tuple(weighted) == ones_splits(partition, s, k)
 
 
-def test_specialize_ones_basis_examples():
+def test_specialize_ones_numerators_examples():
     # m_2 in 3 variables at x_3 = 1: m_2 + 1; m_11 at x_3 = 1: m_11 + m_1
-    assert specialize_ones_basis(BasisExpr(3, {(2,): 1}), 2).coeffs == {(2,): 1, (): 1}
-    assert specialize_ones_basis(BasisExpr(3, {(1, 1): 1}), 2).coeffs == {(1, 1): 1, (1,): 1}
-    assert specialize_ones_basis(BasisExpr(4, {(1, 1, 1): 1}), 1).coeffs == {(1,): 3, (): 1}
-    with pytest.raises(ValueError):
-        specialize_ones_basis(BasisExpr(3, {(2,): 1}), 4)
+    assert specialize_ones_numerators({(2,): 1}, 3, 2) == {(2,): 1, (): 1}
+    assert specialize_ones_numerators({(1, 1): 1}, 3, 2) == {(1, 1): 1, (1,): 1}
+    assert specialize_ones_numerators({(1, 1, 1): 1}, 4, 1) == {(1,): 3, (): 1}
 
 
 def test_partitions_with_at_most_given_parts():
@@ -294,8 +275,10 @@ def test_trusted_producers_match_the_checked_constructor():
                     "times_all_vars": times_all_vars(chi),
                     "read_basis_form": read_basis_form(power_sums_basis_form(chi_power_sums(a, 4, s, r, ell), 0), s, ()),
                 }
+                den, nums = subvariety_chi_form(4, r, ell)[0], subvariety_chi_numerators(a, 4, s, r, ell)
                 for k in range(1, s + 1):
-                    produced[f"specialize_ones_basis[{k}]"] = specialize_ones_basis(chi, k)
+                    specialized = specialize_ones_numerators(nums, s, k)
+                    produced[f"specialize_ones_numerators[{k}]"] = basis_from_numerators(k, den, specialized)
                 for name, expr in produced.items():
                     label = (a, s, r, ell, name)
                     assert expr == BasisExpr(expr.nvars, expr.coeffs), label
