@@ -178,14 +178,8 @@ def _ci_input(ctx: ChiProfile) -> dict:
     return {"m": ctx.m, "degrees": list(ctx.degrees), "a": ctx.a, "r": ctx.r}
 
 
-def _excluded_type(degrees: tuple) -> str | None:
-    """The quadric / intersection-of-two-quadrics exclusion, up to padding."""
-    core = tuple(sorted((d for d in degrees if d > 1), reverse=True))
-    if core == (2,):
-        return "(2, 1, ..., 1)"
-    if core == (2, 2):
-        return "(2, 2, 1, ..., 1)"
-    return None
+#: The quadric and the intersection of two quadrics, as reduced types.
+_EXCLUDED = {(2, 1, 1, 1): "(2, 1, ..., 1)", (2, 2, 1, 1): "(2, 2, 1, ..., 1)"}
 
 
 def certify_complete_intersection(ctx: ChiProfile) -> Certificate:
@@ -204,24 +198,23 @@ def _certify(ctx: ChiProfile, echo: dict) -> Certificate:
     if ctx.m < 4:
         raise OutOfTheoremScope("pipeline needs dimension m >= 4")
 
+    reduced = reduce_to_dim4(ctx)
     hypotheses: list = []
     if ctx.m >= 5:
         hypotheses.append(ATTEST_AMBIENT)
     elif ctx.degrees[0] == 1:  # the largest degree, so d = 1
         hypotheses.append(ATTEST_P4)
+    elif reduced.degrees in _EXCLUDED:
+        return Certificate(
+            input=echo,
+            branch=BRANCH_INCONCLUSIVE,
+            witnesses={"excluded_type": _EXCLUDED[reduced.degrees]},
+            hypotheses_attested=(ATTEST_VERY_GENERAL,),
+            conclusion=INCONCLUSIVE,
+        )
     else:
         hypotheses.extend([ATTEST_VERY_GENERAL, ATTEST_TYPE_EXCLUSION])
-        excluded = _excluded_type(ctx.degrees)
-        if excluded is not None:
-            return Certificate(
-                input=echo,
-                branch=BRANCH_INCONCLUSIVE,
-                witnesses={"excluded_type": excluded},
-                hypotheses_attested=(ATTEST_VERY_GENERAL,),
-                conclusion=INCONCLUSIVE,
-            )
 
-    reduced = reduce_to_dim4(ctx)
     numerics = rank2_numerics(reduced) if ctx.r == 2 else rank3_numerics(reduced)
     delta_chi = numerics.chiZ_noether - numerics.chiZ_rr
     factor = GAP_FACTOR[ctx.r]

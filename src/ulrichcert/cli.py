@@ -58,10 +58,10 @@ def parse_range(text: str) -> range:
 
 
 def parse_degrees(text: str) -> tuple:
-    degrees = tuple(_parse_int(part) for part in text.split(",") if part.strip())
-    if not degrees:
-        raise OutOfTheoremScope("expected a comma-separated list of degrees")
-    return degrees
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise OutOfTheoremScope(f"expected a comma-separated list of degrees: {text!r}")
+    return tuple(_parse_int(part) for part in parts)
 
 
 def _check_output(path: str | None) -> None:
@@ -293,13 +293,6 @@ _COMMANDS = {
 }
 
 
-class Namespace(SimpleNamespace):
-    """Parsed flags; equal, as ``argparse.Namespace`` is, to any namespace with the same attributes."""
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if hasattr(other, "__dict__") else NotImplemented
-
-
 @lru_cache(maxsize=None)
 def _build_parser():
     """The top-level argparse parser, built once from ``_COMMANDS`` for an argv the table does not answer."""
@@ -319,8 +312,8 @@ def _build_parser():
     return parser
 
 
-def _from_table(argv: list) -> Namespace | None:
-    """The Namespace of ``<command> (--flag value)*``, or None where argparse must decide."""
+def _from_table(argv: list) -> SimpleNamespace | None:
+    """The parsed flags of ``<command> (--flag value)*``, or None where argparse must decide."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     _, handler, flags = _COMMANDS[argv[0]]
@@ -346,15 +339,16 @@ def _from_table(argv: list) -> Namespace | None:
             return None
         if "choices" in spec and value not in spec["choices"]:
             return None
-    return Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 def _parse(argv: list):
-    """What the top-level ``parse_args(argv)`` returns: ``_from_table``'s Namespace
-    for an argv of the shape ``<command> (--flag value)*`` in which each flag is
-    an exact ``--name`` of a store flag of that command, given once, each value
-    does not start with ``-``, converts with its flag's type and is among its
-    choices, and every required flag is present; else the argparse parser's."""
+    """A namespace with the attributes of the top-level ``parse_args(argv)``:
+    ``_from_table``'s for an argv of the shape ``<command> (--flag value)*``
+    in which each flag is an exact ``--name`` of a store flag of that
+    command, given once, each value does not start with ``-``, converts with
+    its flag's type and is among its choices, and every required flag is
+    present; else the argparse parser's."""
     args = _from_table(argv)
     return args if args is not None else _build_parser().parse_args(argv)
 

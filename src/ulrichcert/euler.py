@@ -4,7 +4,7 @@ Everything here is bookkeeping for a rank-r Ulrich bundle on an
 m-dimensional complete intersection X in P^{m+s} of degrees (d_1, ..., d_s),
 polarized by O_X(a), together with its associated codimension-2 subvariety:
 
-* chi of line bundles on projective space and on X,
+* chi of line bundles on X,
 * chi of twists of the Ulrich bundle itself,
 * chi of twists of the structure sheaf of the subvariety, both as an exact
   number and as a polynomial in indeterminate degrees x_1, ..., x_s.
@@ -34,7 +34,8 @@ from math import factorial, lcm, prod
 from types import MappingProxyType
 
 from .errors import OutOfTheoremScope
-from .exactcore import ScalarLike, SparsePoly, binom
+from .exactcore import ScalarLike, SparsePoly
+from .exactcore import binom  # noqa: F401 - the benchmark tracer counts euler.binom
 from .hrr import chi_numerators, power_sums, todd_table
 from .symmetric import POWER_SUM_VARS, BasisExpr, basis_from_numerators, from_basis, times_all_vars
 from .symmetric import power_sums_basis_form, read_basis_numerators
@@ -93,13 +94,6 @@ def _product(factors: tuple) -> int:
         return prod(factors)
     half = len(factors) // 2
     return _product(factors[:half]) * _product(factors[half:])
-
-
-def chi_proj(ell: ScalarLike, m: int) -> Fraction:
-    """chi of O(ell) on m-dimensional projective space."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return binom(Fraction(ell) + m, m)
 
 
 def chi_ci(ell: ScalarLike, profile: ChiProfile) -> Fraction:

@@ -1,9 +1,9 @@
 """Exact scalar and sparse polynomial arithmetic.
 
 Every quantity in this package is an exact rational number
-(``fractions.Fraction``, re-exported as :data:`ExactScalar`) or a sparse
-multivariate polynomial over such numbers.  No floating point is used
-anywhere; equality always means exact equality.
+(``fractions.Fraction``) or a sparse multivariate polynomial over such
+numbers.  No floating point is used anywhere; equality always means exact
+equality.
 A :class:`SparsePoly` holds int numerators over one denominator, so its
 arithmetic runs on ints and builds a ``Fraction`` only at ``terms`` and
 ``eval``.
@@ -15,10 +15,6 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import factorial, gcd, lcm, log10, prod
 from operator import add
-
-#: Arbitrary-precision rational scalar.  ``Fraction`` already guarantees the
-#: canonical form this package relies on: lowest terms, positive denominator.
-ExactScalar = Fraction
 
 ScalarLike = int | Fraction
 

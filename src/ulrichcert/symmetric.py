@@ -45,9 +45,8 @@ def check_partition(partition: Sequence[int]) -> Partition:
     return partition
 
 
-def partitions_of(weight: int, max_parts: int | None = None) -> list[Partition]:
-    """All partitions of the given weight, largest-part-first order; with
-    ``max_parts``, only those with at most that many parts."""
+def partitions_of(weight: int) -> list[Partition]:
+    """All partitions of the given weight, largest-part-first order."""
     if weight < 0:
         raise ValueError("weight must be >= 0")
     result: list[Partition] = []
@@ -55,8 +54,6 @@ def partitions_of(weight: int, max_parts: int | None = None) -> list[Partition]:
     def descend(remaining: int, cap: int, prefix: list[int]) -> None:
         if remaining == 0:
             result.append(tuple(prefix))
-            return
-        if len(prefix) == max_parts:
             return
         for part in range(min(cap, remaining), 0, -1):
             prefix.append(part)

@@ -309,7 +309,7 @@ def koszul_chi_basis(a: int, m: int, s: int, r: int, ell: int) -> BasisExpr:
     # the s-part partitions of each weight, with 1 taken from each part,
     # and their multinomial coefficients
     rows = {
-        w: [(p, factorial(w + s) // prod(factorial(q + 1) for q in p)) for p in partitions_of(w, s)]
+        w: [(p, factorial(w + s) // prod(factorial(q + 1) for q in p)) for p in partitions_of(w) if len(p) <= s]
         for w in range(m + 1)
     }
     acc: dict = {}

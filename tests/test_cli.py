@@ -18,6 +18,7 @@ from oracles import literal_parser
 from ulrichcert import cli, identities
 from ulrichcert.certify import NONEXISTENT, Certificate, replay_matches
 from ulrichcert.cli import main, parse_degrees, parse_range
+from ulrichcert.errors import OutOfTheoremScope
 from ulrichcert.exactcore import SparsePoly
 from ulrichcert.symmetric import divide_all_vars, expand_m, from_basis, times_all_vars, to_basis
 
@@ -29,6 +30,17 @@ def test_parse_range():
 
 def test_parse_degrees():
     assert parse_degrees("2,2,1") == (2, 2, 1)
+    assert parse_degrees(" 3 , 2") == (3, 2)
+
+
+@pytest.mark.parametrize("degrees", ["3,,2", "3,2,", ",3", "", " ", "3, ,2"])
+def test_degree_list_with_an_empty_entry_exits_2(capsys, degrees):
+    with pytest.raises(OutOfTheoremScope):
+        parse_degrees(degrees)
+    assert main(["certify-ci", "--degrees", degrees, "--a", "3", "--r", "2"]) == 2
+    assert main(["chi", "--degrees", degrees, "--a", "2", "--r", "2", "--ell", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error: expected a comma-separated list of degrees") == 2
 
 
 def test_certify_json(capsys):
@@ -143,7 +155,7 @@ REJECTED = [
 def test_subcommand_route_parses_as_the_top_level_parser():
     parser = cli._build_parser()
     for argv in ROUTED:
-        assert cli._parse(argv) == parser.parse_args(argv), argv
+        assert vars(cli._parse(argv)) == vars(parser.parse_args(argv)), argv
 
 
 def test_rejected_argv_reads_as_through_the_top_level_parser(capsys):
@@ -172,12 +184,12 @@ def test_parser_bytes_match_the_literal_parser():
 
 
 def _outcome(parse, argv: list):
-    """The Namespace that ``parse(argv)`` returns, or the exit code, stdout and
-    stderr of the SystemExit it raises."""
+    """The attributes of the namespace that ``parse(argv)`` returns, or the exit
+    code, stdout and stderr of the SystemExit it raises."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return parse(argv)
+            return vars(parse(argv))
         except SystemExit as exc:
             return exc.code, out.getvalue(), err.getvalue()
 
@@ -230,7 +242,7 @@ def test_workload_argvs_are_answered_by_the_table(monkeypatch):
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     argvs = [argv for name in ("veronese", "ci-mixed", "appendix") for argv in workloads.operations(name, 0)]
-    expected = [cli._build_parser().parse_args(argv) for argv in argvs]
+    expected = [vars(cli._build_parser().parse_args(argv)) for argv in argvs]
     cli._build_parser.cache_clear()
 
     def refused(*args, **kwargs):
@@ -238,7 +250,7 @@ def test_workload_argvs_are_answered_by_the_table(monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", refused)
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refused)
-    assert [cli._parse(argv) for argv in argvs] == expected
+    assert [vars(cli._parse(argv)) for argv in argvs] == expected
 
 
 _json_chars = st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u2603\U0001d11e')

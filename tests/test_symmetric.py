@@ -149,13 +149,6 @@ def test_specialize_ones_numerators_examples():
     assert specialize_ones_numerators({(1, 1, 1): 1}, 4, 1) == {(1,): 3, (): 1}
 
 
-def test_partitions_with_at_most_given_parts():
-    for weight in range(9):
-        for parts in range(1, 6):
-            expected = [p for p in partitions_of(weight) if len(p) <= parts]
-            assert partitions_of(weight, parts) == expected
-
-
 def test_m1_times_matches_expanded_product():
     rng = random.Random(7)
     for s in range(2, 7):

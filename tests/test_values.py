@@ -160,6 +160,19 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     assert run.stdout.strip() == ""
 
 
+def test_exactcore_import_loads_no_other_ulrichcert_module():
+    # the package re-exports nothing, so a module loads only its own imports
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import ulrichcert.exactcore; "
+        "print(*sorted(m for m in sys.modules if m.startswith('ulrichcert')))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == ["ulrichcert", "ulrichcert.exactcore"]
+
+
 def test_table_answered_commands_never_load_argparse_json_or_acceptance():
     # the modules left out of the import are not loaded later by the commands
     # the benchmark runs either: their work is gone, not deferred
