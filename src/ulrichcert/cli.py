@@ -365,7 +365,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - a failed check or a bug, never bad input
-        print(f"verification failure: {exc}", file=sys.stderr)
+        print(f"verification failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -107,20 +107,10 @@ class SparsePoly:
     immutable by convention: no method mutates ``self`` and callers must
     never modify ``num``.  That makes values safe to share and to cache.
 
-    The ring operations, comparison and hashing run on Python ints.  A
-    result is built by the private ``_trusted`` constructor, which skips
-    the exponent checks of the public one, drops zero numerators and, when
-    ``den != 1``, reduces by one gcd over ``den`` and every numerator.  Some
-    results need no such scan, because canonical operands already fix it:
-
-    * ``-p`` keeps ``den`` and negates each numerator, so the gcd is unchanged;
-    * ``p * c`` for an int ``c`` takes ``g = gcd(den, c)`` and gives ``n * (c/g)``
-      over ``den/g``: a prime of ``den/g`` divides neither ``c/g`` nor every
-      ``n``, so the result is in lowest terms;
-    * ``p + c`` for an int ``c`` adds ``c * den`` to the constant numerator,
-      which leaves it unchanged modulo ``den``, so the gcd stays 1 unless that
-      term cancels (then ``_trusted`` reduces the rest).
-
+    The ring operations, comparison and hashing run on Python ints.  Every
+    result is built by the private ``_trusted`` constructor, which skips the
+    exponent checks of the public one, drops zero numerators and, when
+    ``den != 1``, reduces by one gcd over ``den`` and every numerator.
     ``p ± q`` over one ``den`` adds the numerators without rescaling, then
     reduces by ``_trusted``, since ``(x/2 + 1/2) + (x/2 + 1/2)`` is ``x + 1``.
     ``terms`` is a derived ``{exps: Fraction}`` view, built afresh on each
@@ -152,21 +142,18 @@ class SparsePoly:
         object.__setattr__(self, "den", den)
 
     @classmethod
-    def _trusted(cls, nvars: int, num: Mapping[Exponents, int], den: int) -> "SparsePoly":
+    def _trusted(cls, nvars: int, num: dict[Exponents, int], den: int) -> "SparsePoly":
         """A polynomial from int numerators over ``den > 0``, keyed by valid
         exponent tuples; zeros are dropped and, unless ``den == 1``, one gcd
-        reduces the rest."""
-        num = {e: c for e, c in num.items() if c}
+        reduces the rest.  A map with no zero is kept as given, so callers
+        pass a fresh one."""
+        if 0 in num.values():
+            num = {e: c for e, c in num.items() if c}
         if den != 1:
             g = gcd(den, *num.values())
             if g != 1:
                 num = {e: c // g for e, c in num.items()}
                 den //= g
-        return cls._canonical(nvars, num, den)
-
-    @classmethod
-    def _canonical(cls, nvars: int, num: dict, den: int) -> "SparsePoly":
-        """A polynomial from numerators and ``den`` already in canonical form."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "nvars", nvars)
         object.__setattr__(poly, "num", num)
@@ -224,25 +211,10 @@ class SparsePoly:
             out[exps] = out.get(exps, 0) + coeff * scale
         return SparsePoly._trusted(self.nvars, out, den)
 
-    def _plus_int(self, value: int) -> "SparsePoly":
-        """self + value: ``value * den`` joins the constant numerator."""
-        if not value:
-            return self
-        const = (0,) * self.nvars
-        out = dict(self.num)
-        coeff = out.get(const, 0) + value * self.den
-        if not coeff:  # the constant term cancels, and the rest may share a factor
-            del out[const]
-            return SparsePoly._trusted(self.nvars, out, self.den)
-        out[const] = coeff
-        return SparsePoly._canonical(self.nvars, out, self.den)
-
     def _sum(self, other, sign: int):
         """self + sign * other, for a polynomial or a scalar ``other``."""
         if type(other) is not SparsePoly:
-            if isinstance(other, int):
-                return self._plus_int(sign * other)
-            if isinstance(other, Fraction):  # a scalar joins the constant term
+            if isinstance(other, (int, Fraction)):  # a scalar joins the constant term
                 return self._plus({(0,) * self.nvars: other.numerator}, other.denominator, sign)
             if not isinstance(other, SparsePoly):
                 return NotImplemented
@@ -255,7 +227,7 @@ class SparsePoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly._canonical(self.nvars, {e: -c for e, c in self.num.items()}, self.den)
+        return SparsePoly._trusted(self.nvars, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         return self._sum(other, -1)
@@ -265,15 +237,7 @@ class SparsePoly:
 
     def __mul__(self, other):
         if type(other) is not SparsePoly:
-            if isinstance(other, int):  # one gcd with den keeps the result canonical
-                if not other:
-                    return SparsePoly._canonical(self.nvars, {}, 1)
-                g = gcd(self.den, other)
-                scale = other // g
-                return SparsePoly._canonical(
-                    self.nvars, {e: c * scale for e, c in self.num.items()}, self.den // g
-                )
-            if isinstance(other, Fraction):
+            if isinstance(other, (int, Fraction)):  # a scalar scales every numerator
                 num = {e: c * other.numerator for e, c in self.num.items()}
                 return SparsePoly._trusted(self.nvars, num, self.den * other.denominator)
             if not isinstance(other, SparsePoly):

@@ -134,11 +134,7 @@ class BasisExpr(namedtuple("BasisExpr", "nvars coeffs")):
 
     The constructor checks the partitions and drops zero coefficients;
     ``_make`` and ``_replace`` skip it, so build an expression only through
-    the constructor.  Only the producers whose partitions are valid by
-    construction skip the checks through ``_trusted``: :func:`p_times`,
-    :func:`times_all_vars` and :func:`basis_from_numerators`, which
-    :func:`read_basis_form` and :func:`ulrichcert.euler.subvariety_chi_basis`
-    build through."""
+    the constructor."""
 
     __slots__ = ()
 
@@ -152,11 +148,6 @@ class BasisExpr(namedtuple("BasisExpr", "nvars coeffs")):
             if coeff != 0:
                 clean[partition] = coeff
         return super().__new__(cls, nvars, clean)
-
-    @classmethod
-    def _trusted(cls, nvars: int, coeffs: Mapping[Partition, Fraction]) -> "BasisExpr":
-        """Fraction coefficients on valid partitions of <= nvars parts; zeros dropped."""
-        return cls._make((nvars, {p: c for p, c in coeffs.items() if c}))
 
     def get(self, partition: Sequence[int]) -> Fraction:
         return self.coeffs.get(tuple(partition), Fraction(0))
@@ -260,14 +251,14 @@ def times_all_vars(expr: BasisExpr) -> BasisExpr:
     """Multiply by the product of all variables: every part is raised by 1
     and the partition is padded with parts 1 to exactly s parts."""
     s = expr.nvars
-    return BasisExpr._trusted(
+    return BasisExpr(
         s, {tuple(p + 1 for p in part) + (1,) * (s - len(part)): c for part, c in expr.coeffs.items()}
     )
 
 
 def p_times(expr: BasisExpr, k: int) -> BasisExpr:
     """Multiply by the power sum p_k = m_k directly in the basis."""
-    return BasisExpr._trusted(expr.nvars, p_times_coeffs(expr.coeffs, expr.nvars, k))
+    return BasisExpr(expr.nvars, p_times_coeffs(expr.coeffs, expr.nvars, k))
 
 
 def p_times_coeffs(coeffs: Mapping[Partition, object], s: int, k: int) -> dict:
@@ -365,4 +356,4 @@ def read_basis_numerators(form: tuple, s: int, values: Sequence[int]) -> dict:
 def basis_from_numerators(s: int, den: int, nums: Mapping[Partition, int]) -> BasisExpr:
     """The expression in s variables whose coefficients are the nonzero int
     ``nums`` over ``den``, on valid partitions of at most s parts."""
-    return BasisExpr._trusted(s, {p: Fraction(c, den) for p, c in nums.items()})
+    return BasisExpr(s, {p: Fraction(c, den) for p, c in nums.items()})

@@ -485,6 +485,16 @@ def test_internal_value_error_exits_1(monkeypatch, capsys):
     assert err.startswith("verification failure: ") and "variable count mismatch" in err
 
 
+def test_exception_without_a_message_names_its_type(monkeypatch, capsys):
+    # a MemoryError() carries no message: its type name is printed instead
+    def certify(n, a, r):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "certify_veronese", certify)
+    assert main(["certify", "--n", "5", "--a", "2", "--r", "2"]) == 1
+    assert capsys.readouterr().err == "verification failure: MemoryError\n"
+
+
 def test_unwritable_output_is_rejected_before_computing(monkeypatch, capsys, tmp_path):
     def computed(*args, **kwargs):
         raise AssertionError("computation started before --output was checked")

@@ -454,6 +454,37 @@ def test_sums_that_cancel_keep_the_canonical_form():
         assert constant == value and hash(constant) == hash(value)
 
 
+def test_every_ring_operation_builds_through_trusted(monkeypatch):
+    # _trusted is the one place a result is normalised: every operator's
+    # result, scalar operands included, is an object it returned
+    trusted = SparsePoly._trusted
+    made = set()
+
+    def recording(nvars, num, den):
+        poly = trusted(nvars, num, den)
+        made.add(id(poly))
+        return poly
+
+    p = SparsePoly(2, {(1, 0): Fraction(1, 6), (0, 1): Fraction(-2, 3), (0, 0): 5})
+    q = SparsePoly(2, {(1, 1): Fraction(3, 4), (0, 0): -1})
+    assert p.den > 1
+    monkeypatch.setattr(SparsePoly, "_trusted", staticmethod(recording))
+    results = {
+        "-p": -p,
+        "p + 3": p + 3,
+        "3 - p": 3 - p,
+        "p * 3": p * 3,
+        "3 * p": 3 * p,
+        "p * 1/2": p * Fraction(1, 2),
+        "p / 2": p / 2,
+        "p + q": p + q,
+        "p * q": p * q,
+        "p ** 3": p**3,
+    }
+    for name, result in results.items():
+        assert id(result) in made, name
+
+
 def test_terms_is_a_read_only_view():
     p = SparsePoly(2, {(1, 0): Fraction(1, 2), (0, 0): 3})
     view = p.terms

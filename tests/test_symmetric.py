@@ -253,10 +253,10 @@ def test_power_sums_round_trip(s, coeffs):
     assert from_basis(times_all_vars(expr)) == expand_m((1,) * s, s) * from_basis(expr)
 
 
-def test_trusted_producers_match_the_checked_constructor():
-    # each producer that skips the partition checks returns what the
-    # checking constructor builds from the same map: valid partitions of at
-    # most nvars parts, Fraction coefficients, no zeros
+def test_basis_producers_match_the_checked_constructor():
+    # each producer returns what the checking constructor builds from the
+    # same map: valid partitions of at most nvars parts, Fraction
+    # coefficients, no zeros
     for a in (2, 3, 6):
         for s in (1, 2, 4, 5):
             for r, ell in ((2, 0), (3, 0), (3, 1), (2, -2)):
@@ -276,3 +276,9 @@ def test_trusted_producers_match_the_checked_constructor():
                     label = (a, s, r, ell, name)
                     assert expr == BasisExpr(expr.nvars, expr.coeffs), label
                     assert all(type(c) is Fraction and c for c in expr.coeffs.values()), label
+
+
+def test_basis_from_numerators_checks_the_parts():
+    # a partition of more parts than variables is refused, not kept
+    with pytest.raises(ValueError):
+        basis_from_numerators(2, 1, {(1, 1, 1): 3})
