@@ -8,7 +8,8 @@ Three mechanisms produce a NONEXISTENT conclusion:
   quantity, so no subvariety (hence no bundle) can exist.
 
 Every certificate carries exact witnesses that a replay can recompute from
-the input alone.
+the input alone.  The chi mismatch forms the power sums and the product d
+of the reduced degrees once, for HRR, the Noether chain and the gap alike.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from types import MappingProxyType
 from .errors import InternalContradiction, OutOfTheoremScope
 from .exactcore import scalar_str
 from .euler import ChiProfile
+from .hrr import power_sums
 from .invariants import rank2_numerics, rank3_numerics
-from .identities import GAP_B, GAP_FACTOR, gap_at
+from .identities import GAP_B, GAP_FACTOR, gap_value
 from .identities import gap_poly  # noqa: F401 - the benchmark tracer wraps certify.gap_poly
 
 BRANCH_RANK1 = "rank1-interval"
@@ -47,7 +49,7 @@ def _frozen(mapping) -> MappingProxyType:
     })
 
 
-def _plain(mapping: MappingProxyType) -> dict:
+def _plain(mapping) -> dict:
     """A frozen mapping as plain dicts and lists again, for JSON and repr."""
     return {
         k: _plain(v) if isinstance(v, MappingProxyType) else list(v) if isinstance(v, tuple) else v
@@ -72,13 +74,7 @@ class Certificate(namedtuple("Certificate", "input branch witnesses hypotheses_a
         return super(Certificate, plain).__repr__()
 
     def to_json(self) -> dict:
-        return {
-            "input": _plain(self.input),
-            "branch": self.branch,
-            "witnesses": _plain(self.witnesses),
-            "hypotheses_attested": list(self.hypotheses_attested),
-            "conclusion": self.conclusion,
-        }
+        return _plain(self._asdict())
 
     def payload(self) -> dict:
         """Everything except the raw input echo; two presentations of the
@@ -194,6 +190,9 @@ def _certify(ctx: ChiProfile, echo: dict) -> Certificate:
     if ctx.r == 1:
         if ctx.m < 1:
             raise OutOfTheoremScope("need m >= 1")
+        if ctx.m <= 2 and ctx.degrees[0] > 1:
+            # Lefschetz gives Pic X = Z H only for m >= 3 (or X = P^m)
+            raise OutOfTheoremScope(f"rank 1 at m = {ctx.m} <= 2 is decided only on X = P^m")
         return _line_bundle(ctx, echo)
     if ctx.m < 4:
         raise OutOfTheoremScope("pipeline needs dimension m >= 4")
@@ -215,11 +214,11 @@ def _certify(ctx: ChiProfile, echo: dict) -> Certificate:
     else:
         hypotheses.extend([ATTEST_VERY_GENERAL, ATTEST_TYPE_EXCLUSION])
 
-    numerics = rank2_numerics(reduced) if ctx.r == 2 else rank3_numerics(reduced)
+    sums, d = power_sums(4, reduced.degrees), reduced.d
+    numerics = (rank2_numerics if ctx.r == 2 else rank3_numerics)(reduced, sums, d)
     delta_chi = numerics.chiZ_noether - numerics.chiZ_rr
     factor = GAP_FACTOR[ctx.r]
-    v = gap_at(reduced.degrees, ctx.a, GAP_B[ctx.r])
-    d = reduced.d
+    v = gap_value(reduced.s, ctx.a, GAP_B[ctx.r], sums[2], sums[4])
     if delta_chi * factor != d * v:
         raise InternalContradiction(f"chi gap {delta_chi} times {factor} is not d*v = {d}*{v}")
     if v <= 0:

@@ -23,7 +23,7 @@ import os
 import sys
 from _json import encode_basestring_ascii
 from functools import lru_cache
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 from .certify import certify_complete_intersection, certify_veronese
 from .errors import OutOfTheoremScope
@@ -70,6 +70,9 @@ def _check_output(path: str | None) -> None:
         raise OutOfTheoremScope(f"cannot write --output {path!r}")
 
 
+#: What the writers read as a JSON object and array: a certificate's frozen mappings and tuples too.
+_OBJECT, _ARRAY = (dict, MappingProxyType), (list, tuple)
+
 #: json's spelling of None, the bools and the non-finite floats
 _SPELLED = {"None": "null", "True": "true", "False": "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -85,10 +88,10 @@ def _json(value, pad: str = "") -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     inner = pad + "  "
-    if isinstance(value, dict):
+    if isinstance(value, _OBJECT):
         # a non-str key raises TypeError here, where json.dumps would coerce it
         items, brackets = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()], "{}"
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, _ARRAY):
         items, brackets = [_json(v, inner) for v in value], "[]"
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -120,15 +123,15 @@ def _emit(payload: dict, args) -> None:
 def _render_text(value, lines: list, indent: int, label: str | None = None) -> None:
     pad = "  " * indent
     prefix = f"{pad}{label}: " if label is not None else pad
-    if isinstance(value, dict):
+    if isinstance(value, _OBJECT):
         if label is not None:
             lines.append(f"{pad}{label}:")
         for key, item in value.items():
             _render_text(item, lines, indent + (label is not None), key)
-    elif isinstance(value, list):
+    elif isinstance(value, _ARRAY):
         if not value:
             lines.append(f"{prefix}[]")
-        elif all(not isinstance(item, (dict, list)) for item in value):
+        elif all(not isinstance(item, _OBJECT + _ARRAY) for item in value):
             lines.append(prefix + ", ".join(str(item) for item in value))
         else:
             if label is not None:
@@ -142,16 +145,13 @@ def _render_text(value, lines: list, indent: int, label: str | None = None) -> N
 
 
 def _cmd_certify(args) -> int:
-    cert = certify_veronese(args.n, args.a, args.r)
-    _emit(cert.to_json(), args)
+    _emit(certify_veronese(args.n, args.a, args.r)._asdict(), args)
     return 0
 
 
 def _cmd_certify_ci(args) -> int:
-    cert = certify_complete_intersection(
-        ChiProfile(args.m, parse_degrees(args.degrees), args.a, args.r)
-    )
-    _emit(cert.to_json(), args)
+    profile = ChiProfile(args.m, parse_degrees(args.degrees), args.a, args.r)
+    _emit(certify_complete_intersection(profile)._asdict(), args)
     return 0
 
 
@@ -170,7 +170,7 @@ def _cmd_chi(args) -> int:
         "chi_ulrich": scalar_str(chi_ulrich(args.ell, profile)),
     }
     if args.r >= 2:
-        u = c1_coeff(profile)
+        u = c1_coeff(profile.m, profile.a, profile.r, profile.s, profile.S)
         payload["u"] = scalar_str(u)
         payload["chi_subvariety"] = scalar_str(chi_subvariety(args.ell, profile, u))
     _emit(payload, args)

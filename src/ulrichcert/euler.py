@@ -15,7 +15,8 @@ m, and no sum over the subsets of the degrees.  Each chi value is one
 integer numerator over one denominator, made into one Fraction at the end.
 chi(O_Z) from here is one route of the certificate's chi mismatch; the
 Noether formula in :mod:`.invariants` is the other, and the certificate
-checks their gap against d * v exactly.
+checks their gap against d * v exactly.  A certificate's one power-sum map
+and one d feed :func:`subvariety_numerators`, one HRR pass for every twist.
 
 The symbolic chi(O_Z)/d is the same three-term numerator run over
 polynomials in the power sums of indeterminate degrees, so one formula
@@ -118,16 +119,19 @@ def chi_ulrich(ell: ScalarLike, profile: ChiProfile) -> Fraction:
     return Fraction(top, factorial(m) * q**m)
 
 
-def _subvariety_numerator(m: int, s, sums, d, a, r: int, L, U, den: int):
-    """F * m! * den**m * chi(O_Z(L/den)) for u = U/den, F = todd_table(m)[0]:
+def subvariety_numerators(m: int, s, sums, d, a, r: int, Ls: tuple, U, den: int) -> tuple:
+    """F * m! * den**m * chi(O_Z(L/den)) for each L in ``Ls``, u = U/den, F = todd_table(m)[0]:
     the three-term chi(O_X(ell)) - chi(E(ell-u)) + (r-1) chi(O_X(ell-u)),
-    chi(O_X) by HRR from the power sums ``sums`` of the s degrees, whose
-    product is d.  Ints for one profile, or polynomials in the power sums,
-    a and s (:func:`subvariety_chi_symbolic`)."""
-    shifted = L - U
-    at_ell, at_shift = chi_numerators(m, s, sums, (L, shifted), den)
-    top = d * factorial(m) * (at_ell + (r - 1) * at_shift)
-    return top - todd_table(m)[0] * _ulrich_numerator(shifted, den, m, a, r, d)
+    chi(O_X) at every ell and ell - u from one HRR pass over the power sums
+    ``sums`` of the s degrees, whose product is d.  Ints for one profile, or
+    polynomials in the power sums, a and s (:func:`subvariety_chi_symbolic`)."""
+    shifted = tuple(L - U for L in Ls)
+    values = chi_numerators(m, s, sums, Ls + shifted, den)
+    scale, F = d * factorial(m), todd_table(m)[0]
+    return tuple(
+        scale * (at_ell + (r - 1) * at_shift) - F * _ulrich_numerator(shift, den, m, a, r, d)
+        for shift, at_ell, at_shift in zip(shifted, values, values[len(Ls) :])
+    )
 
 
 def chi_subvariety(ell: ScalarLike, profile: ChiProfile, u: ScalarLike) -> Fraction:
@@ -145,7 +149,7 @@ def chi_subvariety(ell: ScalarLike, profile: ChiProfile, u: ScalarLike) -> Fract
     L = ell.numerator * (den // ell.denominator)
     U = u.numerator * (den // u.denominator)
     sums = power_sums(m, profile.degrees)
-    top = _subvariety_numerator(m, profile.s, sums, profile.d, profile.a, profile.r, L, U, den)
+    (top,) = subvariety_numerators(m, profile.s, sums, profile.d, profile.a, profile.r, (L,), U, den)
     return Fraction(top, todd_table(m)[0] * factorial(m) * den**m)
 
 
@@ -164,7 +168,7 @@ def subvariety_chi_symbolic(m: int, r: int, ell: int) -> SparsePoly:
     sums = {k: SparsePoly.variable(n + 2, k - 1) for k in range(1, n + 1)}
     a, s = SparsePoly.variable(n + 2, n), SparsePoly.variable(n + 2, n + 1)
     twice_u = r * (sums[1] + (m + 1) * (a - 1) - s)
-    top = _subvariety_numerator(m, s, sums, 1, a, r, 2 * ell, twice_u, 2)
+    (top,) = subvariety_numerators(m, s, sums, 1, a, r, (2 * ell,), twice_u, 2)
     return top / (todd_table(m)[0] * factorial(m) * 2**m)
 
 

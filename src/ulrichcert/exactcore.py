@@ -46,7 +46,8 @@ def _parse_int(text: str) -> int:
 
 def scalar_str(x: ScalarLike) -> str:
     """Render a rational as ``"p/q"``, or ``"p"`` when the denominator is 1, at any size."""
-    x = x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, int):
+        return _int_str(x)
     if x.denominator == 1:
         return _int_str(x.numerator)
     return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"

@@ -7,40 +7,42 @@ data S, S', d, with integer constants only: the evaluators here run it on
 one input's numbers as ints over one denominator, together with the
 structure-sheaf chi by the resolution route, and build one Fraction per
 field; the identity layer runs the same lines over polynomials in the power
-sums of the degrees.
+sums of the degrees.  One power-sum map and one d per certificate feed the
+HRR numerators of chi(O_Z), the chain with K_X and c2(X), and the gap.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
 
 from .exactcore import scalar_str
 from .exactcore import binom  # noqa: F401 - the benchmark tracer counts invariants.binom
-from .euler import ChiProfile, chi_subvariety
+from .euler import ChiProfile, subvariety_numerators
+from .euler import chi_subvariety  # noqa: F401 - the benchmark tracer wraps invariants.chi_subvariety
+from .hrr import power_sums, todd_table
 
 
-def canonical_coeff(ctx: ChiProfile) -> Fraction:
-    """K_X = (S - s - m - 1) H."""
-    return Fraction(ctx.S - ctx.s - ctx.m - 1)
+def canonical_coeff(m: int, s: int, S: int) -> Fraction:
+    """K_X = (S - s - m - 1) H on X of dimension m cut out by s degrees of sum S."""
+    return Fraction(S - s - m - 1)
 
 
-def c2_tangent_coeff(ctx: ChiProfile) -> Fraction:
-    """c2(X) = [binom(m+s+1, 2) + S(S - s - m - 1) - S'] H^2, summed in ints."""
-    m, s, S = ctx.m, ctx.s, ctx.S
-    return Fraction((m + s + 1) * (m + s) // 2 + S * (S - s - m - 1) - ctx.Sprime)
+def c2_tangent_coeff(m: int, s: int, S: int, S2: int) -> Fraction:
+    """c2(X) = [binom(m+s+1, 2) + S(S - s - m - 1) - S'] H^2, summed in ints;
+    S2 is S', the pairwise-product sum of the degrees."""
+    return Fraction((m + s + 1) * (m + s) // 2 + S * (S - s - m - 1) - S2)
 
 
-def c1_coeff(ctx: ChiProfile) -> Fraction:
+def c1_coeff(m: int, a: int, r: int, s: int, S: int) -> Fraction:
     """c1(E) = u H with u = (r/2)[(m+1)(a-1) + S - s].
 
     u can be a non-integer rational for odd r; nothing downstream assumes
     integrality.
     """
-    if ctx.r < 2:
+    if r < 2:
         raise ValueError("c1 coefficient is defined for rank r >= 2")
-    return Fraction(ctx.r * ((ctx.m + 1) * (ctx.a - 1) + ctx.S - ctx.s), 2)
+    return Fraction(r * ((m + 1) * (a - 1) + S - s), 2)
 
 
 def _bracket24(m: int, r: int, a: int, s: int, S, S2):
@@ -74,10 +76,10 @@ def subvariety_degree_chern(ctx: ChiProfile) -> Fraction:
     """
     if ctx.r < 2:
         raise ValueError("defined for rank r >= 2")
-    u = c1_coeff(ctx)
-    kx = canonical_coeff(ctx)
-    c2x = c2_tangent_coeff(ctx)
-    m, a, r = ctx.m, ctx.a, ctx.r
+    m, a, r, s, S = ctx.m, ctx.a, ctx.r, ctx.s, ctx.S
+    u = c1_coeff(m, a, r, s, S)
+    kx = canonical_coeff(m, s, S)
+    c2x = c2_tangent_coeff(m, s, S, ctx.Sprime)
     e = Fraction(1, 2) * (u**2 - u * kx) + Fraction(r, 12) * (
         kx**2 + c2x - Fraction(3 * m**2 + 5 * m + 2, 2) * a**2
     )
@@ -96,18 +98,8 @@ class UlrichNumerics(
     __slots__ = ()
 
     def to_json(self) -> dict:
-        return {
-            "u": scalar_str(self.u),
-            "e": scalar_str(self.e),
-            "degZ": scalar_str(self.degZ),
-            "kX": scalar_str(self.kX),
-            "c2X": scalar_str(self.c2X),
-            "kZ": None if self.kZ is None else scalar_str(self.kZ),
-            "kZ2": scalar_str(self.kZ2),
-            "c2Z": scalar_str(self.c2Z),
-            "chiZ_noether": scalar_str(self.chiZ_noether),
-            "chiZ_rr": scalar_str(self.chiZ_rr),
-        }
+        """Every field but kZH, in order, as :func:`scalar_str` text (kZ None stays None)."""
+        return {k: None if v is None else scalar_str(v) for k, v in zip(self._fields, self) if k != "kZH"}
 
 
 def _over(x, k: int):
@@ -120,8 +112,9 @@ def noether_chain(a, r: int, s, S, S2, d, chi0=None, chi1=None, den: int = 1) ->
 
     S, S2 and d are the sum, the pairwise-product sum and the product of the
     degrees; chi0/den and chi1/den are chi(O_Z) and chi(O_Z(1)), needed for
-    rank 3 only (den stays 1 for rank 2).  Each, and a and s, may be an int
-    or a SparsePoly: only +, -, * and int constants are applied to them.  Each
+    rank 3 only (den stays 1 for rank 2), over any common den, reduced or
+    not.  Each, and a and s, may be an int or a SparsePoly: only +, -, *
+    and int constants are applied to them.  Each
     bracket is grouped by powers of S, c0 + (c1 + c2 S) S - k S2 with int
     c0, c1, c2 in (a, r, s), so on polynomials it takes one product, not a
     scaling and a sum per term of the expanded bracket.  Each field is
@@ -167,27 +160,33 @@ def noether_chain(a, r: int, s, S, S2, d, chi0=None, chi1=None, den: int = 1) ->
     )
 
 
-def rank2_numerics(ctx: ChiProfile) -> UlrichNumerics:
-    """The rank-2 :func:`noether_chain` on one input, with chi(O_Z) also by
-    the resolution route."""
-    if ctx.m != 4 or ctx.r != 2:
-        raise ValueError(f"rank-2 chain needs m=4, r=2, got m={ctx.m}, r={ctx.r}")
-    u = c1_coeff(ctx)
-    e, degz, kz, *rest = noether_chain(ctx.a, 2, ctx.s, ctx.S, ctx.Sprime, ctx.d)
-    kx, c2x = canonical_coeff(ctx), c2_tangent_coeff(ctx)
-    return UlrichNumerics(u, e, degz, kx, c2x, Fraction(kz), *rest, chi_subvariety(0, ctx, u))
+def rank2_numerics(ctx: ChiProfile, sums: dict | None = None, d: int | None = None) -> UlrichNumerics:
+    """The rank-2 :func:`_numerics`: chi(O_Z) by the resolution route is kept for the comparison."""
+    return _numerics(ctx, 2, sums, d)
 
 
-def rank3_numerics(ctx: ChiProfile) -> UlrichNumerics:
-    """The rank-3 :func:`noether_chain` on one input; chi(O_Z) by the
-    resolution route feeds K_Z . H_Z and is kept for the comparison."""
-    if ctx.m != 4 or ctx.r != 3:
-        raise ValueError(f"rank-3 chain needs m=4, r=3, got m={ctx.m}, r={ctx.r}")
-    u = c1_coeff(ctx)
-    chi0 = chi_subvariety(0, ctx, u)
-    chi1 = chi_subvariety(1, ctx, u)
-    den = lcm(chi0.denominator, chi1.denominator)
-    x0, x1 = (chi.numerator * (den // chi.denominator) for chi in (chi0, chi1))
-    e, degz, _, *rest = noether_chain(ctx.a, 3, ctx.s, ctx.S, ctx.Sprime, ctx.d, x0, x1, den)
-    kx, c2x = canonical_coeff(ctx), c2_tangent_coeff(ctx)
-    return UlrichNumerics(u, e, degz, kx, c2x, None, *rest, chi0)
+def rank3_numerics(ctx: ChiProfile, sums: dict | None = None, d: int | None = None) -> UlrichNumerics:
+    """The rank-3 :func:`_numerics`: chi(O_Z) and chi(O_Z(1)) by the resolution route feed K_Z . H_Z."""
+    return _numerics(ctx, 3, sums, d)
+
+
+def _numerics(ctx: ChiProfile, r: int, sums, d) -> UlrichNumerics:
+    """The rank-r :func:`noether_chain` on one 4-dimensional input, from its
+    power sums (:func:`ulrichcert.hrr.power_sums`) and d, formed from ctx
+    when not given.  S = p_1 and S' = (p_1^2 - p_2)/2 feed the chain, K_X
+    and c2(X); one HRR pass gives chi(O_Z) at each twist the rank reads, as
+    int numerators over one scale F 4! den^4 that the chain takes unreduced."""
+    if ctx.m != 4 or ctx.r != r:
+        raise ValueError(f"rank-{r} chain needs m=4, r={r}, got m={ctx.m}, r={ctx.r}")
+    sums, d = sums or power_sums(4, ctx.degrees), d or ctx.d
+    a, s, S = ctx.a, ctx.s, sums[1]
+    S2 = (S * S - sums[2]) // 2
+    u = c1_coeff(4, a, r, s, S)
+    den = u.denominator
+    tops = subvariety_numerators(4, s, sums, d, a, r, (0, den) if r == 3 else (0,), u.numerator, den)
+    scale = todd_table(4)[0] * 24 * den**4
+    chis = (*tops, scale) if r == 3 else ()  # the rank-2 chain reads no chi
+    e, degz, kz, *rest = noether_chain(a, r, s, S, S2, d, *chis)
+    kz = None if kz is None else Fraction(kz)
+    kx, c2x = canonical_coeff(4, s, S), c2_tangent_coeff(4, s, S, S2)
+    return UlrichNumerics(u, e, degz, kx, c2x, kz, *rest, Fraction(tops[0], scale))

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from ulrichcert import certify as certify_module, euler
 from ulrichcert.certify import (
     BRANCH_CHI_MISMATCH,
     Certificate,
@@ -21,6 +22,7 @@ from ulrichcert.certify import (
     replay,
     replay_matches,
 )
+from ulrichcert.cli import main
 from ulrichcert.errors import OutOfTheoremScope
 from ulrichcert.euler import ChiProfile
 from ulrichcert.exactcore import SparsePoly, parse_scalar
@@ -78,12 +80,34 @@ def test_line_bundle_certificates():
 
 
 def test_line_bundle_always_nonexistent_in_scope():
-    # for m >= 2 and a >= 2 the interval is empty whatever the degrees are
+    # for m >= 2 and a >= 2 the interval is empty whatever the degrees are;
+    # below m = 3 only X = P^m is in scope (see the next test)
     for m in range(2, 7):
         for a in range(2, 6):
             for degrees in [(1,), (2,), (4, 3), (2, 2, 2)]:
+                if m == 2 and degrees != (1,):
+                    continue
                 cert = certify_complete_intersection(ctx(m, degrees, a, 1))
                 assert cert.conclusion == NONEXISTENT
+
+
+def test_line_bundle_below_dimension_3_needs_projective_space(capsys):
+    # Pic X = Z H needs m >= 3: O(3) is Ulrich on the conic (P^1, O(4)) and
+    # O(1, 3) on the quadric surface with O(2, 2), so a nonlinear type at
+    # m <= 2 is out of scope, not NONEXISTENT
+    for m in (1, 2):
+        for a in range(2, 6):
+            for degrees in [(2,), (4, 3), (2, 2, 2), (2, 1)]:
+                with pytest.raises(OutOfTheoremScope):
+                    certify_complete_intersection(ctx(m, degrees, a, 1))
+        argv = ["certify-ci", "--degrees", "2", "--a", "2", "--r", "1", "--m", str(m)]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+    # X = P^m is still decided: empty at m = 2, [a - 1, a - 1] at m = 1
+    assert certify_complete_intersection(ctx(2, (1, 1), 2, 1)).conclusion == NONEXISTENT
+    assert certify_complete_intersection(ctx(1, (1,), 3, 1)).witnesses["interval"] == (2, 2)
+    assert main(["certify-ci", "--degrees", "1", "--a", "2", "--r", "1", "--m", "2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["conclusion"] == NONEXISTENT
 
 
 def test_reduce_to_dim4():
@@ -273,6 +297,31 @@ def test_replay_round_trip():
         assert replay(cert).to_json() == cert.to_json()
     ci_cert = certify_complete_intersection(ctx(5, (2, 2), 3, 3))
     assert replay_matches(ci_cert)
+
+
+def test_certify_forms_the_degree_data_once(monkeypatch):
+    # one power-sum map and one product d per certificate, and at rank r one
+    # HRR pass over the 2 (r - 1) twists chi(O_Z) reads at twists 0 .. r - 2
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append((name, len(args[3]) if name == "chi_numerators" else None))
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(certify_module, "power_sums")
+    counted(euler, "power_sums")
+    counted(euler, "_product")
+    counted(euler, "chi_numerators")
+    for r in (2, 3):
+        for run in (lambda: certify_veronese(12, 5, r), lambda: certify_complete_intersection(ctx(6, (5, 3, 2, 1), 3, r))):
+            assert run().branch == BRANCH_CHI_MISMATCH
+            assert sorted(calls, key=str) == [("_product", None), ("chi_numerators", 2 * (r - 1)), ("power_sums", None)]
+            del calls[:]
 
 
 def test_certify_builds_no_polynomial(monkeypatch):

@@ -284,13 +284,25 @@ def test_json_writer_rejects_other_types():
 
 
 def test_json_reports_are_json_dumps_indent_2(monkeypatch, capsys):
+    # a certificate command's reference is its certificate's to_json(), the
+    # plain dicts and lists json.dumps reads; the CLI renders the frozen one
     payloads, render = [], cli._render
 
     def recording(payload, fmt):
         payloads.append(payload)
         return render(payload, fmt)
 
+    def certifying(certify):
+        def run(*args):
+            cert = certify(*args)
+            payloads.append(cert.to_json())
+            return cert
+
+        return run
+
     monkeypatch.setattr(cli, "_render", recording)
+    for name in ("certify_veronese", "certify_complete_intersection"):
+        monkeypatch.setattr(cli, name, certifying(getattr(cli, name)))
     for argv in (
         ["certify", "--n", "12", "--a", "7", "--r", "3"],
         ["certify", "--n", "5", "--a", "3", "--r", "1"],
@@ -300,8 +312,36 @@ def test_json_reports_are_json_dumps_indent_2(monkeypatch, capsys):
         ["selftest"],
         ["verify-appendix", "--a", "2", "--s", "4", "--d-max", "2", "--full-grids"],
     ):
+        del payloads[:]
         assert main([*argv, "--format", "json"]) == 0
-        assert capsys.readouterr().out == json.dumps(payloads[-1], indent=2) + "\n", argv
+        assert capsys.readouterr().out == json.dumps(payloads[0], indent=2) + "\n", argv
+
+
+#: One input per certificate branch and hypothesis set, both commands.
+PINNED_ARGVS = (
+    "certify --n 10 --a 5 --r 3",
+    "certify --n 9 --a 4 --r 2",
+    "certify --n 6 --a 2 --r 2",
+    "certify --n 7 --a 3 --r 1",
+    "certify-ci --degrees 2 --a 3 --r 2",
+    "certify-ci --degrees 1 --a 2 --r 2",
+    "certify-ci --degrees 3,2,1 --a 2 --r 3 --m 6",
+)
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("text", "8051e54ab10afc62b3b35fb1d09334069574ebd44904c01a4da21878c52cb374"),
+        ("json", "f3c37451c83bacbe1f54c54eda56f32b01cc715e71e50882de60005bc37e09a6"),
+    ],
+)
+def test_certificate_bytes_are_pinned_in_both_formats(capsys, fmt, digest):
+    blob = ""
+    for argv in PINNED_ARGVS:
+        assert main([*argv.split(), "--format", fmt]) == 0
+        blob += capsys.readouterr().out
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 def test_certify_ci_text_and_json_values_agree(capsys):
@@ -524,7 +564,10 @@ def _in_scope(command: str, n: int, m: int, tokens: list, a: int, r: int) -> boo
         return False
     if command == "chi":
         return m >= 0
-    return m >= (1 if r == 1 else 4)
+    if r == 1:
+        # Pic X = Z H, which the rank-1 interval assumes, needs m >= 3 or X = P^m
+        return m >= 3 or (m >= 1 and max(tokens) == 1)
+    return m >= 4
 
 
 @st.composite

@@ -142,7 +142,7 @@ def test_chi_subvariety_routes_agree_on_random_samples():
         degrees = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
         ell = rng.randint(-4, 4)
         ctx = ChiProfile(m, degrees, a, r)
-        u = c1_coeff(ctx)
+        u = c1_coeff(ctx.m, ctx.a, ctx.r, ctx.s, ctx.S)
         # the HRR value against the stepped Koszul three-term of the oracles
         assert chi_subvariety(ell, ctx, u) == koszul_chi_subvariety(ell, ctx, u)
 
@@ -150,11 +150,11 @@ def test_chi_subvariety_routes_agree_on_random_samples():
 def test_chi_subvariety_half_integer_u():
     # r = 3 with 5(a-1)+S-s odd makes u a half-integer; everything stays exact
     ctx = ChiProfile(4, (2,), 2, 3)
-    u = c1_coeff(ctx)
+    u = c1_coeff(ctx.m, ctx.a, ctx.r, ctx.s, ctx.S)
     assert u == Fraction(3, 2) * (5 + 2 - 1)
     assert u.denominator == 1  # this one happens to be integral
     ctx2 = ChiProfile(4, (3,), 2, 3)
-    u2 = c1_coeff(ctx2)
+    u2 = c1_coeff(ctx2.m, ctx2.a, ctx2.r, ctx2.s, ctx2.S)
     assert u2.denominator == 2
     assert chi_subvariety(0, ctx2, u2) == koszul_chi_subvariety(0, ctx2, u2)
 
@@ -164,7 +164,7 @@ def test_chi_subvariety_half_integer_u_many_degrees():
     # steps a falling product with den = 2 over 2^s subset sums
     for degrees in ((3,) * 10, (5, 4, 3, 3, 2, 2, 2, 1, 1, 1, 1)):
         profile = ChiProfile(4, degrees, 2, 3)
-        u = c1_coeff(profile)
+        u = c1_coeff(profile.m, profile.a, profile.r, profile.s, profile.S)
         assert u.denominator == 2
         for ell in (-1, 2):
             assert chi_subvariety(ell, profile, u) == brute_chi_subvariety(
@@ -181,7 +181,7 @@ def test_chi_subvariety_equals_poly_eval():
         degrees = tuple(rng.randint(1, 4) for _ in range(s))
         ell = rng.choice([0, 1])
         ctx = ChiProfile(4, degrees, a, r)
-        u = c1_coeff(ctx)
+        u = c1_coeff(ctx.m, ctx.a, ctx.r, ctx.s, ctx.S)
         value = chi_subvariety(ell, ctx, u)
         poly = subvariety_chi_poly(a, 4, s, r, ell)
         assert poly.eval(ctx.degrees) == value
@@ -298,7 +298,7 @@ def _per_point_chi_power_sums(a, m, s, r, ell):
     n = max(POWER_SUM_VARS, m)
     sums = {k: SparsePoly.variable(n, k - 1) for k in range(1, n + 1)}
     twice_u = r * (sums[1] + ((m + 1) * (a - 1) - s))
-    top = euler._subvariety_numerator(m, s, sums, 1, a, r, 2 * ell, twice_u, 2)
+    (top,) = euler.subvariety_numerators(m, s, sums, 1, a, r, (2 * ell,), twice_u, 2)
     return top / (euler.todd_table(m)[0] * factorial(m) * 2**m)
 
 
@@ -367,7 +367,7 @@ def test_chi_ci_and_subvariety_match_subset_oracles():
     half_integer_u = 0
     for i, (m, degrees, a, r) in enumerate(_oracle_cases()):
         profile = ChiProfile(m, degrees, a, r)
-        u = c1_coeff(profile)
+        u = c1_coeff(profile.m, profile.a, profile.r, profile.s, profile.S)
         half_integer_u += u.denominator == 2
         ell = i % 3 - 1
         assert chi_ci(ell, profile) == brute_chi_ci(ell, m, profile.degrees)
@@ -405,7 +405,7 @@ def test_chi_values_match_stepped_koszul_sums_at_large_s():
     # a = 8, r = 3 adds a half-integer u
     for a, r, u_den in ((9, 2, 1), (9, 3, 1), (8, 3, 2)):
         profile = ChiProfile(4, (a,) * 796, a, r)
-        u = c1_coeff(profile)
+        u = c1_coeff(profile.m, profile.a, profile.r, profile.s, profile.S)
         assert u.denominator == u_den
         for ell in (Fraction(0), Fraction(1), Fraction(-7, 2)):
             assert chi_ci(ell, profile) == koszul_chi_ci(ell, profile)

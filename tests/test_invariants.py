@@ -44,29 +44,32 @@ def test_context_canonical_form():
 
 
 def test_canonical_coeff_examples():
-    assert canonical_coeff(ctx(4, (1,), 2, 2)) == -5  # projective 4-space
-    assert canonical_coeff(ctx(4, (2, 2), 2, 2)) == -3
-    assert canonical_coeff(ctx(3, (5,), 2, 2)) == 0  # quintic threefold
+    # (m, s, S)
+    assert canonical_coeff(4, 1, 1) == -5  # projective 4-space
+    assert canonical_coeff(4, 2, 4) == -3  # degrees (2, 2)
+    assert canonical_coeff(3, 1, 5) == 0  # quintic threefold
 
 
 def test_c2_tangent_against_euler_sequence():
+    # (m, s, S, S')
     # c(T) = (1+H)^(m+s+1) on projective space: c2 = binom(m+s+1, 2)
-    assert c2_tangent_coeff(ctx(4, (1,), 2, 2)) == binom_int(5, 2) == 10
+    assert c2_tangent_coeff(4, 1, 1, 0) == binom_int(5, 2) == 10
     # degree-4 surface: coefficient 6, total c2 = 6*4 = 24 (its Euler number)
     k3 = ctx(2, (4,), 2, 2)
-    assert c2_tangent_coeff(k3) == 6
-    assert c2_tangent_coeff(k3) * k3.d == 24
-    assert c2_tangent_coeff(ctx(4, (2, 2), 2, 2)) == 5
+    assert c2_tangent_coeff(k3.m, k3.s, k3.S, k3.Sprime) == 6
+    assert c2_tangent_coeff(k3.m, k3.s, k3.S, k3.Sprime) * k3.d == 24
+    assert c2_tangent_coeff(4, 2, 4, 4) == 5  # degrees (2, 2)
 
 
 def test_c1_coeff_examples():
     for a in range(2, 6):
         for degrees in [(1,), (2, 2), (3, 1, 2)]:
             c = ctx(4, degrees, a, 2)
-            assert c1_coeff(c) == 5 * (a - 1) + c.S - c.s
-    assert c1_coeff(ctx(4, (2, 2), 2, 2)) == 7
-    assert c1_coeff(ctx(4, (1, 1, 1, 1), 3, 3)) == 15
-    assert c1_coeff(ctx(4, (3,), 2, 3)) == Fraction(21, 2)
+            assert c1_coeff(c.m, c.a, c.r, c.s, c.S) == 5 * (a - 1) + c.S - c.s
+    # (m, a, r, s, S)
+    assert c1_coeff(4, 2, 2, 2, 4) == 7  # degrees (2, 2)
+    assert c1_coeff(4, 3, 3, 4, 4) == 15  # degrees (1, 1, 1, 1)
+    assert c1_coeff(4, 2, 3, 1, 3) == Fraction(21, 2)  # degrees (3,)
 
 
 def _printed_e_rank2(a, s, S, S2):
@@ -209,7 +212,7 @@ def test_integer_chain_matches_fraction_oracle():
                 numbers = rank2_numerics(c)
                 assert type(chain[2]) is int
             else:
-                u = c1_coeff(c)
+                u = c1_coeff(c.m, c.a, c.r, c.s, c.S)
                 half_integer_u += u.denominator == 2
                 chi0, chi1 = (chi_subvariety(ell, c, u) for ell in (0, 1))
                 expected = brute_noether_chain(*args, chi0, chi1)
