@@ -170,10 +170,6 @@ def reduce_to_dim4(ctx: ChiProfile) -> ChiProfile:
     return ChiProfile(4, core, ctx.a, ctx.r)
 
 
-def _ci_input(ctx: ChiProfile) -> dict:
-    return {"m": ctx.m, "degrees": list(ctx.degrees), "a": ctx.a, "r": ctx.r}
-
-
 #: The quadric and the intersection of two quadrics, as reduced types.
 _EXCLUDED = {(2, 1, 1, 1): "(2, 1, ..., 1)", (2, 2, 1, 1): "(2, 2, 1, ..., 1)"}
 
@@ -181,7 +177,7 @@ _EXCLUDED = {(2, 1, 1, 1): "(2, 1, ..., 1)", (2, 2, 1, 1): "(2, 2, 1, ..., 1)"}
 def certify_complete_intersection(ctx: ChiProfile) -> Certificate:
     """Decide non-existence of rank <= 3 Ulrich bundles for a Veronese
     embedding of a complete intersection of dimension >= 4."""
-    return _certify(ctx, _ci_input(ctx))
+    return _certify(ctx, {"m": ctx.m, "degrees": list(ctx.degrees), "a": ctx.a, "r": ctx.r})
 
 
 def _certify(ctx: ChiProfile, echo: dict) -> Certificate:

@@ -28,7 +28,7 @@ from types import MappingProxyType, SimpleNamespace
 from .certify import certify_complete_intersection, certify_veronese
 from .errors import OutOfTheoremScope
 from .euler import ChiProfile, chi_ci, chi_subvariety, chi_ulrich
-from .exactcore import scalar_str
+from .exactcore import _parse_int as _parse_digits, scalar_str
 from .identities import (
     check_closed_forms,
     check_coefficient_table,
@@ -40,11 +40,31 @@ from .identities import (
 from .invariants import c1_coeff
 
 
-def _parse_int(text: str) -> int:
+def _int(text: str) -> int:
+    """int(text) at any length: exactcore's chunked reader only where int() refuses,
+    as past the interpreter's str-to-int digit limit."""
     try:
         return int(text)
     except ValueError:
+        return _parse_digits(text.strip())
+
+
+_int.__name__ = "int"  # argparse names a flag's type in "invalid int value: ..."
+
+
+def _parse_int(text: str) -> int:
+    try:
+        return _int(text)
+    except ValueError:
         raise OutOfTheoremScope(f"not an integer: {text!r}") from None
+
+
+def _str(value) -> str:
+    """str(value); an int past the interpreter's int-to-str digit limit through scalar_str."""
+    try:
+        return str(value)
+    except ValueError:
+        return scalar_str(value)
 
 
 def parse_range(text: str) -> range:
@@ -86,7 +106,10 @@ def _json(value, pad: str = "") -> str:
         text = float.__repr__(value) if isinstance(value, float) else repr(value)
         return _SPELLED.get(text, text)
     if isinstance(value, int):
-        return int.__repr__(value)
+        try:
+            return int.__repr__(value)
+        except ValueError:
+            return scalar_str(value)
     inner = pad + "  "
     if isinstance(value, _OBJECT):
         # a non-str key raises TypeError here, where json.dumps would coerce it
@@ -132,7 +155,7 @@ def _render_text(value, lines: list, indent: int, label: str | None = None) -> N
         if not value:
             lines.append(f"{prefix}[]")
         elif all(not isinstance(item, _OBJECT + _ARRAY) for item in value):
-            lines.append(prefix + ", ".join(str(item) for item in value))
+            lines.append(prefix + ", ".join(map(_str, value)))
         else:
             if label is not None:
                 lines.append(f"{pad}{label}:")
@@ -141,7 +164,7 @@ def _render_text(value, lines: list, indent: int, label: str | None = None) -> N
                 lines.append("  " * indent + "-")
                 _render_text(item, lines, indent + 1)
     else:
-        lines.append(f"{prefix}{value}")
+        lines.append(prefix + _str(value))
 
 
 def _cmd_certify(args) -> int:
@@ -266,7 +289,7 @@ _OUTPUT_FLAGS = {
     "--format": dict(choices=("text", "json"), default="text"),
     "--output": dict(help="write the report to this path instead of stdout"),
 }
-_NEEDED = dict(type=int, required=True)
+_NEEDED = dict(type=_int, required=True)
 
 #: Each subcommand's help, handler and flags; a flag is its ``add_argument``
 #: keywords.  ``_build_parser`` and ``_from_table`` both read this table.
@@ -274,7 +297,7 @@ _COMMANDS = {
     "verify-appendix": ("run the identity checkers over a grid", _cmd_verify_appendix, {
         "--a": dict(default="2..6", help="twist range, e.g. 2..6"),
         "--s": dict(default="4..7", help="codimension range, e.g. 4..7"),
-        "--d-max": dict(type=int, default=4, dest="d_max", help="degree grid bound for positivity"),
+        "--d-max": dict(type=_int, default=4, dest="d_max", help="degree grid bound for positivity"),
         "--full-grids": dict(action="store_true", default=False, help="include every positivity grid value"),
         **_OUTPUT_FLAGS,
     }),
@@ -283,11 +306,11 @@ _COMMANDS = {
     }),
     "certify-ci": ("certify a complete-intersection input", _cmd_certify_ci, {
         "--degrees": dict(required=True, help="comma-separated degrees, e.g. 2,2"),
-        "--a": _NEEDED, "--r": _NEEDED, "--m": dict(type=int, default=4), **_OUTPUT_FLAGS,
+        "--a": _NEEDED, "--r": _NEEDED, "--m": dict(type=_int, default=4), **_OUTPUT_FLAGS,
     }),
     "chi": ("print exact chi values at one twist", _cmd_chi, {
         "--degrees": dict(required=True), "--a": _NEEDED, "--r": _NEEDED, "--ell": _NEEDED,
-        "--m": dict(type=int, default=4), **_OUTPUT_FLAGS,
+        "--m": dict(type=_int, default=4), **_OUTPUT_FLAGS,
     }),
     "selftest": ("run the full acceptance suite", _cmd_selftest, _OUTPUT_FLAGS),
 }
@@ -364,6 +387,9 @@ def main(argv=None) -> int:
     except (OutOfTheoremScope, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (OverflowError, MemoryError) as exc:
+        print(f"internal limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 1
     except Exception as exc:  # noqa: BLE001 - a failed check or a bug, never bad input
         print(f"verification failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

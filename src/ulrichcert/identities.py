@@ -703,8 +703,8 @@ class _GapGrid(Mapping):
 
 class GapReport(namedtuple("GapReport", "s a b value_grid recursion_checked base_checked")):
     """Outcome of the gap-polynomial positivity sweep for one (s, a, b);
-    value_grid maps each degree tuple to its gap value.  Both flags are
-    true: a check that fails raises instead."""
+    value_grid maps each degree tuple, in sorted order, to its gap value.
+    Both flags are true: a check that fails raises instead."""
 
     __slots__ = ()
 
@@ -714,12 +714,11 @@ class GapReport(namedtuple("GapReport", "s a b value_grid recursion_checked base
         return grid.min_value if isinstance(grid, _GapGrid) else min(grid.values())
 
     def to_json(self) -> dict:
-        ordered = sorted(self.value_grid.items())
         return {
             "s": self.s,
             "a": self.a,
             "b": self.b,
-            "value_grid": [[list(t), scalar_str(v)] for t, v in ordered],
+            "value_grid": [[list(t), scalar_str(v)] for t, v in self.value_grid.items()],
             "recursion_checked": self.recursion_checked,
             "base_checked": self.base_checked,
         }
@@ -907,10 +906,10 @@ def check_gap_positivity(s_max: int, a_max: int, d_max: int) -> list:
     it holds in s variables too); only when it fails is it checked at each
     s <= s_max and a <= a_max in turn, to name the first (s, a) where it
     does.  For every s <= s_max and a in 1..a_max, the values on the degree
-    grid {1..d_max}^s must be positive for a >= 2, and non-negative with
-    zero exactly at all-ones for a = 1.  v reads the degrees only through
-    (p_2, p_4), so each distinct pair is checked once, at its first sorted
-    tuple, which is also its first tuple in ``itertools.product`` order.
+    grid {1..d_max}^s must be positive, except that at a = 1 (the base case)
+    the value at all-ones, the first tuple met, must be 0.  v reads the
+    degrees only through (p_2, p_4), so each distinct pair is checked once,
+    at its first sorted tuple, its first in ``itertools.product`` order.
     """
     if s_max < 2 or a_max < 2 or d_max < 1:
         raise ValueError("need s_max >= 2, a_max >= 2, d_max >= 1")
@@ -927,12 +926,6 @@ def check_gap_positivity(s_max: int, a_max: int, d_max: int) -> list:
         for tup in combinations_with_replacement(range(1, d_max + 1), s):
             first.setdefault(_power_sums(tup), tup)
         for b in GAP_B.values():
-            base_value = gap_at(ones, 1, b)
-            if base_value != 0:
-                raise VerificationFailure(
-                    f"base case failed: gap({s},1,{b}) at all-ones is {base_value}",
-                    witness={"s": s, "b": b, "value": base_value},
-                )
             for a in range(1, a_max + 1):
                 if a >= 2 and not holds_for_all[b] and not recursion_holds(s, a, b):
                     raise VerificationFailure(

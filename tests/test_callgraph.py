@@ -16,6 +16,7 @@ RUNS = [
     (["certify", "--n", "7", "--a", "3", "--r", "2", "--format", "json"], 0),  # chi-mismatch
     (["certify", "--n", "9", "--a", "2", "--r", "1"], 0),  # rank1-interval
     (["certify", "--n", "5", "--a", "2", "--r", "2"], 0),  # es53-divisibility
+    (["certify", "--n", "1" + "0" * 5000, "--a", "2", "--r", "1"], 0),  # past int()'s digit limit
     (["certify-ci", "--degrees", "3,2", "--a", "3", "--r", "3"], 0),  # half-integer u
     (["certify-ci", "--degrees", "2,2", "--a", "3", "--r", "2"], 0),  # inconclusive
     (["certify-ci", "--degrees", "3,1", "--a", "3", "--r", "2", "--m", "5"], 0),  # ambient attested
@@ -110,7 +111,6 @@ NEVER_ENTERED = {
     # parse_scalar is kept for reading certificates back; the test oracles'
     # basis_compare reads BasisExpr.get
     "kept for certificate parsing and the test oracles": {
-        ("exactcore", "_parse_int"),
         ("exactcore", "parse_scalar"),
         ("symmetric", "BasisExpr.get"),
     },

@@ -90,6 +90,46 @@ def test_certify_rank_four_at_huge_n_exits_2(capsys):
         assert capsys.readouterr() == ("", "error: pipeline handles rank r <= 3 only\n")
 
 
+def test_internal_limit_is_not_reported_as_a_failed_check(capsys):
+    # rank 2 forms n - 4 reduced degrees, a count no index-sized integer holds
+    assert main(["certify", "--n", HUGE_N, "--a", "2", "--r", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal limit: ")
+
+
+@contextlib.contextmanager
+def _int_digit_limit(limit: int):
+    """The interpreter's int<->str digit limit set to ``limit`` (0: none) for the block."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+#: Each argv with the digit strings its output must hold in full; each string
+#: is past the interpreter's default 4 300-digit limit, in the input or in n(a-1).
+LONG_INTEGER_ARGVS = [
+    (["certify", "--n", "1" + "0" * 5000, "--a", "2", "--r", "1"], ["1" + "0" * 5000]),
+    (["certify-ci", "--degrees", "3," + "7" * 5000, "--a", "2", "--r", "2"], ["7" * 5000]),
+    (["certify", "--n", "1" + "0" * 4000, "--a", "1" + "0" * 400, "--r", "1"], ["9" * 400 + "0" * 4000]),
+]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int<->str digit limit here")
+@pytest.mark.parametrize("argv, digits", LONG_INTEGER_ARGVS, ids=["n", "degree", "interval"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_integers_past_the_digit_limit_are_read_and_printed_in_full(argv, digits, fmt):
+    # the bytes under the default limit are those of an interpreter without one
+    with _int_digit_limit(4300):
+        code, out = _run([*argv, "--format", fmt])
+    with _int_digit_limit(0):
+        expected = _run([*argv, "--format", fmt])
+    assert (code, out) == expected and code == 0
+    assert all(text in out for text in digits)
+
+
 def test_certify_out_of_scope(capsys):
     code = main(["certify", "--n", "3", "--a", "2", "--r", "2"])
     assert code == 2
@@ -532,7 +572,7 @@ def test_exception_without_a_message_names_its_type(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "certify_veronese", certify)
     assert main(["certify", "--n", "5", "--a", "2", "--r", "2"]) == 1
-    assert capsys.readouterr().err == "verification failure: MemoryError\n"
+    assert capsys.readouterr().err == "internal limit: MemoryError\n"
 
 
 def test_unwritable_output_is_rejected_before_computing(monkeypatch, capsys, tmp_path):

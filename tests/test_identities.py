@@ -669,6 +669,15 @@ def test_gap_base_bound_failure_names_the_first_tuple_of_its_pair(monkeypatch):
     assert info.value.witness == {"s": 2, "a": 1, "b": 8, "tuple": (2, 3), "value": 0}
 
 
+def test_gap_base_value_failure_is_the_base_bound_at_all_ones(monkeypatch):
+    # all-ones (p_2 = p_4 = 2 at s = 2) is the first tuple of each (s, b) at a = 1
+    _gap_value_changed_at(monkeypatch, 1, (2, 2), lambda value: 7)
+    with pytest.raises(VerificationFailure) as info:
+        check_gap_positivity(s_max=3, a_max=3, d_max=3)
+    assert str(info.value) == "gap(2,1,8)(1, 1) = 7 violates the base bound"
+    assert info.value.witness == {"s": 2, "a": 1, "b": 8, "tuple": (1, 1), "value": 7}
+
+
 def test_frozen_rows_are_polynomials_in_a_and_s():
     # every table row, fed SparsePoly variables for a and s, is a polynomial
     # that takes the row's value at each point of a small grid
