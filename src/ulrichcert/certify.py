@@ -57,6 +57,24 @@ def _plain(mapping) -> dict:
     }
 
 
+def _repr(value) -> str:
+    """repr(value) for a plain certificate field, each int in full at any length."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{key!r}: {_repr(item)}" for key, item in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_repr, value)) + "]"
+    return scalar_str(value) if type(value) is int else repr(value)
+
+
+def _key_sorted(value):
+    """A plain tree with each dict's keys in sorted order, as ``json.dumps(sort_keys=True)`` reads it."""
+    if isinstance(value, dict):
+        return {key: _key_sorted(value[key]) for key in sorted(value)}
+    if isinstance(value, list):
+        return [_key_sorted(item) for item in value]
+    return value
+
+
 class Certificate(namedtuple("Certificate", "input branch witnesses hypotheses_attested conclusion")):
     """Outcome of one pipeline run, with exact re-checkable witnesses.
 
@@ -71,7 +89,8 @@ class Certificate(namedtuple("Certificate", "input branch witnesses hypotheses_a
 
     def __repr__(self):
         plain = self._replace(input=_plain(self.input), witnesses=_plain(self.witnesses))
-        return super(Certificate, plain).__repr__()
+        fields = ", ".join(f"{name}={_repr(value)}" for name, value in zip(self._fields, plain))
+        return f"Certificate({fields})"
 
     def to_json(self) -> dict:
         return _plain(self._asdict())
@@ -270,9 +289,8 @@ def replay(cert: Certificate) -> Certificate:
 
 
 def replay_matches(cert: Certificate) -> bool:
-    """Whether a fresh run reproduces the certificate bit for bit."""
-    import json
+    """Whether a fresh run reproduces the certificate bit for bit: both written
+    by the CLI's JSON writer with sorted keys, so ints of any length compare."""
+    from .cli import _json
 
-    return json.dumps(replay(cert).to_json(), sort_keys=True) == json.dumps(
-        cert.to_json(), sort_keys=True
-    )
+    return _json(_key_sorted(replay(cert).to_json())) == _json(_key_sorted(cert.to_json()))

@@ -94,33 +94,56 @@ def _check_output(path: str | None) -> None:
 _OBJECT, _ARRAY = (dict, MappingProxyType), (list, tuple)
 
 #: json's spelling of None, the bools and the non-finite floats
-_SPELLED = {"None": "null", "True": "true", "False": "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_SPELLED = {None: "null", True: "true", False: "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+#: The types ``_json`` writes, in the order a subclass is matched against them.
+_JSON_TYPES = dict.fromkeys((str, int, float, *_OBJECT, *_ARRAY, bool, type(None)))
 
 
-def _json(value, pad: str = "") -> str:
-    """``json.dumps(value, indent=2)`` byte for byte, ``pad`` deep, without
-    ``json`` itself: strings go to its C encoder, other scalars are spelled here."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or isinstance(value, (bool, float)):
-        text = float.__repr__(value) if isinstance(value, float) else repr(value)
-        return _SPELLED.get(text, text)
-    if isinstance(value, int):
+def _json(value) -> str:
+    """``json.dumps(value, indent=2)`` byte for byte, without ``json`` itself (strings go
+    to its C encoder): ``_json_into`` appends every piece to one list, joined once."""
+    parts: list = []
+    _json_into(value, "\n", parts.append)
+    return "".join(parts)
+
+
+def _json_into(value, newline: str, put) -> None:
+    """Each piece of ``value``'s JSON to ``put``, ``newline`` the line break at its depth.
+    It dispatches on ``type(value)``; a subclass is written as the first of ``_JSON_TYPES``
+    it is an instance of.  An int past the interpreter's digit limit goes through ``scalar_str``."""
+    kind = type(value)
+    if kind not in _JSON_TYPES:
+        kind = next((base for base in _JSON_TYPES if isinstance(value, base)), None)
+    if kind is str:
+        put(encode_basestring_ascii(value))
+    elif kind is int:
         try:
-            return int.__repr__(value)
+            put(int.__repr__(value))
         except ValueError:
-            return scalar_str(value)
-    inner = pad + "  "
-    if isinstance(value, _OBJECT):
-        # a non-str key raises TypeError here, where json.dumps would coerce it
-        items, brackets = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()], "{}"
-    elif isinstance(value, _ARRAY):
-        items, brackets = [_json(v, inner) for v in value], "[]"
+            put(scalar_str(value))
+    elif kind is dict or kind is MappingProxyType:
+        inner, sep = newline + "  ", "{"
+        for key, item in value.items():
+            # a non-str key raises TypeError here, where json.dumps would coerce it
+            put(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _json_into(item, inner, put)
+            sep = ","
+        put(newline + "}" if value else "{}")
+    elif kind is list or kind is tuple:
+        inner, sep = newline + "  ", "["
+        for item in value:
+            put(sep + inner)
+            _json_into(item, inner, put)
+            sep = ","
+        put(newline + "]" if value else "[]")
+    elif kind is float:
+        text = float.__repr__(value)
+        put(_SPELLED.get(text, text))
+    elif kind is bool or value is None:
+        put(_SPELLED[value])
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not items:
-        return brackets
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
 def _render(payload: dict, fmt: str) -> str:

@@ -23,14 +23,37 @@ _CHUNK = 600  # digits per str() or int() call: under 640, the least limit sys.s
 
 
 def _int_str(x: int) -> str:
-    """str(x) at any size: split at a power of 10, the low half zero-padded."""
+    """str(x) at any size.  Past ``3 * _CHUNK`` bits ``x`` is rebuilt as an exact
+    ``decimal.Decimal`` from its halves at powers of 2, whose str is linear (after
+    CPython 3.12's ``_pylong.int_to_decimal_string``); without the C ``_decimal``
+    module it is split at a power of 10 instead, the low half zero-padded."""
     if x.bit_length() <= 3 * _CHUNK:
         return str(x)
     if x < 0:
         return "-" + _int_str(-x)
-    width = int(x.bit_length() * log10(2)) // 2
-    high, low = divmod(x, 10**width)
-    return _int_str(high) + _int_str(low).zfill(width)
+    try:
+        import _decimal
+    except ImportError:  # the pure-Python decimal multiplies in quadratic time
+        width = int(x.bit_length() * log10(2)) // 2
+        high, low = divmod(x, 10**width)
+        return _int_str(high) + _int_str(low).zfill(width)
+    with _decimal.localcontext() as context:  # exact: any inexact step raises
+        context.prec, context.Emax, context.Emin = _decimal.MAX_PREC, _decimal.MAX_EMAX, _decimal.MIN_EMIN
+        context.traps[_decimal.Inexact] = True
+        return str(_to_decimal(x, x.bit_length(), _decimal.Decimal, {}))
+
+
+def _to_decimal(x: int, width: int, decimal, powers: dict):
+    """``x`` (0 <= x < 2**width) as an exact value of the ``decimal`` type given:
+    low + high * 2**half, split at half the width, each power of 2 formed once in ``powers``."""
+    if width <= 128:
+        return decimal(x)
+    half = width >> 1
+    if half not in powers:
+        powers[half] = decimal(2) ** half
+    high = x >> half
+    low = _to_decimal(x - (high << half), half, decimal, powers)
+    return low + _to_decimal(high, width - half, decimal, powers) * powers[half]
 
 
 def _parse_int(text: str) -> int:
@@ -112,8 +135,15 @@ class SparsePoly:
     result is built by the private ``_trusted`` constructor, which skips the
     exponent checks of the public one, drops zero numerators and, when
     ``den != 1``, reduces by one gcd over ``den`` and every numerator.
-    ``p ± q`` over one ``den`` adds the numerators without rescaling, then
-    reduces by ``_trusted``, since ``(x/2 + 1/2) + (x/2 + 1/2)`` is ``x + 1``.
+    ``p ± q`` over one ``den`` adds or subtracts the numerators as they stand,
+    then reduces by ``_trusted``, since ``(x/2 + 1/2) + (x/2 + 1/2)`` is ``x + 1``.
+    Three operands take a direct path, because the report's ring operations
+    are many and small: an int factor scales the numerators; a one-term factor
+    shifts the other factor's exponents, and distinct exponent vectors stay
+    distinct, so no two products meet; a one-term base ``c x^e / den`` to the
+    k-th power is ``c^k x^(k e) / den^k``, already in lowest terms since
+    ``gcd(c, den) = 1``.  Each of them still returns through ``_trusted``, so
+    its result has the canonical form like any other.
     ``terms`` is a derived ``{exps: Fraction}`` view, built afresh on each
     access.
     """
@@ -142,8 +172,8 @@ class SparsePoly:
         object.__setattr__(self, "num", {e: c.numerator * (den // c.denominator) for e, c in clean.items()})
         object.__setattr__(self, "den", den)
 
-    @classmethod
-    def _trusted(cls, nvars: int, num: dict[Exponents, int], den: int) -> "SparsePoly":
+    @staticmethod
+    def _trusted(nvars: int, num: dict[Exponents, int], den: int) -> "SparsePoly":
         """A polynomial from int numerators over ``den > 0``, keyed by valid
         exponent tuples; zeros are dropped and, unless ``den == 1``, one gcd
         reduces the rest.  A map with no zero is kept as given, so callers
@@ -155,10 +185,10 @@ class SparsePoly:
             if g != 1:
                 num = {e: c // g for e, c in num.items()}
                 den //= g
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "nvars", nvars)
-        object.__setattr__(poly, "num", num)
-        object.__setattr__(poly, "den", den)
+        poly = object.__new__(SparsePoly)
+        _set_nvars(poly, nvars)
+        _set_num(poly, num)
+        _set_den(poly, den)
         return poly
 
     def __setattr__(self, name, value):
@@ -202,30 +232,28 @@ class SparsePoly:
 
     def _plus(self, num: Mapping[Exponents, int], den: int, sign: int) -> "SparsePoly":
         """self + sign * num/den, for int numerators over ``den > 0``."""
-        if den == self.den:
-            out, scale = dict(self.num), sign
-        else:
-            common = lcm(self.den, den)
-            out = {e: c * (common // self.den) for e, c in self.num.items()}
-            den, scale = common, sign * (common // den)
+        if den == self.den:  # one denominator: each term added or subtracted as it stands
+            out = dict(self.num)
+            for exps, coeff in num.items():
+                out[exps] = out.get(exps, 0) + coeff if sign > 0 else out.get(exps, 0) - coeff
+            return SparsePoly._trusted(self.nvars, out, den)
+        common = lcm(self.den, den)
+        out = {e: c * (common // self.den) for e, c in self.num.items()}
+        scale = sign * (common // den)
         for exps, coeff in num.items():
             out[exps] = out.get(exps, 0) + coeff * scale
-        return SparsePoly._trusted(self.nvars, out, den)
+        return SparsePoly._trusted(self.nvars, out, common)
 
-    def _sum(self, other, sign: int):
+    def _sum(self, other, sign: int = 1):
         """self + sign * other, for a polynomial or a scalar ``other``."""
-        if type(other) is not SparsePoly:
-            if isinstance(other, (int, Fraction)):  # a scalar joins the constant term
-                return self._plus({(0,) * self.nvars: other.numerator}, other.denominator, sign)
-            if not isinstance(other, SparsePoly):
-                return NotImplemented
-        self._require_same_vars(other)
-        return self._plus(other.num, other.den, sign)
+        if isinstance(other, SparsePoly):
+            self._require_same_vars(other)
+            return self._plus(other.num, other.den, sign)
+        if isinstance(other, (int, Fraction)):  # a scalar joins the constant term
+            return self._plus({(0,) * self.nvars: other.numerator}, other.denominator, sign)
+        return NotImplemented
 
-    def __add__(self, other):
-        return self._sum(other, 1)
-
-    __radd__ = __add__
+    __add__ = __radd__ = _sum
 
     def __neg__(self):
         return SparsePoly._trusted(self.nvars, {e: -c for e, c in self.num.items()}, self.den)
@@ -234,9 +262,11 @@ class SparsePoly:
         return self._sum(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self)._sum(other)
 
     def __mul__(self, other):
+        if type(other) is int:  # the commonest operand: an int scales every numerator
+            return SparsePoly._trusted(self.nvars, {e: c * other for e, c in self.num.items()}, self.den)
         if type(other) is not SparsePoly:
             if isinstance(other, (int, Fraction)):  # a scalar scales every numerator
                 num = {e: c * other.numerator for e, c in self.num.items()}
@@ -244,12 +274,17 @@ class SparsePoly:
             if not isinstance(other, SparsePoly):
                 return NotImplemented
         self._require_same_vars(other)
-        out: dict[Exponents, int] = {}
-        terms2 = list(other.num.items())
-        for e1, c1 in self.num.items():
-            for e2, c2 in terms2:
-                e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
+        many, one = (self.num, other.num) if len(other.num) == 1 else (other.num, self.num)
+        if len(one) == 1:  # one term shifts the other factor's exponents: no two products meet
+            ((e2, c2),) = one.items()
+            out = {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in many.items()}
+        else:
+            out = {}
+            terms2 = list(other.num.items())
+            for e1, c1 in self.num.items():
+                for e2, c2 in terms2:
+                    e = tuple(map(add, e1, e2))
+                    out[e] = out.get(e, 0) + c1 * c2
         return SparsePoly._trusted(self.nvars, out, self.den * other.den)
 
     __rmul__ = __mul__
@@ -257,11 +292,15 @@ class SparsePoly:
     def __truediv__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return self * (1 / Fraction(scalar))
+        return self * Fraction(1, scalar)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be non-negative integers")
+        if len(self.num) == 1:  # (c x^e / den)^k = c^k x^(k e) / den^k, still in lowest terms
+            ((exps, c),) = self.num.items()
+            power = {tuple([e * exponent for e in exps]): c**exponent}
+            return SparsePoly._trusted(self.nvars, power, self.den**exponent)
         if exponent == 0:
             return SparsePoly.const(self.nvars, 1)
         result = self  # square-and-multiply over the bits below the leading one
@@ -319,3 +358,6 @@ class SparsePoly:
     def __repr__(self):
         return f"SparsePoly({self.nvars}, {dict(self.sorted_terms())!r})"
 
+
+#: The slots' own setters, which ``_trusted`` calls past the immutable ``__setattr__``.
+_set_nvars, _set_num, _set_den = (SparsePoly.__dict__[slot].__set__ for slot in SparsePoly.__slots__)

@@ -789,7 +789,7 @@ def _table_residuals(r: int, ell: int, denom: int, table) -> tuple:
 @lru_cache(maxsize=None)
 def _closed_form_residuals(r: int, index: int, prefactor: Fraction, rows: tuple) -> tuple:
     """Field ``index`` of :func:`_chain` minus its CLOSED_FORM_TABLES rows, in (a, s)."""
-    expected = {p: prefactor * fn(_TABLE_A, _TABLE_S) for p, fn in rows}
+    expected = {p: fn(_TABLE_A, _TABLE_S) * prefactor for p, fn in rows}
     return _residual_rows(_chain_form(r, index), expected)
 
 

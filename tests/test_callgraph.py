@@ -96,6 +96,7 @@ NEVER_ENTERED = {
     # a passing run raises nothing and prints no object
     "failure, repr and hash paths": {
         ("certify", "Certificate.__repr__"),
+        ("certify", "_repr"),
         ("errors", "VerificationFailure.__init__"),
         ("exactcore", "SparsePoly.__hash__"),
         ("exactcore", "SparsePoly.__repr__"),

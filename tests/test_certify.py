@@ -299,6 +299,44 @@ def test_replay_round_trip():
     assert replay_matches(ci_cert)
 
 
+def test_replay_matches_past_the_str_digit_limit():
+    # the input echo has 5 001 digits, past str(int)'s default 4 300
+    n = 10**5000
+    cert = certify_veronese(n, 2, 1)
+    assert replay_matches(cert)
+    lower, upper = cert.witnesses["interval"]
+    assert not replay_matches(cert._replace(witnesses={"interval": [lower, upper + 1]}))
+    assert not replay_matches(cert._replace(input={"n": n + 1, "a": 2, "r": 1}))
+
+
+def test_repr_past_the_str_digit_limit():
+    text = repr(certify_veronese(10**5000, 2, 1))
+    assert text.startswith("Certificate(input={'n': 1" + "0" * 5000 + ", 'a': 2, 'r': 1}, ")
+    assert text.endswith(", conclusion='NONEXISTENT')")
+
+
+def test_repr_is_the_namedtuple_repr_of_the_plain_fields():
+    for cert in (
+        certify_veronese(7, 2, 3),
+        certify_veronese(9, 2, 1),
+        certify_veronese(5, 2, 2),
+        certify_complete_intersection(ctx(4, (2, 2), 3, 2)),
+    ):
+        payload = cert.to_json()
+        plain = cert._replace(input=payload["input"], witnesses=payload["witnesses"])
+        assert repr(cert) == Certificate.__bases__[0].__repr__(plain)
+
+
+def test_replay_matches_ignores_key_order_and_sees_types():
+    cert = certify_veronese(10, 5, 3)
+    witnesses = dict(reversed(cert.to_json()["witnesses"].items()))
+    witnesses["numerics"] = dict(reversed(witnesses["numerics"].items()))
+    assert replay_matches(Certificate(**{**cert._asdict(), "witnesses": witnesses}))
+    # json writes 3840 and "3840" differently, so the two do not match
+    witnesses["factor"] = str(witnesses["factor"])
+    assert not replay_matches(Certificate(**{**cert._asdict(), "witnesses": witnesses}))
+
+
 def test_certify_forms_the_degree_data_once(monkeypatch):
     # one power-sum map and one product d per certificate, and at rank r one
     # HRR pass over the 2 (r - 1) twists chi(O_Z) reads at twists 0 .. r - 2

@@ -7,8 +7,11 @@ import json
 import os
 import subprocess
 import sys
+from collections import namedtuple
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -295,15 +298,61 @@ def test_workload_argvs_are_answered_by_the_table(monkeypatch):
 
 _json_chars = st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u2603\U0001d11e')
 _json_text = st.text(_json_chars | st.characters())
+
+
+class _Text(str):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Object(dict):
+    pass
+
+
+class _Array(list):
+    pass
+
+
+class _Level(IntEnum):
+    LOW = -3
+    HIGH = 10**20
+
+
+_Pair = namedtuple("_Pair", "first second")
+
+_json_floats = st.floats(allow_nan=False, allow_infinity=False)
+# subclasses of every written type, which the writer matches by isinstance
+_json_leaves = (
+    st.none() | st.booleans() | st.integers() | _json_floats | _json_text
+    | _json_text.map(_Text) | _json_floats.map(_Float) | st.sampled_from(_Level)
+)
 # keys from the escape and non-ASCII alphabet alone, and at most four items
 # per container, so few draws are retried for distinct keys or max_leaves
 _json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | _json_text,
+    _json_leaves,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(st.text(_json_chars), inner, max_size=4),
+    | st.lists(inner, max_size=4).map(_Array)
+    | st.tuples(inner, inner).map(lambda pair: _Pair(*pair))
+    | st.dictionaries(st.text(_json_chars), inner, max_size=4)
+    | st.dictionaries(st.text(_json_chars), inner, max_size=4).map(_Object)
+    | st.dictionaries(st.text(_json_chars), inner, max_size=4).map(MappingProxyType),
     max_leaves=30,
 )
+
+
+def _json_reads(value):
+    """value with each MappingProxyType a dict, the one shape the CLI writes that json.dumps refuses."""
+    if isinstance(value, (dict, MappingProxyType)):
+        items = {key: _json_reads(item) for key, item in value.items()}
+        return items if type(value) is MappingProxyType else type(value)(items)
+    if isinstance(value, (list, tuple)):
+        items = [_json_reads(item) for item in value]
+        return value._make(items) if isinstance(value, _Pair) else type(value)(items)
+    return value
 
 
 @settings(max_examples=300, deadline=None)
@@ -312,8 +361,9 @@ _json_values = st.recursive(
 @example([float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 5e-324])
 @example(float("nan"))
 @example(float("-inf"))
+@example(_Pair(_Text("x"), [_Level.HIGH, _Float("-inf"), MappingProxyType({"k": _Object(a=_Array([MappingProxyType({})]))})]))
 def test_json_writer_matches_json_dumps(value):
-    assert cli._json(value) == json.dumps(value, indent=2)
+    assert cli._json(value) == json.dumps(_json_reads(value), indent=2)
 
 
 def test_json_writer_rejects_other_types():

@@ -189,6 +189,38 @@ def test_scalar_round_trip_at_any_size(bits, low, den):
     assert parse_scalar(scalar_str(x)) == x
 
 
+def _str_without_limit(x):
+    """str(x) with the interpreter's int-to-str digit limit lifted for the call."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    saved = limit() if limit else None
+    try:
+        if limit:
+            sys.set_int_max_str_digits(0)
+        return str(x)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(saved)
+
+
+def test_big_ints_render_through_decimal_and_without_it(monkeypatch):
+    # past 1 800 bits scalar_str builds a Decimal from halves at powers of 2;
+    # without the C _decimal module it splits at powers of 10 instead
+    values = [2**1800 - 1, 2**1800, 2**1801 + 1, 10**542, 10**5000 + 12345, 10**6000 - 1, 7**20000, 3**60000 + 1]
+    values += [-v for v in values]
+    expected = [_str_without_limit(v) for v in values]
+    assert [scalar_str(v) for v in values] == expected
+    monkeypatch.setitem(sys.modules, "_decimal", None)
+    assert [scalar_str(v) for v in values] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1700, max_value=40000), st.integers(min_value=-(10**50), max_value=10**50))
+def test_big_int_render_matches_str(bits, low):
+    x = (1 << bits) + low
+    assert scalar_str(x) == _str_without_limit(x)
+    assert scalar_str(-x) == "-" + scalar_str(x)
+
+
 def _x(s, i):
     return SparsePoly.variable(s, i)
 
@@ -454,6 +486,57 @@ def test_sums_that_cancel_keep_the_canonical_form():
         assert constant == value and hash(constant) == hash(value)
 
 
+# the ring's direct paths single out a zero, a constant and a one-term operand,
+# and a shared denominator; coefficients and scalars over denominators 1..12
+# that share factors with each other, so products and sums reduce
+_shared_dens = st.sampled_from([1, 2, 3, 4, 6, 12])
+_shared_fractions = st.builds(Fraction, st.integers(min_value=-12, max_value=12), _shared_dens)
+_ring_terms = st.one_of(
+    st.just({}),
+    _shared_fractions.map(lambda c: {(0, 0, 0): c}),
+    st.tuples(_exps, _shared_fractions).map(lambda term: dict([term])),
+    st.dictionaries(_exps, _shared_fractions, max_size=5),
+)
+_ring_scalars = st.one_of(
+    st.sampled_from([0, 1, -1, Fraction(1), Fraction(-1)]),
+    st.integers(min_value=-12, max_value=12),
+    _shared_fractions,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ring_terms, _ring_terms, _ring_scalars, st.integers(min_value=0, max_value=4))
+def test_ring_operations_match_fraction_arithmetic(t1, t2, c, k):
+    # each operator, reflected forms too, against the checked constructor fed
+    # the Fraction arithmetic's terms: equal num, den and hash, canonical form
+    p, q = SparsePoly(3, t1), SparsePoly(3, t2)
+    origin = {(0, 0, 0): Fraction(c)}
+    power = {(0, 0, 0): Fraction(1)}
+    for _ in range(k):
+        power = brute_poly_mul(power, t1)
+    results = {
+        "p + q": (p + q, brute_poly_add(t1, t2)),
+        "q + p": (q + p, brute_poly_add(t1, t2)),
+        "p - q": (p - q, brute_poly_add(t1, brute_poly_scale(t2, -1))),
+        "q - p": (q - p, brute_poly_add(t2, brute_poly_scale(t1, -1))),
+        "p * q": (p * q, brute_poly_mul(t1, t2)),
+        "q * p": (q * p, brute_poly_mul(t1, t2)),
+        "-p": (-p, brute_poly_scale(t1, -1)),
+        "p + c": (p + c, brute_poly_add(t1, origin)),
+        "c + p": (c + p, brute_poly_add(origin, t1)),
+        "p - c": (p - c, brute_poly_add(t1, brute_poly_scale(origin, -1))),
+        "c - p": (c - p, brute_poly_add(origin, brute_poly_scale(t1, -1))),
+        "p * c": (p * c, brute_poly_scale(t1, c)),
+        "c * p": (c * p, brute_poly_scale(t1, c)),
+        "p ** k": (p**k, power),
+    }
+    if c:
+        results["p / c"] = (p / c, brute_poly_scale(t1, 1 / Fraction(c)))
+    for name, (result, terms) in results.items():
+        assert type(result) is SparsePoly, name
+        _assert_as_checked_constructor(result, terms, (name, c, k))
+
+
 def test_every_ring_operation_builds_through_trusted(monkeypatch):
     # _trusted is the one place a result is normalised: every operator's
     # result, scalar operands included, is an object it returned
@@ -467,7 +550,8 @@ def test_every_ring_operation_builds_through_trusted(monkeypatch):
 
     p = SparsePoly(2, {(1, 0): Fraction(1, 6), (0, 1): Fraction(-2, 3), (0, 0): 5})
     q = SparsePoly(2, {(1, 1): Fraction(3, 4), (0, 0): -1})
-    assert p.den > 1
+    m = SparsePoly(2, {(2, 1): Fraction(-3, 4)})  # one term, over den 4
+    assert p.den > 1 and m.den > 1
     monkeypatch.setattr(SparsePoly, "_trusted", staticmethod(recording))
     results = {
         "-p": -p,
@@ -480,9 +564,13 @@ def test_every_ring_operation_builds_through_trusted(monkeypatch):
         "p + q": p + q,
         "p * q": p * q,
         "p ** 3": p**3,
+        "m ** 3": m**3,
+        "p * m": p * m,
+        "m * p": m * p,
     }
     for name, result in results.items():
         assert id(result) in made, name
+    assert results["m ** 3"] == SparsePoly(2, {(6, 3): Fraction(-27, 64)})
 
 
 def test_terms_is_a_read_only_view():
