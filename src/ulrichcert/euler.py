@@ -38,7 +38,7 @@ from .errors import OutOfTheoremScope
 from .exactcore import ScalarLike, SparsePoly
 from .exactcore import binom  # noqa: F401 - the benchmark tracer counts euler.binom
 from .hrr import chi_numerators, power_sums, todd_table
-from .symmetric import POWER_SUM_VARS, BasisExpr, basis_from_numerators, from_basis, times_all_vars
+from .symmetric import POWER_SUM_VARS, basis_from_numerators, from_basis, times_all_vars
 from .symmetric import power_sums_basis_form, read_basis_numerators
 from .symmetric import m1_times  # noqa: F401 - the benchmark tracer wraps euler.m1_times
 
@@ -120,18 +120,21 @@ def chi_ulrich(ell: ScalarLike, profile: ChiProfile) -> Fraction:
 
 
 def subvariety_numerators(m: int, s, sums, d, a, r: int, Ls: tuple, U, den: int) -> tuple:
-    """F * m! * den**m * chi(O_Z(L/den)) for each L in ``Ls``, u = U/den, F = todd_table(m)[0]:
-    the three-term chi(O_X(ell)) - chi(E(ell-u)) + (r-1) chi(O_X(ell-u)),
-    chi(O_X) at every ell and ell - u from one HRR pass over the power sums
-    ``sums`` of the s degrees, whose product is d.  Ints for one profile, or
-    polynomials in the power sums, a and s (:func:`subvariety_chi_symbolic`)."""
+    """(tops, scale): scale * chi(O_Z(L/den)) for each L in ``Ls``, u = U/den,
+    and the int scale = F * m! * den**m, F = todd_table(m)[0]: the three-term
+    chi(O_X(ell)) - chi(E(ell-u)) + (r-1) chi(O_X(ell-u)), chi(O_X) at every
+    ell and ell - u from one HRR pass over the power sums ``sums`` of the s
+    degrees, whose product is d.  Ints for one profile, or polynomials in the
+    power sums, a and s (:func:`subvariety_chi_symbolic`)."""
     shifted = tuple(L - U for L in Ls)
     values = chi_numerators(m, s, sums, Ls + shifted, den)
-    scale, F = d * factorial(m), todd_table(m)[0]
-    return tuple(
-        scale * (at_ell + (r - 1) * at_shift) - F * _ulrich_numerator(shift, den, m, a, r, d)
+    F, fact = todd_table(m)[0], factorial(m)
+    weight = d * fact
+    tops = tuple(
+        weight * (at_ell + (r - 1) * at_shift) - F * _ulrich_numerator(shift, den, m, a, r, d)
         for shift, at_ell, at_shift in zip(shifted, values, values[len(Ls) :])
     )
+    return tops, F * fact * den**m
 
 
 def chi_subvariety(ell: ScalarLike, profile: ChiProfile, u: ScalarLike) -> Fraction:
@@ -149,8 +152,8 @@ def chi_subvariety(ell: ScalarLike, profile: ChiProfile, u: ScalarLike) -> Fract
     L = ell.numerator * (den // ell.denominator)
     U = u.numerator * (den // u.denominator)
     sums = power_sums(m, profile.degrees)
-    (top,) = subvariety_numerators(m, profile.s, sums, profile.d, profile.a, profile.r, (L,), U, den)
-    return Fraction(top, todd_table(m)[0] * factorial(m) * den**m)
+    (top,), scale = subvariety_numerators(m, profile.s, sums, profile.d, profile.a, profile.r, (L,), U, den)
+    return Fraction(top, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +171,8 @@ def subvariety_chi_symbolic(m: int, r: int, ell: int) -> SparsePoly:
     sums = {k: SparsePoly.variable(n + 2, k - 1) for k in range(1, n + 1)}
     a, s = SparsePoly.variable(n + 2, n), SparsePoly.variable(n + 2, n + 1)
     twice_u = r * (sums[1] + (m + 1) * (a - 1) - s)
-    (top,) = subvariety_numerators(m, s, sums, 1, a, r, (2 * ell,), twice_u, 2)
-    return top / (todd_table(m)[0] * factorial(m) * 2**m)
+    (top,), scale = subvariety_numerators(m, s, sums, 1, a, r, (2 * ell,), twice_u, 2)
+    return top / scale
 
 
 @lru_cache(maxsize=None)
@@ -181,8 +184,9 @@ def subvariety_chi_form(m: int, r: int, ell: int) -> tuple:
 @lru_cache(maxsize=None)
 def subvariety_chi_numerators(a: int, m: int, s: int, r: int, ell: int) -> Mapping:
     """:func:`subvariety_chi_form` read at (a, s) in s variables: the nonzero
-    int numerators of :func:`subvariety_chi_basis` over the form's ``den``,
-    by partition, read-only since the cache shares them."""
+    int numerators of chi(O_Z(ell))/d in the monomial basis of s variables
+    over the form's ``den``, by partition, read-only since the cache shares
+    them."""
     if s < 1 or m < 1:
         raise ValueError("need m >= 1 and s >= 1")
     if r < 2:
@@ -190,18 +194,12 @@ def subvariety_chi_numerators(a: int, m: int, s: int, r: int, ell: int) -> Mappi
     return MappingProxyType(read_basis_numerators(subvariety_chi_form(m, r, ell), s, (a, s)))
 
 
-def subvariety_chi_basis(a: int, m: int, s: int, r: int, ell: int) -> BasisExpr:
-    """The chi polynomial of :func:`subvariety_chi_poly` divided by
-    x_1 ... x_s, in the monomial basis: chi(O_Z(ell))/d on an
-    m-dimensional complete intersection of s degrees, the numerators of
-    :func:`subvariety_chi_numerators` over :func:`subvariety_chi_form`'s ``den``."""
-    nums = subvariety_chi_numerators(a, m, s, r, ell)
-    return basis_from_numerators(s, subvariety_chi_form(m, r, ell)[0], nums)
-
-
 @lru_cache(maxsize=None)
 def subvariety_chi_poly(a: int, m: int, s: int, r: int, ell: int) -> SparsePoly:
     """The polynomial in x_1, ..., x_s whose value at a degree tuple is
     chi(O_Z(ell)) for the subvariety attached to a rank-r Ulrich bundle:
-    the expansion of x_1 ... x_s times :func:`subvariety_chi_basis`."""
-    return from_basis(times_all_vars(subvariety_chi_basis(a, m, s, r, ell)))
+    x_1 ... x_s times chi(O_Z(ell))/d, whose numerators in the monomial
+    basis :func:`subvariety_chi_numerators` reads over
+    :func:`subvariety_chi_form`'s ``den``."""
+    nums = subvariety_chi_numerators(a, m, s, r, ell)
+    return from_basis(times_all_vars(basis_from_numerators(s, subvariety_chi_form(m, r, ell)[0], nums)))

@@ -203,10 +203,6 @@ class SparsePoly:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int) -> "SparsePoly":
-        return cls._trusted(nvars, {}, 1)
-
-    @classmethod
     def const(cls, nvars: int, value: ScalarLike) -> "SparsePoly":
         return cls._trusted(nvars, {(0,) * nvars: value.numerator}, value.denominator)
 

@@ -63,7 +63,6 @@ from .symmetric import (
     POWER_SUM_VARS,
     BasisExpr,
     basis_from_numerators,
-    expand_m,
     from_basis,
     partitions_of,
     power_sums_basis_form,
@@ -189,7 +188,8 @@ def gap_poly(s: int, a: int, b: int) -> SparsePoly:
     reference for :func:`gap_value`."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    return gap_value(s, a, b, expand_m((2,), s), expand_m((4,), s))
+    p2, p4 = (from_basis(BasisExpr(s, {(k,): 1})) for k in (2, 4))
+    return gap_value(s, a, b, p2, p4)
 
 
 #: Endgame scale factors: chi gap times this factor equals d * v.
@@ -710,8 +710,7 @@ class GapReport(namedtuple("GapReport", "s a b value_grid recursion_checked base
 
     @property
     def min_value(self) -> int:
-        grid = self.value_grid
-        return grid.min_value if isinstance(grid, _GapGrid) else min(grid.values())
+        return self.value_grid.min_value
 
     def to_json(self) -> dict:
         return {

@@ -20,7 +20,7 @@ from .exactcore import scalar_str
 from .exactcore import binom  # noqa: F401 - the benchmark tracer counts invariants.binom
 from .euler import ChiProfile, subvariety_numerators
 from .euler import chi_subvariety  # noqa: F401 - the benchmark tracer wraps invariants.chi_subvariety
-from .hrr import power_sums, todd_table
+from .hrr import power_sums
 
 
 def canonical_coeff(m: int, s: int, S: int) -> Fraction:
@@ -183,8 +183,7 @@ def _numerics(ctx: ChiProfile, r: int, sums, d) -> UlrichNumerics:
     S2 = (S * S - sums[2]) // 2
     u = c1_coeff(4, a, r, s, S)
     den = u.denominator
-    tops = subvariety_numerators(4, s, sums, d, a, r, (0, den) if r == 3 else (0,), u.numerator, den)
-    scale = todd_table(4)[0] * 24 * den**4
+    tops, scale = subvariety_numerators(4, s, sums, d, a, r, (0, den) if r == 3 else (0,), u.numerator, den)
     chis = (*tops, scale) if r == 3 else ()  # the rank-2 chain reads no chi
     e, degz, kz, *rest = noether_chain(a, r, s, S, S2, d, *chis)
     kz = None if kz is None else Fraction(kz)

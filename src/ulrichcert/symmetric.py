@@ -9,7 +9,7 @@ parts all equal 1 with exactly s parts expands to the product of all
 variables.
 
 The power sums p_k = m_k bridge the basis to the ring Q[p_1, ..., p_n]:
-p_k is multiplied in directly in the basis (:func:`p_times`), so a
+p_k is multiplied in directly in the basis (:func:`p_times_coeffs`), so a
 polynomial in the power sums, with or without further int parameters, is
 written in the basis once for every s and every parameter value
 (:func:`power_sums_basis_form`) and read at each (:func:`read_basis_form`).
@@ -119,16 +119,6 @@ def _distinct_arrangements(values: Sequence[int], length: int) -> Iterator[tuple
     yield from fill(0)
 
 
-def expand_m(partition: Sequence[int], s: int) -> SparsePoly:
-    """The monomial symmetric polynomial m_lambda in s variables."""
-    partition = check_partition(partition)
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if len(partition) > s:
-        return SparsePoly.zero(s)
-    return SparsePoly(s, {exps: 1 for exps in _distinct_arrangements(partition, s)})
-
-
 class BasisExpr(namedtuple("BasisExpr", "nvars coeffs")):
     """A symmetric polynomial written in the monomial basis.
 
@@ -148,9 +138,6 @@ class BasisExpr(namedtuple("BasisExpr", "nvars coeffs")):
             if coeff != 0:
                 clean[partition] = coeff
         return super().__new__(cls, nvars, clean)
-
-    def get(self, partition: Sequence[int]) -> Fraction:
-        return self.coeffs.get(tuple(partition), Fraction(0))
 
     def sorted_items(self) -> list[tuple[Partition, Fraction]]:
         return sorted(self.coeffs.items(), key=lambda item: partition_sort_key(item[0]))
@@ -256,14 +243,10 @@ def times_all_vars(expr: BasisExpr) -> BasisExpr:
     )
 
 
-def p_times(expr: BasisExpr, k: int) -> BasisExpr:
-    """Multiply by the power sum p_k = m_k directly in the basis."""
-    return BasisExpr(expr.nvars, p_times_coeffs(expr.coeffs, expr.nvars, k))
-
-
 def p_times_coeffs(coeffs: Mapping[Partition, object], s: int, k: int) -> dict:
-    """:func:`p_times` on a bare map from partitions to coefficients of any
-    exact type (ints stay ints), in s variables.
+    """Multiply by the power sum p_k = m_k directly in the basis, on a bare
+    map from partitions to coefficients of any exact type (ints stay ints),
+    in s variables.
 
     The product of p_k with m_lambda is the sum, over ways of raising one
     part value of lambda by k or appending a new part k, of the resulting
@@ -285,7 +268,7 @@ def p_times_coeffs(coeffs: Mapping[Partition, object], s: int, k: int) -> dict:
 
 def m1_times(expr: BasisExpr) -> BasisExpr:
     """Multiply by m_1 = p_1, the sum of the variables, in the basis."""
-    return p_times(expr, 1)
+    return BasisExpr(expr.nvars, p_times_coeffs(expr.coeffs, expr.nvars, 1))
 
 
 #: Q[p_1, ..., p_4]: the power sums of weight <= 4 as polynomial variables

@@ -16,6 +16,11 @@ identity layer's residuals, formed once in (a, s), replace.
 :func:`ones_splits` enumerates a partition's specialization splits anew
 for each (partition, s, k), the reference for the splits that
 ``symmetric._ones_splits`` enumerates once per partition.
+:func:`expand_m` lists the exponent tuples that sort to a padded
+partition, the reference for ``symmetric.from_basis`` on one basis
+element, and :func:`chi_basis` is chi(O_Z(ell))/d in the monomial basis
+as the package reads it, the numerators of
+``euler.subvariety_chi_numerators`` over the chi form's one denominator.
 """
 
 import argparse
@@ -26,10 +31,10 @@ from itertools import combinations, product
 from math import factorial, lcm, prod
 
 from ulrichcert import cli
-from ulrichcert.euler import subvariety_chi_symbolic
+from ulrichcert.euler import subvariety_chi_form, subvariety_chi_numerators, subvariety_chi_symbolic
 from ulrichcert.exactcore import SparsePoly, falling, scalar_str
 from ulrichcert.identities import BASIS, VerificationReport
-from ulrichcert.symmetric import BasisExpr, orbit_size, p_times_coeffs, partitions_of
+from ulrichcert.symmetric import BasisExpr, basis_from_numerators, orbit_size, p_times_coeffs, partitions_of
 
 
 def falling_binom(q, m):
@@ -95,7 +100,7 @@ def brute_chi_poly(a, m, s, r, ell):
     slow s = 5 expansion; the result is never mutated."""
     x = [SparsePoly.variable(s, i) for i in range(s)]
     half = Fraction(r, 2)
-    full_sum = SparsePoly.zero(s)
+    full_sum = SparsePoly(s)
     for xi in x:
         full_sum = full_sum + xi
     u = half * full_sum + half * ((m + 1) * (a - 1) - s)
@@ -111,7 +116,7 @@ def brute_chi_poly(a, m, s, r, ell):
     f = f + ((-1) ** n * (r - 1)) * brute_binom_poly(u - ell - 1, n)
     for k in range(1, s + 1):
         for subset in combinations(range(s), k):
-            partial = SparsePoly.zero(s)
+            partial = SparsePoly(s)
             for i in subset:
                 partial = partial + x[i]
             sign = (-1) ** (k + n)
@@ -272,8 +277,8 @@ def _plain_falling(order: int, ell: int, deficit: int) -> tuple:
 
 
 def koszul_chi_basis(a: int, m: int, s: int, r: int, ell: int) -> BasisExpr:
-    """``euler.subvariety_chi_basis`` by Koszul orbit counting: the chi
-    polynomial divided by x_1 ... x_s, in the monomial basis.
+    """:func:`chi_basis` by Koszul orbit counting: the chi polynomial divided
+    by x_1 ... x_s, in the monomial basis.
 
     The subset sums over the degrees are collapsed by orbit counting: the
     sum of g(x_{i_1} + ... + x_{i_k}) over all k-subsets is assembled from
@@ -344,6 +349,22 @@ def koszul_chi_basis(a: int, m: int, s: int, r: int, ell: int) -> BasisExpr:
     return BasisExpr(s, {partition: Fraction(c, den) for partition, c in coeffs.items()})
 
 
+def chi_basis(a: int, m: int, s: int, r: int, ell: int) -> BasisExpr:
+    """chi(O_Z(ell))/d on an m-dimensional complete intersection of s
+    degrees, in the monomial basis: the expression whose expansion times
+    x_1 ... x_s is ``euler.subvariety_chi_poly``."""
+    nums = subvariety_chi_numerators(a, m, s, r, ell)
+    return basis_from_numerators(s, subvariety_chi_form(m, r, ell)[0], nums)
+
+
+def expand_m(partition, s: int) -> SparsePoly:
+    """The monomial symmetric polynomial m_partition in s variables: one
+    term per exponent tuple over the partition's values and 0 that sorts to
+    the partition padded with zeros; zero when it has more parts than s."""
+    padded = sorted(tuple(partition) + (0,) * (s - len(partition)))
+    return SparsePoly(s, {exps: 1 for exps in product(set(padded), repeat=s) if sorted(exps) == padded})
+
+
 def ones_splits(partition: tuple, s: int, k: int) -> tuple:
     """The (head, weight) pairs of m_partition in s variables at
     x_{k+1} = ... = x_s = 1, one ``itertools.product`` enumeration of the
@@ -412,12 +433,11 @@ def basis_compare(check: str, parameters: dict, compared: dict, notes: list | No
         for partition in BASIS:
             if len(partition) > actual.nvars:
                 continue
-            want = expected.get(partition, 0)
-            if actual.coeffs.get(partition, 0) != want:
-                diff = actual.get(partition) - Fraction(want)
-                residuals.append((prefix + label(partition), scalar_str(diff)))
+            got, want = actual.coeffs.get(partition, 0), expected.get(partition, 0)
+            if got != want:
+                residuals.append((prefix + label(partition), scalar_str(got - Fraction(want))))
         for partition in sorted(set(actual.coeffs) - set(BASIS)):
-            residuals.append((prefix + label(partition), scalar_str(actual.get(partition))))
+            residuals.append((prefix + label(partition), scalar_str(actual.coeffs[partition])))
     return VerificationReport(check, parameters, residuals, list(notes or []))
 
 

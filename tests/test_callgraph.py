@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+TRACING = SRC.parent / "perfbench" / "tracing.py"
 
 #: One run per subcommand and certificate branch, selftest, a help argv and
 #: a bad argv, each with the exit code it must return.
@@ -70,13 +71,41 @@ print(json.dumps(sorted(
 )))
 """
 
+#: Installs perfbench/tracing.py's wrappers in a fresh interpreter and prints
+#: each ulrichcert function that ``install`` replaced on a module or on
+#: SparsePoly, or whose cache_info it returned, lru_cache unwrapped, as
+#: [module, qualname] of its definition.
+_TRACER_PROBE = """
+import importlib.util, inspect, json, pkgutil, sys
+
+src, tracing_path = sys.argv[1], sys.argv[2]
+sys.path.insert(0, src)
+import ulrichcert
+from ulrichcert.exactcore import SparsePoly
+
+owners = [importlib.import_module("ulrichcert." + info.name) for info in pkgutil.iter_modules(ulrichcert.__path__)]
+before = {owner: dict(vars(owner)) for owner in owners + [SparsePoly]}
+spec = importlib.util.spec_from_file_location("tracing", tracing_path)
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+cached = tracing.install(tracing.Tracer())
+
+replaced = [value for owner, names in before.items() for name, value in names.items() if vars(owner)[name] is not value]
+reached = {inspect.unwrap(fn) for fn in replaced + list(cached.values())}
+print(json.dumps(sorted(
+    [fn.__module__.removeprefix("ulrichcert."), fn.__qualname__]
+    for fn in reached
+    if fn.__module__.startswith("ulrichcert.")
+)))
+"""
+
+TRACED = "wrapped by the benchmark tracer"
+
 #: The functions no run enters, by why.
 NEVER_ENTERED = {
     # perfbench/tracing.py wraps these by name (SPANNED, BUILDERS), so they stay
-    # until the benchmark wraps only what a production path enters; the rest
-    # are their callees (expand_m -> SparsePoly.zero, m1_times -> p_times)
-    "wrapped by the benchmark tracer, and their callees": {
-        ("euler", "subvariety_chi_basis"),
+    # until the benchmark wraps only what a production path enters
+    TRACED: {
         ("euler", "subvariety_chi_poly"),
         ("identities", "c2_poly_r3"),
         ("identities", "deg_poly_r3"),
@@ -86,12 +115,9 @@ NEVER_ENTERED = {
         ("identities", "noether_chi_r2"),
         ("identities", "noether_chi_r3"),
         ("symmetric", "divide_all_vars"),
-        ("symmetric", "expand_m"),
         ("symmetric", "m1_times"),
-        ("symmetric", "p_times"),
         ("symmetric", "specialize_ones"),
         ("exactcore", "SparsePoly.eval"),
-        ("exactcore", "SparsePoly.zero"),
     },
     # a passing run raises nothing and prints no object
     "failure, repr and hash paths": {
@@ -109,11 +135,8 @@ NEVER_ENTERED = {
         ("identities", "_residual_rows.<locals>.row"),
         ("symmetric", "partition_sort_key"),
     },
-    # parse_scalar is kept for reading certificates back; the test oracles'
-    # basis_compare reads BasisExpr.get
-    "kept for certificate parsing and the test oracles": {
+    "kept for reading certificates back": {
         ("exactcore", "parse_scalar"),
-        ("symmetric", "BasisExpr.get"),
     },
 }
 
@@ -125,3 +148,14 @@ def test_every_src_function_is_entered_or_allowed():
     )
     never_entered = {tuple(name) for name in json.loads(run.stdout)}
     assert never_entered == set().union(*NEVER_ENTERED.values())
+
+
+def test_tracer_group_is_what_the_tracer_wraps():
+    # every name kept only for the tracer is one that install() replaces or
+    # reads the cache of, so no callee of a wrapped function hides among them
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", _TRACER_PROBE, str(SRC), str(TRACING)],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    reached = {tuple(name) for name in json.loads(run.stdout)}
+    assert NEVER_ENTERED[TRACED] <= reached, sorted(NEVER_ENTERED[TRACED] - reached)

@@ -16,14 +16,14 @@ from types import MappingProxyType
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import literal_parser
+from oracles import expand_m, literal_parser
 
 from ulrichcert import cli, identities
 from ulrichcert.certify import NONEXISTENT, Certificate, replay_matches
 from ulrichcert.cli import main, parse_degrees, parse_range
 from ulrichcert.errors import OutOfTheoremScope
 from ulrichcert.exactcore import SparsePoly
-from ulrichcert.symmetric import divide_all_vars, expand_m, from_basis, times_all_vars, to_basis
+from ulrichcert.symmetric import divide_all_vars, from_basis, times_all_vars, to_basis
 
 
 def test_parse_range():

@@ -236,7 +236,7 @@ def test_poly_power_is_the_repeated_product():
     # square-and-multiply against k products from the constant 1; p**0 is 1,
     # for the zero polynomial too
     polys = [
-        SparsePoly.zero(2),
+        SparsePoly(2),
         SparsePoly.const(2, Fraction(-3, 4)),
         SparsePoly(2, {(1, 0): Fraction(1, 2), (0, 2): -3, (0, 0): 5}),
     ]
@@ -260,7 +260,7 @@ def test_poly_nvars_mismatch():
 def test_poly_eval():
     x1, x2 = _x(2, 0), _x(2, 1)
     assert (x1 * x2).eval((2, 3)) == 6
-    assert SparsePoly.zero(2).eval((5, 7)) == 0
+    assert SparsePoly(2).eval((5, 7)) == 0
     assert brute_binom_poly(x1 + x2, 2).eval((1, 1)) == binom_int(2, 2)
     with pytest.raises(ValueError):
         (x1 * x2).eval((1,))
@@ -400,7 +400,7 @@ def test_equal_polynomials_from_different_routes_share_form_and_hash(t1, t2, c):
         "(c*p)/c vs p": ((c * p) / c, p),
         "c*(p + q) vs c*p + c*q": (c * (p + q), c * p + c * q),
         "(p + c) - c vs p": ((p + c) - c, p),
-        "p - p vs 0": (p - p, SparsePoly.zero(3)),
+        "p - p vs 0": (p - p, SparsePoly(3)),
         "p*p vs p**2": (p * p, p**2),
     }
     for name, (left, right) in routes.items():
@@ -587,9 +587,9 @@ def test_terms_is_a_read_only_view():
 def test_constant_polynomials_hash_as_their_scalar_value():
     # a constant polynomial equals its scalar, so Python's hash contract
     # needs the two hashes to agree
-    assert SparsePoly.const(2, 3) == 3 and SparsePoly.zero(2) == 0
+    assert SparsePoly.const(2, 3) == 3 and SparsePoly(2) == 0
     assert len({SparsePoly.const(2, 3), 3}) == 1
-    assert len({SparsePoly.zero(2), 0}) == 1
+    assert len({SparsePoly(2), 0}) == 1
     for nvars in (0, 1, 4):
         for value in (0, 1, -7, Fraction(1, 2), Fraction(-5, 3)):
             poly = SparsePoly.const(nvars, value)

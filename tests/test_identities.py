@@ -10,9 +10,8 @@ import pytest
 from ulrichcert import identities
 from ulrichcert.cli import main
 from ulrichcert.errors import VerificationFailure
-from ulrichcert.exactcore import SparsePoly
+from ulrichcert.exactcore import SparsePoly, scalar_str
 from ulrichcert.euler import (
-    subvariety_chi_basis,
     subvariety_chi_form,
     subvariety_chi_numerators,
     subvariety_chi_poly,
@@ -44,7 +43,6 @@ from ulrichcert.symmetric import (
     BasisExpr,
     basis_from_numerators,
     divide_all_vars,
-    expand_m,
     from_basis,
     power_sums_basis_form,
     read_basis_form,
@@ -53,7 +51,15 @@ from ulrichcert.symmetric import (
     times_all_vars,
     to_basis,
 )
-from oracles import basis_compare, brute_chi_poly, chi_power_sums, power_sums_in_s_vars, substitute_last
+from oracles import (
+    basis_compare,
+    brute_chi_poly,
+    chi_basis,
+    chi_power_sums,
+    expand_m,
+    power_sums_in_s_vars,
+    substitute_last,
+)
 
 
 def test_basis_compare_reports_exact_residuals_of_what_differs():
@@ -65,7 +71,7 @@ def test_basis_compare_reports_exact_residuals_of_what_differs():
     assert report.residuals == [("x:m_21", "1"), ("x:m_2", "-1/3"), ("x:m_5", "2/3")]
     assert (report.check, report.parameters, report.notes) == ("demo", {"a": 2}, ["note"])
     assert not report.passed
-    same = {partition: actual.get(partition) for partition in BASIS}
+    same = {partition: actual.coeffs.get(partition, 0) for partition in BASIS}
     assert basis_compare("demo", {}, {"": (actual, same)}).residuals == [("m_5", "2/3")]
 
 
@@ -151,20 +157,20 @@ def test_closed_forms_pass_and_spot_coefficients():
 
     a, s = 3, 5
     delta = deg_poly_r3(a, s)
-    assert delta.get((2,)) == Fraction(7, 8)
-    assert delta.get((1, 1)) == Fraction(12, 8)
+    assert delta.coeffs.get((2,), 0) == Fraction(7, 8)
+    assert delta.coeffs.get((1, 1), 0) == Fraction(12, 8)
 
     kh = kh_poly_r3(a, s)
-    assert kh.get((3,)) == Fraction(19, 8)
+    assert kh.coeffs.get((3,), 0) == Fraction(19, 8)
 
     chi3 = noether_chi_r3(a, s)
-    assert chi3.get((4,)) == Fraction(675, 768)
+    assert chi3.coeffs.get((4,), 0) == Fraction(675, 768)
 
     c3 = c2_poly_r3(a, s)
-    assert c3.get((4,)) == Fraction(265, 64)
+    assert c3.coeffs.get((4,), 0) == Fraction(265, 64)
 
     g = noether_chi_r2(a, s)
-    assert g.get((2,)) == Fraction(5, 1728) * (
+    assert g.coeffs.get((2,), 0) == Fraction(5, 1728) * (
         7100 - 10800 * a + 4036 * a**2 + 2860 * s - 2160 * a * s + 288 * s**2
     )
 
@@ -358,7 +364,7 @@ def _per_point_coefficient_table(a: int, s: int, variant: str):
     (a, s) against the table's entries at (a, s)."""
     r, ell, denom, table = COEFF_TABLES[variant]
     expected = {p: Fraction(c) / denom for p, c in zip(BASIS, table(a, s))}
-    reduced = subvariety_chi_basis(a, 4, s, r, ell)
+    reduced = chi_basis(a, 4, s, r, ell)
     return basis_compare(f"coefficient-table[{variant}]", {"a": a, "s": s}, {"": (reduced, expected)})
 
 
@@ -369,7 +375,7 @@ def _per_point_s4_tables(a: int):
     for variant, table in S4_TABLES.items():
         r, ell, denom, _ = COEFF_TABLES[variant]
         expected = {p: Fraction(c) / denom for p, c in zip(BASIS, table(a))}
-        compared[variant + ":"] = (subvariety_chi_basis(a, 4, 4, r, ell), expected)
+        compared[variant + ":"] = (chi_basis(a, 4, 4, r, ell), expected)
     return basis_compare("s4-displays", {"a": a}, compared)
 
 
@@ -576,8 +582,8 @@ def test_gap_recursion_failure_names_the_first_s_and_a(monkeypatch):
 @pytest.mark.parametrize("shape", [(2, 2, 1), (3, 3, 3), (5, 6, 4), (4, 4, 6), (4, 2, 1)])
 def test_gap_positivity_lazy_grid_reads_as_the_eager_dict(shape):
     # each report against the same report over dict(zip(tuples, values)),
-    # the grid the sweep built eagerly before it was read lazily; d_max = 1
-    # gives one tuple per s
+    # the grid the sweep built eagerly before it was read lazily, its minimum
+    # and summary formed from the dict's values; d_max = 1 gives one tuple per s
     d_max = shape[2]
     for report in check_gap_positivity(*shape):
         ones = (1,) * report.s
@@ -585,8 +591,17 @@ def test_gap_positivity_lazy_grid_reads_as_the_eager_dict(shape):
         values = [gap_at(tup, report.a, report.b) for tup in tuples]
         eager = report._replace(value_grid=dict(zip(tuples, values)))
         assert len(report.value_grid) == len(eager.value_grid) == d_max**report.s
-        assert report.min_value == eager.min_value == min(values)
-        assert report.summary() == eager.summary()
+        eager_min = min(eager.value_grid.values())
+        assert report.min_value == eager_min == min(values)
+        assert report.summary() == {
+            "s": report.s,
+            "a": report.a,
+            "b": report.b,
+            "grid_points": len(eager.value_grid),
+            "min_value": scalar_str(eager_min),
+            "recursion_checked": True,
+            "base_checked": True,
+        }
         assert list(report.value_grid) == list(eager.value_grid) == tuples
         assert report.value_grid[ones] == eager.value_grid[ones]
         assert report.to_json() == eager.to_json()

@@ -6,17 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulrichcert.errors import DivisibilityError, SymmetryError
-from ulrichcert.euler import subvariety_chi_basis, subvariety_chi_form, subvariety_chi_numerators
+from ulrichcert.euler import subvariety_chi_form, subvariety_chi_numerators
 from ulrichcert.exactcore import SparsePoly
 from ulrichcert.symmetric import (
     BasisExpr,
     _ones_splits,
     basis_from_numerators,
     divide_all_vars,
-    expand_m,
     from_basis,
     m1_times,
-    p_times,
+    p_times_coeffs,
     power_sums_basis_form,
     read_basis_form,
     times_all_vars,
@@ -28,7 +27,7 @@ from ulrichcert.symmetric import (
     specialize_ones_numerators,
     to_basis,
 )
-from oracles import chi_power_sums, ones_splits
+from oracles import chi_basis, chi_power_sums, expand_m, ones_splits
 
 
 def test_partitions_up_to_small():
@@ -55,20 +54,27 @@ def test_partition_sort_key_orders_basis():
     ]
 
 
+def _m(partition, s):
+    """m_partition in s variables, expanded from its one basis element."""
+    return from_basis(BasisExpr(s, {partition: 1}))
+
+
 def test_expand_m_examples():
     s = 3
-    assert expand_m((1, 1, 1), s) == SparsePoly(s, {(1, 1, 1): 1})
-    assert expand_m((2,), s) == SparsePoly(s, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
-    assert expand_m((2, 1), 2) == SparsePoly(2, {(2, 1): 1, (1, 2): 1})
-    assert expand_m((2, 1, 1), 2).is_zero()
+    assert _m((1, 1, 1), s) == SparsePoly(s, {(1, 1, 1): 1})
+    assert _m((2,), s) == SparsePoly(s, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+    assert _m((2, 1), 2) == SparsePoly(2, {(2, 1): 1, (1, 2): 1})
+    assert orbit_size((2, 1, 1), 2) == 0  # m_211 vanishes in two variables
 
 
 def test_expand_m_term_count_is_orbit_size():
     for s in range(1, 6):
         for partition in partitions_up_to(4):
-            poly = expand_m(partition, s) if partition else SparsePoly.const(s, 1)
             expected = orbit_size(partition, s)
-            assert len(poly.terms) == (expected if partition else 1)
+            if len(partition) > s:
+                assert expected == 0
+            else:
+                assert len(_m(partition, s).terms) == expected
 
 
 def test_to_basis_examples():
@@ -163,7 +169,8 @@ def test_m1_times_matches_expanded_product():
             expanded = expand_m((1,), s) * from_basis(expr)
             assert direct == expanded
             for k in (2, 3):
-                assert from_basis(p_times(expr, k)) == expand_m((k,), s) * from_basis(expr)
+                direct = from_basis(BasisExpr(s, p_times_coeffs(expr.coeffs, s, k)))
+                assert direct == expand_m((k,), s) * from_basis(expr)
 
 
 def test_m1_structure_constants_stable_in_s():
@@ -260,10 +267,9 @@ def test_basis_producers_match_the_checked_constructor():
     for a in (2, 3, 6):
         for s in (1, 2, 4, 5):
             for r, ell in ((2, 0), (3, 0), (3, 1), (2, -2)):
-                chi = subvariety_chi_basis(a, 4, s, r, ell)
+                chi = chi_basis(a, 4, s, r, ell)
                 produced = {
                     "chi": chi,
-                    "p_times": p_times(chi, 2),
                     "m1_times": m1_times(chi),
                     "times_all_vars": times_all_vars(chi),
                     "read_basis_form": read_basis_form(power_sums_basis_form(chi_power_sums(a, 4, s, r, ell), 0), s, ()),
