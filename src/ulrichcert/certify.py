@@ -66,13 +66,15 @@ def _repr(value) -> str:
     return scalar_str(value) if type(value) is int else repr(value)
 
 
-def _key_sorted(value):
-    """A plain tree with each dict's keys in sorted order, as ``json.dumps(sort_keys=True)`` reads it."""
+def _typed(value):
+    """A plain tree with each leaf paired with its type, so 3840 and "3840"
+    differ.  Two such trees are equal exactly when their JSON with sorted
+    keys is (dict equality ignores key order, and a certificate holds no float)."""
     if isinstance(value, dict):
-        return {key: _key_sorted(value[key]) for key in sorted(value)}
+        return {key: _typed(item) for key, item in value.items()}
     if isinstance(value, list):
-        return [_key_sorted(item) for item in value]
-    return value
+        return [_typed(item) for item in value]
+    return type(value), value
 
 
 class Certificate(namedtuple("Certificate", "input branch witnesses hypotheses_attested conclusion")):
@@ -289,8 +291,6 @@ def replay(cert: Certificate) -> Certificate:
 
 
 def replay_matches(cert: Certificate) -> bool:
-    """Whether a fresh run reproduces the certificate bit for bit: both written
-    by the CLI's JSON writer with sorted keys, so ints of any length compare."""
-    from .cli import _json
-
-    return _json(_key_sorted(replay(cert).to_json())) == _json(_key_sorted(cert.to_json()))
+    """Whether a fresh run reproduces the certificate bit for bit: the two
+    compared as values, leaf types included, with no integer written out."""
+    return _typed(replay(cert).to_json()) == _typed(cert.to_json())

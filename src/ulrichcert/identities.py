@@ -25,9 +25,9 @@ display only a, against the form at s = 4), and the gap v is formed over
 the chain's ring.  What does not hold as an identity is left as residual
 rows, polynomials in (a, s), and a checker at one (a, s) evaluates only
 those; when the identity holds there are none, so a passing point does no
-arithmetic.  Each residual is cached on the objects it was built from (the
-table rows, GAP_B, GAP_FACTOR, :func:`gap_value`), so a changed one misses
-the cache.
+arithmetic.  Each residual is built once per process from the module's
+tables (COEFF_TABLES, S4_TABLES, CLOSED_FORM_TABLES, GAP_B, GAP_FACTOR,
+:func:`gap_value`) and cached under the table's name or the rank alone.
 
 The specialization check (:func:`check_structure`) stays per point: chi/d
 for s degrees with x_{k+1} = ... = x_s = 1 against chi/d for k degrees, for
@@ -712,27 +712,23 @@ class GapReport(namedtuple("GapReport", "s a b value_grid recursion_checked base
     def min_value(self) -> int:
         return self.value_grid.min_value
 
-    def to_json(self) -> dict:
+    def _around(self, **grid) -> dict:
+        """The report's own keys with the grid's entries between them."""
         return {
             "s": self.s,
             "a": self.a,
             "b": self.b,
-            "value_grid": [[list(t), scalar_str(v)] for t, v in self.value_grid.items()],
+            **grid,
             "recursion_checked": self.recursion_checked,
             "base_checked": self.base_checked,
         }
 
+    def to_json(self) -> dict:
+        return self._around(value_grid=[[list(t), scalar_str(v)] for t, v in self.value_grid.items()])
+
     def summary(self) -> dict:
         """The report with its value grid reduced to its size and minimum."""
-        return {
-            "s": self.s,
-            "a": self.a,
-            "b": self.b,
-            "grid_points": len(self.value_grid),
-            "min_value": scalar_str(self.min_value),
-            "recursion_checked": self.recursion_checked,
-            "base_checked": self.base_checked,
-        }
+        return self._around(grid_points=len(self.value_grid), min_value=scalar_str(self.min_value))
 
 
 def _label(partition: tuple) -> str:
@@ -779,23 +775,26 @@ def _read_residuals(prefix: str, residuals: tuple, a: int, s: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _table_residuals(r: int, ell: int, denom: int, table) -> tuple:
+def _table_residuals(variant: str) -> tuple:
     """The chi polynomial's basis form minus one COEFF_TABLES variant, in (a, s)."""
+    r, ell, denom, table = COEFF_TABLES[variant]
     expected = {p: row * Fraction(1, denom) for p, row in zip(BASIS, table(_TABLE_A, _TABLE_S))}
     return _residual_rows(subvariety_chi_form(4, r, ell), expected)
 
 
 @lru_cache(maxsize=None)
-def _closed_form_residuals(r: int, index: int, prefactor: Fraction, rows: tuple) -> tuple:
-    """Field ``index`` of :func:`_chain` minus its CLOSED_FORM_TABLES rows, in (a, s)."""
-    expected = {p: fn(_TABLE_A, _TABLE_S) * prefactor for p, fn in rows}
+def _closed_form_residuals(name: str) -> tuple:
+    """The :func:`_chain` field a builder reads minus its CLOSED_FORM_TABLES rows, in (a, s)."""
+    (r, index), prefactor, rows = CLOSED_FORM_TABLES[name]
+    expected = {p: fn(_TABLE_A, _TABLE_S) * prefactor for p, fn in rows.items()}
     return _residual_rows(_chain_form(r, index), expected)
 
 
 @lru_cache(maxsize=None)
-def _s4_residuals(r: int, ell: int, denom: int, table) -> tuple:
+def _s4_residuals(variant: str) -> tuple:
     """The chi polynomial's basis form at s = 4 minus one S4_TABLES display, in a:
     the form's s tail folded at s = 4, so each row is a polynomial in (a, s) free of s."""
+    r, ell, denom, _ = COEFF_TABLES[variant]
     den, tails, rows = subvariety_chi_form(4, r, ell)
     folded = tuple(sorted({(e, 0) for e, _ in tails}))
     at_four = {}
@@ -804,7 +803,7 @@ def _s4_residuals(r: int, ell: int, denom: int, table) -> tuple:
         for (e, f), c in zip(tails, row):
             column[e, 0] += c * 4**f
         at_four[partition] = tuple(column.values())
-    expected = {p: row * Fraction(1, denom) for p, row in zip(BASIS, table(_TABLE_A))}
+    expected = {p: row * Fraction(1, denom) for p, row in zip(BASIS, S4_TABLES[variant](_TABLE_A))}
     return _residual_rows((den, folded, at_four), expected)
 
 
@@ -816,7 +815,7 @@ def check_coefficient_table(a: int, s: int, variant: str) -> VerificationReport:
         raise ValueError(f"unknown variant {variant!r}; expected one of {sorted(COEFF_TABLES)}")
     if s < 4:
         raise ValueError("coefficient tables are stated for s >= 4")
-    residuals = _read_residuals("", _table_residuals(*COEFF_TABLES[variant]), a, s)
+    residuals = _read_residuals("", _table_residuals(variant), a, s)
     return VerificationReport(f"coefficient-table[{variant}]", {"a": a, "s": s}, residuals, [])
 
 
@@ -825,9 +824,8 @@ def check_s4_tables(a: int) -> VerificationReport:
     single-parameter displays: the residual of each display as an identity
     in a, read at a."""
     residuals = []
-    for variant, table in S4_TABLES.items():
-        r, ell, denom, _ = COEFF_TABLES[variant]
-        residuals += _read_residuals(variant + ":", _s4_residuals(r, ell, denom, table), a, 4)
+    for variant in S4_TABLES:
+        residuals += _read_residuals(variant + ":", _s4_residuals(variant), a, 4)
     return VerificationReport("s4-displays", {"a": a}, residuals, [])
 
 
@@ -835,18 +833,18 @@ def check_closed_forms(a: int, s: int) -> VerificationReport:
     """Compare each derived polynomial against its closed-form basis table:
     the residual of each table as an identity in (a, s), read at (a, s)."""
     residuals = []
-    for name, (fields, prefactor, rows) in CLOSED_FORM_TABLES.items():
-        table = _closed_form_residuals(*fields, prefactor, tuple(rows.items()))
-        residuals += _read_residuals(name + ":", table, a, s)
+    for name in CLOSED_FORM_TABLES:
+        residuals += _read_residuals(name + ":", _closed_form_residuals(name), a, s)
     return VerificationReport("closed-forms", {"a": a, "s": s}, residuals, [KSQ_NOTE, NOETHER_R2_NOTE])
 
 
 @lru_cache(maxsize=None)
-def _gap_residual_form(r: int, b: int, factor: int, gap) -> tuple:
-    """Noether's chi/d minus the HRR chi/d at twist 0 minus gap(s, a, b, p_2,
-    p_4)/factor, rank r, over Q[p_1..p_4, a, s], in the monomial basis for
-    every a and s: the gap identity's residual, with no row when it holds."""
-    gap_side = gap(_S_VAR, _A_VAR, b, _P2, _P4) / factor
+def _gap_residual_form(r: int) -> tuple:
+    """Noether's chi/d minus the HRR chi/d at twist 0 minus gap_value(s, a,
+    GAP_B[r], p_2, p_4)/GAP_FACTOR[r], rank r, over Q[p_1..p_4, a, s], in the
+    monomial basis for every a and s: the gap identity's residual, with no
+    row when it holds."""
+    gap_side = gap_value(_S_VAR, _A_VAR, GAP_B[r], _P2, _P4) / GAP_FACTOR[r]
     residual = _chain(r)[6] - subvariety_chi_symbolic(4, r, 0) - gap_side
     return power_sums_basis_form(residual, 2)
 
@@ -862,7 +860,7 @@ def check_gap_identities(a: int, s: int) -> VerificationReport:
     back by that product."""
     residuals = []
     for label, r in (("rank2", 2), ("rank3", 3)):
-        diff = read_basis_form(_gap_residual_form(r, GAP_B[r], GAP_FACTOR[r], gap_value), s, (a, s))
+        diff = read_basis_form(_gap_residual_form(r), s, (a, s))
         for partition, coeff in times_all_vars(diff).sorted_items():
             residuals.append((f"{label}:{_label(partition)}", scalar_str(coeff)))
     return VerificationReport("chi-gap-identity", {"a": a, "s": s}, residuals, [NOETHER_R2_NOTE])

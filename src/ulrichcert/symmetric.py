@@ -36,15 +36,6 @@ from .exactcore import SparsePoly
 Partition = tuple  # weakly decreasing tuple of positive ints
 
 
-def check_partition(partition: Sequence[int]) -> Partition:
-    partition = tuple(partition)
-    if any(p <= 0 for p in partition):
-        raise ValueError(f"partition parts must be positive: {partition}")
-    if any(partition[i] < partition[i + 1] for i in range(len(partition) - 1)):
-        raise ValueError(f"partition parts must be weakly decreasing: {partition}")
-    return partition
-
-
 def partitions_of(weight: int) -> list[Partition]:
     """All partitions of the given weight, largest-part-first order."""
     if weight < 0:
@@ -131,7 +122,11 @@ class BasisExpr(namedtuple("BasisExpr", "nvars coeffs")):
     def __new__(cls, nvars: int, coeffs: Mapping[Partition, Fraction]):
         clean = {}
         for partition, coeff in coeffs.items():
-            partition = check_partition(partition)
+            partition = tuple(partition)
+            if any(p <= 0 for p in partition):
+                raise ValueError(f"partition parts must be positive: {partition}")
+            if any(partition[i] < partition[i + 1] for i in range(len(partition) - 1)):
+                raise ValueError(f"partition parts must be weakly decreasing: {partition}")
             if len(partition) > nvars:
                 raise ValueError(f"partition {partition} has more parts than variables ({nvars})")
             coeff = Fraction(coeff)

@@ -277,12 +277,13 @@ def test_once_built_forms_read_as_the_substituted_polynomials():
         assert read_basis_form(power_sums_basis_form(point, 0), s, ()) == want, (label, a, s)
 
 
-def test_gap_factor_mutation_fails_on_warm_caches(monkeypatch, capsys):
-    # GAP_B, GAP_FACTOR and gap_value key the gap residual's cache, so a
-    # changed factor fails the identity after a full report has filled every cache
+def test_gap_factor_mutation_fails_after_a_full_report(monkeypatch, capsys, clear_caches):
+    # the gap residual is cached under the rank alone, so once a full report
+    # has filled every cache, a changed factor reaches it through a cleared cache
     assert main(["verify-appendix", "--format", "json"]) == 0
     capsys.readouterr()
     monkeypatch.setattr(identities, "GAP_FACTOR", {2: 4321, 3: 3840})
+    clear_caches()
     for a, s in itertools.product(range(2, 7), range(1, 8)):
         assert not check_gap_identities(a, s).passed, (a, s)
 
@@ -322,8 +323,9 @@ def _shift_gap_b(monkeypatch):
 
 @pytest.mark.parametrize("caches", ["cold", "warm"])
 def test_table_and_gap_mutations_fail_on_cold_and_warm_caches(monkeypatch, capsys, clear_caches, caches):
-    # each residual cache is keyed on the table row, the factor or gap_value
-    # it was built from, so a changed one misses it even after a full report
+    # each residual cache is keyed on the table's name or the rank, so each
+    # change and each undo clears the caches; a change is then seen whether
+    # or not a full report ran first
     if caches == "warm":
         assert main(["verify-appendix", "--format", "json"]) == 0
         capsys.readouterr()
@@ -332,17 +334,25 @@ def test_table_and_gap_mutations_fail_on_cold_and_warm_caches(monkeypatch, capsy
     points = list(itertools.product(range(2, 7), range(4, 8)))
     with monkeypatch.context() as patch:
         _move_closed_form_row(patch)
+        clear_caches()
         assert not any(check_closed_forms(a, s).passed for a, s in points)
+    clear_caches()
     with monkeypatch.context() as patch:
         _move_coefficient_entry(patch)
+        clear_caches()
         assert not any(check_coefficient_table(a, s, "r3l1").passed for a, s in points)
+    clear_caches()
     with monkeypatch.context() as patch:
         _shift_gap_b(patch)
+        clear_caches()
         assert not any(check_gap_identities(a, s).passed for a, s in points)
+    clear_caches()
     with monkeypatch.context() as patch:
         _move_s4_row(patch)
+        clear_caches()
         assert not any(check_s4_tables(a).passed for a in range(2, 7))
-    # with every change undone, the cached residuals of the tables are read again
+    clear_caches()
+    # with every change undone, the residuals are built from the tables again
     for a, s in points:
         assert check_closed_forms(a, s).passed and check_gap_identities(a, s).passed
         assert check_coefficient_table(a, s, "r3l1").passed and check_s4_tables(a).passed
@@ -425,15 +435,13 @@ def test_a_passing_point_evaluates_no_residual_row(monkeypatch):
     # when every table and gap identity holds, each residual is empty, so
     # the checkers at a point evaluate nothing
     for variant in COEFF_TABLES:
-        assert identities._table_residuals(*COEFF_TABLES[variant]) == ()
-    for variant, table in S4_TABLES.items():
-        r, ell, denom, _ = COEFF_TABLES[variant]
-        assert identities._s4_residuals(r, ell, denom, table) == ()
-    for fields, prefactor, rows in CLOSED_FORM_TABLES.values():
-        assert identities._closed_form_residuals(*fields, prefactor, tuple(rows.items())) == ()
+        assert identities._table_residuals(variant) == ()
+    for variant in S4_TABLES:
+        assert identities._s4_residuals(variant) == ()
+    for name in CLOSED_FORM_TABLES:
+        assert identities._closed_form_residuals(name) == ()
     for r in (2, 3):
-        form = identities._gap_residual_form(r, identities.GAP_B[r], identities.GAP_FACTOR[r], identities.gap_value)
-        assert form[2] == {}, r
+        assert identities._gap_residual_form(r)[2] == {}, r
 
     def no_eval(*args):
         raise AssertionError("a residual row was evaluated")
@@ -463,12 +471,13 @@ def test_structure_checks_pass():
         assert check_structure(*args).passed
 
 
-def test_reports_list_only_failed_comparisons(monkeypatch):
+def test_reports_list_only_failed_comparisons(monkeypatch, clear_caches):
     assert check_closed_forms(2, 4).residuals == []
     assert check_structure(2, 4, 5, 2, 0).residuals == []
     rows = CLOSED_FORM_TABLES["deg_poly_r3"][2]
     row = rows[(1,)]
     monkeypatch.setitem(rows, (1,), lambda a, s: row(a, s) + 1)
+    clear_caches()
     report = check_closed_forms(2, 4)
     assert report.status == "fail" and report.residuals
     assert all(value != "0" for _, value in report.residuals)

@@ -173,6 +173,20 @@ def test_exactcore_import_loads_no_other_ulrichcert_module():
     assert run.stdout.split() == ["ulrichcert", "ulrichcert.exactcore"]
 
 
+def test_replay_matches_loads_no_cli():
+    # replay compares the two certificates as values, not through the CLI's JSON writer
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from ulrichcert.certify import certify_veronese, replay_matches; "
+        "assert replay_matches(certify_veronese(7, 3, 2)); print('ulrichcert.cli' in sys.modules)"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "False"
+
+
 def test_table_answered_commands_never_load_argparse_json_or_acceptance():
     # the modules left out of the import are not loaded later by the commands
     # the benchmark runs either: their work is gone, not deferred
