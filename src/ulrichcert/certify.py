@@ -9,20 +9,22 @@ Three mechanisms produce a NONEXISTENT conclusion:
 
 Every certificate carries exact witnesses that a replay can recompute from
 the input alone.  The chi mismatch forms the power sums and the product d
-of the reduced degrees once, for HRR, the Noether chain and the gap alike.
+of the reduced degrees once, for HRR, the Noether chain and the gap alike, then
+checks and writes int numerators over fixed scales: it builds no Fraction.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import factorial
+from math import factorial, lcm
 from types import MappingProxyType
 
 from .errors import InternalContradiction, OutOfTheoremScope
-from .exactcore import scalar_str
+from .exactcore import ratio_str, scalar_str
 from .euler import ChiProfile
 from .hrr import power_sums
-from .invariants import rank2_numerics, rank3_numerics
+from .invariants import numerics_json, numerics_record
+from .invariants import rank2_numerics, rank3_numerics  # noqa: F401 - the benchmark tracer wraps these here
 from .identities import GAP_B, GAP_FACTOR, gap_value
 from .identities import gap_poly  # noqa: F401 - the benchmark tracer wraps certify.gap_poly
 
@@ -180,7 +182,8 @@ def reduce_to_dim4(ctx: ChiProfile) -> ChiProfile:
     Degree-1 entries present a variety in a larger ambient space without
     changing it, so the type is first stripped of them; the output is the
     canonical presentation, making certificates independent of how the
-    input was padded.
+    input was padded.  A profile already in that form is returned as it is
+    (a core equal to ctx.degrees means m = 4: each of m - 4 > 0 sections adds an entry > 1).
     """
     if ctx.m < 4:
         raise ValueError("reduction needs m >= 4")
@@ -188,7 +191,7 @@ def reduce_to_dim4(ctx: ChiProfile) -> ChiProfile:
     core = tuple(d for d in degrees if d > 1)
     if len(core) < 4:
         core = core + (1,) * (4 - len(core))
-    return ChiProfile(4, core, ctx.a, ctx.r)
+    return ctx if core == ctx.degrees else ChiProfile(4, core, ctx.a, ctx.r)
 
 
 #: The quadric and the intersection of two quadrics, as reduced types.
@@ -232,23 +235,25 @@ def _certify(ctx: ChiProfile, echo: dict) -> Certificate:
         hypotheses.extend([ATTEST_VERY_GENERAL, ATTEST_TYPE_EXCLUSION])
 
     sums, d = power_sums(4, reduced.degrees), reduced.d
-    numerics = (rank2_numerics if ctx.r == 2 else rank3_numerics)(reduced, sums, d)
-    delta_chi = numerics.chiZ_noether - numerics.chiZ_rr
+    nums, scales = numerics_record(reduced, ctx.r, sums, d)
+    scale = lcm(*scales[-2:])  # chi(O_Z) by Noether minus chi(O_Z) by the resolution route, over scale
+    delta = nums[-2] * (scale // scales[-2]) - nums[-1] * (scale // scales[-1])
     factor = GAP_FACTOR[ctx.r]
     v = gap_value(reduced.s, ctx.a, GAP_B[ctx.r], sums[2], sums[4])
-    if delta_chi * factor != d * v:
-        raise InternalContradiction(f"chi gap {delta_chi} times {factor} is not d*v = {d}*{v}")
+    if delta * factor != d * v * scale:
+        dv = f"{ratio_str(d, 1)}*{ratio_str(v, 1)}"
+        raise InternalContradiction(f"chi gap {ratio_str(delta, scale)} times {factor} is not d*v = {dv}")
     if v <= 0:
-        raise InternalContradiction(f"gap value {v} <= 0 at {reduced.degrees}")
+        raise InternalContradiction(f"gap value {ratio_str(v, 1)} <= 0 at {_repr(list(reduced.degrees))}")
     return Certificate(
         input=echo,
         branch=BRANCH_CHI_MISMATCH,
         witnesses={
-            "delta_chi": scalar_str(delta_chi),
-            "v_value": scalar_str(v),
+            "delta_chi": ratio_str(delta, scale),
+            "v_value": ratio_str(v, 1),
             "factor": factor,
             "reduced_degrees": list(reduced.degrees),
-            "numerics": numerics.to_json(),
+            "numerics": numerics_json(nums, scales),
         },
         hypotheses_attested=tuple(hypotheses),
         conclusion=NONEXISTENT,
@@ -260,8 +265,8 @@ def certify_veronese(n: int, a: int, r: int) -> Certificate:
     projective space polarized by O(a), n >= 4."""
     if n < 4:
         raise OutOfTheoremScope(f"n = {n} < 4: low-rank Ulrich bundles can exist there")
-    # P^n as a hyperplane in P^(n+1): checks a and r without forming n - 4 degrees
-    hyperplane = ChiProfile(n, (1,), a, r)
+    if a < 2 or r not in (2, 3):  # rank 1, or a or r rejected without forming n - 4 degrees
+        hyperplane = ChiProfile(n, (1,), a, r)  # P^n as a hyperplane in P^(n+1)
 
     echo = {"n": n, "a": a, "r": r}
     if a == 2 and n in (5, 6):
@@ -277,7 +282,8 @@ def certify_veronese(n: int, a: int, r: int) -> Certificate:
             hypotheses_attested=(),
             conclusion=NONEXISTENT,
         )
-    return _certify(hyperplane if r == 1 else ChiProfile(4, (a,) * (n - 4) or (1,), a, r), echo)
+    # rank >= 2: cut to dimension 4 by n - 4 sections of degree a, padded with 1's as reduce_to_dim4 pads
+    return _certify(hyperplane if r == 1 else ChiProfile(4, (a,) * (n - 4) + (1,) * (8 - n), a, r), echo)
 
 
 def replay(cert: Certificate) -> Certificate:

@@ -60,11 +60,8 @@ def _parse_int(text: str) -> int:
 
 
 def _str(value) -> str:
-    """str(value); an int past the interpreter's int-to-str digit limit through scalar_str."""
-    try:
-        return str(value)
-    except ValueError:
-        return scalar_str(value)
+    """str(value), an int through scalar_str, which writes it at any length."""
+    return scalar_str(value) if type(value) is int else str(value)
 
 
 def parse_range(text: str) -> range:

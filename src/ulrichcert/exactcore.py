@@ -69,11 +69,13 @@ def _parse_int(text: str) -> int:
 
 def scalar_str(x: ScalarLike) -> str:
     """Render a rational as ``"p/q"``, or ``"p"`` when the denominator is 1, at any size."""
-    if isinstance(x, int):
-        return _int_str(x)
-    if x.denominator == 1:
-        return _int_str(x.numerator)
-    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
+    return _int_str(x) if isinstance(x, int) else ratio_str(x.numerator, x.denominator)
+
+
+def ratio_str(num: int, den: int) -> str:
+    """:func:`scalar_str` of num/den for ints, den > 0: one gcd reduces them, and no Fraction is built."""
+    g = gcd(num, den)
+    return _int_str(num // den) if g == den else f"{_int_str(num // g)}/{_int_str(den // g)}"
 
 
 def parse_scalar(text: str) -> Fraction:

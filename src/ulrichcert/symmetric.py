@@ -58,10 +58,7 @@ def partitions_of(weight: int) -> list[Partition]:
 def partitions_up_to(weight: int) -> list[Partition]:
     """All partitions of every weight <= the bound, by weight then
     reverse-lexicographic within each weight."""
-    out: list[Partition] = []
-    for w in range(weight + 1):
-        out.extend(partitions_of(w))
-    return out
+    return [partition for w in range(weight + 1) for partition in partitions_of(w)]
 
 
 def partition_sort_key(partition: Partition):
@@ -76,14 +73,9 @@ def orbit_size(partition: Partition, s: int) -> int:
     few tails at every (s, k)."""
     if len(partition) > s:
         return 0
-    counts: dict[int, int] = {}
-    for p in partition:
-        counts[p] = counts.get(p, 0) + 1
+    counts = Counter(partition)
     counts[0] = s - len(partition)
-    denom = 1
-    for c in counts.values():
-        denom *= factorial(c)
-    return factorial(s) // denom
+    return factorial(s) // prod(map(factorial, counts.values()))
 
 
 def _distinct_arrangements(values: Sequence[int], length: int) -> Iterator[tuple]:

@@ -579,6 +579,15 @@ def brute_noether_chain(a: int, r: int, s: int, S, S2, d, chi0=None, chi1=None) 
     return e, degz, kz, kzh, kz2, c2z, Fraction(1, 12) * (kz2 + c2z)
 
 
+def divided_chain(chain: tuple) -> tuple:
+    """The (fields, scales) of ulrichcert.invariants.noether_chain as the
+    seven values :func:`brute_noether_chain` returns: each field over its
+    scale, a Fraction for an int and a rescaled SparsePoly otherwise, kZ
+    (over 1) as it stands."""
+    fields, scales = chain
+    return tuple(x if k == 1 else Fraction(x, k) if isinstance(x, int) else x / k for x, k in zip(fields, scales))
+
+
 def _add_output_flags(sub):
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--output", help="write the report to this path instead of stdout")

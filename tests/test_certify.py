@@ -2,8 +2,11 @@ import hashlib
 import itertools
 import json
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ulrichcert import certify as certify_module, euler
 from ulrichcert.certify import (
@@ -25,7 +28,8 @@ from ulrichcert.certify import (
 from ulrichcert.cli import main
 from ulrichcert.errors import OutOfTheoremScope
 from ulrichcert.euler import ChiProfile
-from ulrichcert.exactcore import SparsePoly, parse_scalar
+from ulrichcert.exactcore import SparsePoly, parse_scalar, scalar_str
+from ulrichcert.invariants import numerics_record, rank2_numerics, rank3_numerics
 
 
 ctx = ChiProfile
@@ -374,3 +378,87 @@ def test_certify_builds_no_polynomial(monkeypatch):
         assert (cert.branch, cert.conclusion) == (BRANCH_CHI_MISMATCH, NONEXISTENT)
     cert = certify_complete_intersection(ctx(6, (5, 3, 2, 1), 3, 3))
     assert (cert.branch, cert.conclusion) == (BRANCH_CHI_MISMATCH, NONEXISTENT)
+
+
+def test_certify_builds_no_fraction(monkeypatch):
+    # from the degree data to the certificate text every field stays an int
+    # numerator over its scale; the HRR table is built (once, cached) first
+    for r in (2, 3):
+        certify_veronese(12, 5, r)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify built a Fraction")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    for r in (2, 3):
+        for cert in (certify_veronese(12, 5, r), certify_complete_intersection(ctx(6, (5, 3, 2, 1), 3, r))):
+            assert (cert.branch, cert.conclusion) == (BRANCH_CHI_MISMATCH, NONEXISTENT)
+    assert certify_complete_intersection(ctx(4, (3, 2), 3, 3)).witnesses["numerics"]["u"] == "39/2"
+
+
+def test_certify_builds_one_profile(monkeypatch):
+    # certify_veronese builds its dimension-4 profile already reduced, and
+    # reduce_to_dim4 returns a profile that is already in its form
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return ChiProfile(*args)
+
+    monkeypatch.setattr(certify_module, "ChiProfile", counted)
+    for run, count in [
+        (lambda: certify_veronese(12, 5, 3), 1),
+        (lambda: certify_veronese(5, 3, 2), 1),
+        (lambda: certify_veronese(9, 2, 1), 1),
+        (lambda: certify_complete_intersection(ChiProfile(6, (5, 3, 2, 1), 3, 2)), 1),
+        (lambda: certify_complete_intersection(ChiProfile(4, (5, 3, 2, 1), 3, 2)), 0),
+    ]:
+        run()
+        assert len(built) == count, built
+        del built[:]
+
+
+def test_gap_check_failure_names_the_chi_gap_past_the_digit_limit(monkeypatch, capsys):
+    # a wrong factor fails the gap check; its message renders the gap, d and v
+    # at any length, so the error is the failed check and not str()'s limit
+    monkeypatch.setattr(certify_module, "GAP_FACTOR", {2: 4321, 3: 3841})
+    assert main(["certify", "--n", "800", "--a", "1000000", "--r", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("verification failure: chi gap ")
+    assert " times 3841 is not d*v = " in err and len(err) > 4300
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(4, 8),
+    st.lists(st.integers(1, 9), min_size=1, max_size=6),
+    st.integers(2, 9),
+    st.sampled_from((2, 3)),
+)
+@example(4, [3, 2], 3, 3)  # u = 39/2: rank 3 with an odd bracket
+@example(100, [7], 10**6, 3)  # d = 7 * 10^576: witnesses past 1 800 bits, rendered through decimal
+def test_integer_witnesses_match_the_fraction_view(m, degrees, a, r):
+    # each chi-mismatch witness, written from int numerators over their
+    # scales, is scalar_str of the matching Fraction field, and the gap
+    # identity holds on the written values
+    cert = certify_complete_intersection(ChiProfile(m, degrees, a, r))
+    if cert.branch != BRANCH_CHI_MISMATCH:
+        assert cert.branch == BRANCH_INCONCLUSIVE
+        return
+    witnesses = cert.witnesses
+    reduced = ChiProfile(4, witnesses["reduced_degrees"], a, r)
+    numbers = (rank2_numerics if r == 2 else rank3_numerics)(reduced)
+    fields = {k: None if v is None else scalar_str(v) for k, v in numbers._asdict().items() if k != "kZH"}
+    assert dict(witnesses["numerics"]) == fields
+    assert witnesses["delta_chi"] == scalar_str(numbers.chiZ_noether - numbers.chiZ_rr)
+    v = parse_scalar(witnesses["v_value"])
+    assert parse_scalar(witnesses["delta_chi"]) * witnesses["factor"] == reduced.d * v and v > 0
+
+
+def test_witness_examples_cross_half_integer_u_and_the_decimal_path():
+    # the two explicit examples above reach what random draws rarely do
+    nums, scales = numerics_record(reduce_to_dim4(ChiProfile(4, (3, 2), 3, 3)), 3)
+    assert Fraction(nums[0], scales[0]) == Fraction(39, 2)
+    witnesses = certify_complete_intersection(ChiProfile(100, (7,), 10**6, 3)).witnesses
+    longest = max(len(text) for text in [witnesses["delta_chi"], *witnesses["numerics"].values()] if text)
+    assert longest > 600  # 600 digits are more than 1 993 bits

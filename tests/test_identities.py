@@ -56,6 +56,7 @@ from oracles import (
     brute_chi_poly,
     chi_basis,
     chi_power_sums,
+    divided_chain,
     expand_m,
     power_sums_in_s_vars,
     substitute_last,
@@ -181,7 +182,7 @@ def _x_variable_chain(a, r, s):
     power-sum builders."""
     chis = [subvariety_chi_poly(a, 4, s, 3, ell) for ell in (0, 1)] if r == 3 else []
     ones = expand_m((1,) * s, s)
-    return noether_chain(a, r, s, expand_m((1,), s), expand_m((1, 1), s), ones, *chis)
+    return divided_chain(noether_chain(a, r, s, expand_m((1,), s), expand_m((1, 1), s), ones, *chis))
 
 
 #: Each derived-polynomial builder -> (rank, index of its chain field), as
@@ -207,7 +208,7 @@ def test_chain_fields_read_the_per_point_chain_at_a_and_s():
     p1, p2 = (SparsePoly.variable(POWER_SUM_VARS, k) for k in (0, 1))
     for a, s, r in itertools.product(range(2, 10), range(1, 13), (2, 3)):
         chis = [chi_power_sums(a, 4, s, 3, ell) for ell in (0, 1)] if r == 3 else []
-        want = noether_chain(a, r, s, p1, (p1**2 - p2) / 2, 1, *chis)
+        want = divided_chain(noether_chain(a, r, s, p1, (p1**2 - p2) / 2, 1, *chis))
         got = [None if f is None else substitute_last(f, (a, s)) for f in identities._chain(r)]
         assert got == list(want), (a, s, r)
 

@@ -22,13 +22,15 @@ from ulrichcert.invariants import (
     c2_tangent_coeff,
     canonical_coeff,
     noether_chain,
+    numerics_json,
+    numerics_record,
     rank2_numerics,
     rank3_numerics,
     subvariety_degree,
     subvariety_degree_chern,
 )
 from ulrichcert.symmetric import POWER_SUM_VARS, from_basis
-from oracles import brute_noether_chain, literal_bracket24
+from oracles import brute_noether_chain, divided_chain, literal_bracket24
 
 
 ctx = ChiProfile
@@ -208,7 +210,7 @@ def test_integer_chain_matches_fraction_oracle():
             args = (a, r, c.s, c.S, c.Sprime, c.d)
             if r == 2:
                 expected = brute_noether_chain(*args)
-                chain = noether_chain(*args)
+                chain = divided_chain(noether_chain(*args))
                 numbers = rank2_numerics(c)
                 assert type(chain[2]) is int
             else:
@@ -218,8 +220,8 @@ def test_integer_chain_matches_fraction_oracle():
                 expected = brute_noether_chain(*args, chi0, chi1)
                 den = math.lcm(chi0.denominator, chi1.denominator)
                 x0, x1 = (chi.numerator * (den // chi.denominator) for chi in (chi0, chi1))
-                chain = noether_chain(*args, x0, x1, den)
-                assert noether_chain(*args, 7 * x0, 7 * x1, 7 * den) == expected
+                chain = divided_chain(noether_chain(*args, x0, x1, den))
+                assert divided_chain(noether_chain(*args, 7 * x0, 7 * x1, 7 * den)) == expected
                 numbers = rank3_numerics(c)
                 assert chain[2] is None
             assert chain == expected
@@ -252,15 +254,15 @@ def test_grouped_brackets_match_literal_brackets():
                         grouped = _bracket24(m, r, a, s, S, S2)
                         assert grouped == literal_bracket24(m, r, a, s, S, S2), (m, r, a, s, S)
                     if r == 2:
-                        assert noether_chain(a, r, s, S, S2, d) == brute_noether_chain(a, r, s, S, S2, d)
+                        assert divided_chain(noether_chain(a, r, s, S, S2, d)) == brute_noether_chain(a, r, s, S, S2, d)
                         continue
                     expected = brute_noether_chain(a, r, s, S, S2, d, chi0, chi1)
                     if isinstance(S, int):
                         den = math.lcm(chi0.denominator, chi1.denominator)
                         x0, x1 = (chi.numerator * (den // chi.denominator) for chi in (chi0, chi1))
-                        assert noether_chain(a, r, s, S, S2, d, x0, x1, den) == expected
+                        assert divided_chain(noether_chain(a, r, s, S, S2, d, x0, x1, den)) == expected
                     else:
-                        assert noether_chain(a, r, s, S, S2, d, chi0, chi1) == expected
+                        assert divided_chain(noether_chain(a, r, s, S, S2, d, chi0, chi1)) == expected
 
 
 def test_chain_gap_consequence():
@@ -291,8 +293,7 @@ def test_chains_reject_wrong_shape():
 
 
 def test_numerics_serialization_fields():
-    numbers = rank2_numerics(ctx(4, (1,), 2, 2))
-    payload = numbers.to_json()
+    payload = numerics_json(*numerics_record(ctx(4, (1,), 2, 2), 2))
     assert list(payload) == [
         "u",
         "e",
@@ -308,4 +309,4 @@ def test_numerics_serialization_fields():
     assert payload["u"] == "5"
     assert payload["chiZ_noether"] == "25/16"
     assert payload["chiZ_rr"] == "5/4"
-    assert rank3_numerics(ctx(4, (1,), 2, 3)).to_json()["kZ"] is None
+    assert numerics_json(*numerics_record(ctx(4, (1,), 2, 3), 3))["kZ"] is None
